@@ -6,8 +6,9 @@ self-similar profile
     u(t, x) = f((x - c) / sqrt(t)),
 
 where ``f`` splits into two Gaussian tail pieces weighted by the volatility
-band edges.  Everything here is evaluated through ``norm_cdf`` in closed
-form; no quadrature appears outside the test oracles.
+band edges.  Everything here is evaluated through the normal CDF
+(``math.erfc``) in closed form; no quadrature appears outside the test
+oracles.  ``profile_f`` and ``profile_f_yy`` also take arrays.
 
 The two-sided capacity has no closed form.  ``p2_approx`` returns twice the
 one-sided capacity together with rigorous error bounds: the absolute bound
@@ -25,8 +26,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainError
-from .special import norm_cdf, norm_pdf
+from .special import _INV_SQRT_2PI, _SQRT2, norm_cdf
+
+_erfc = np.frompyfunc(math.erfc, 1, 1)
 
 __all__ = [
     "VolatilityBand",
@@ -100,30 +105,40 @@ def _require_closed_form(band: VolatilityBand) -> None:
         )
 
 
-def profile_f(y: float, band: VolatilityBand) -> float:
+def profile_f(y, band: VolatilityBand):
     """Self-similar profile f(y); increasing from f(-inf)=0 to f(+inf)=1.
 
     Piecewise closed form:
         y <= 0:  2 s_hi/(s_hi+s_lo) * Phi(y/s_hi)
         y >  0:  1 - 2 s_lo/(s_hi+s_lo) * Phi(-y/s_lo)
+
+    ``y`` is a float (giving a float) or an array; Phi goes elementwise
+    through ``math.erfc`` exactly as in ``special.norm_cdf``.
     """
     _require_closed_form(band)
     lo, hi = band.sigma_lo, band.sigma_hi
     s = hi + lo
-    if y <= 0.0:
-        return 2.0 * hi / s * norm_cdf(y / hi)
-    return 1.0 - 2.0 * lo / s * norm_cdf(-y / lo)
+    ys = np.asarray(y, dtype=float)
+    left = ys <= 0.0
+    z = np.where(left, ys / hi, -ys / lo)
+    cdf = 0.5 * np.asarray(_erfc(-z / _SQRT2), dtype=float)
+    out = np.where(left, 2.0 * hi / s * cdf, 1.0 - 2.0 * lo / s * cdf)
+    return float(out) if out.ndim == 0 else out
 
 
-def profile_f_yy(y: float, band: VolatilityBand) -> float:
+def profile_f_yy(y, band: VolatilityBand):
     """Second derivative of the profile; sign(f_yy(y)) = sign(-y).
 
-    |f_yy| over y < 0 is maximized at y = -sigma_hi.
+    |f_yy| over y < 0 is maximized at y = -sigma_hi.  ``y`` is a float
+    (giving a float) or an array.
     """
     _require_closed_form(band)
     lo, hi = band.sigma_lo, band.sigma_hi
-    sig = hi if y <= 0.0 else lo
-    return -2.0 * y / (hi + lo) * norm_pdf(y / sig) / (sig * sig)
+    ys = np.asarray(y, dtype=float)
+    sig = np.where(ys <= 0.0, hi, lo)
+    z = ys / sig
+    out = -2.0 * ys / (hi + lo) * (_INV_SQRT_2PI * np.exp(-0.5 * z * z)) / (sig * sig)
+    return float(out) if out.ndim == 0 else out
 
 
 def u_one_sided(query: TailQuery, band: VolatilityBand) -> float:

@@ -328,36 +328,59 @@ def cmd_simulate(args) -> int:
 # repro
 
 
+# Targets, tolerances and sizes of the headline checks, shared with the
+# acceptance tests (criteria 1, 4 and 5).
+REPRO_BAND = VolatilityBand(sigma_lo=0.8, sigma_hi=1.0)
+REPRO_ALPHA = 0.05
+CAPACITY_POINTS = (  # (level, digits, rounded, rel_cap)
+    (0.95, 2, 0.11, 2e-3),
+    (0.975, 3, 0.056, 4e-4),
+    (0.995, 3, 0.011, 5e-6),
+)
+LIMIT_N, LIMIT_REPS, LIMIT_TOL = 10_000, 100_000, 0.004
+LIMIT_TARGET = 2 * REPRO_ALPHA / (1.0 + REPRO_BAND.sigma_lo / REPRO_BAND.sigma_hi)
+HETERO_TARGETS = ((20, 0.0565), (200, 0.0589))  # (n, rate)
+WILSON_Z = 3.0
+
+
+def hetero_tolerance(reps: int) -> float:
+    """0.20pp at 1e6 reps covers reference MC noise, the independent seed
+    and the open critical-value convention; fewer reps widen it."""
+    return 0.0020 if reps >= 1_000_000 else 0.0045
+
+
+def capacity_point_met(approx, digits: int, rounded: float, rel_cap: float) -> bool:
+    return round(approx.value, digits) == rounded and approx.rel_error_bound < rel_cap
+
+
+def above_nominal(report) -> bool:
+    """The Wilson WILSON_Z lower bound of the rejection rate exceeds alpha."""
+    lo, _ = wilson_interval(report.rejections, report.reps - report.degenerate, WILSON_Z)
+    return lo > REPRO_ALPHA
+
+
 def cmd_repro(args) -> int:
-    band = VolatilityBand(sigma_lo=0.8, sigma_hi=1.0)
+    band = REPRO_BAND
     reps = 100_000 if args.fast else args.reps
-    sim_tol = 0.0020 if reps >= 1_000_000 else 0.0045
+    sim_tol = hetero_tolerance(reps)
     checks = []
 
-    for level, rounded, rel_cap in (
-        (0.95, 0.11, 2e-3),
-        (0.975, 0.056, 4e-4),
-        (0.995, 0.011, 5e-6),
-    ):
-        c = norm_quantile(level)
-        approx = p2_approx(c, band)
-        ok = round(approx.value, 3 if rounded != 0.11 else 2) == rounded
-        ok = ok and approx.rel_error_bound < rel_cap
+    for level, digits, rounded, rel_cap in CAPACITY_POINTS:
+        approx = p2_approx(norm_quantile(level), band)
         checks.append(
             (
                 f"p2(Phi^-1({level}))",
                 f"{approx.value:.6f} (RE bound {approx.rel_error_bound:.2e})",
                 f"rounds to {rounded}, RE < {rel_cap:.0e}",
-                ok,
+                capacity_point_met(approx, digits, rounded, rel_cap),
             )
         )
 
-    target = 2 * 0.05 / (1.0 + band.sigma_lo / band.sigma_hi)
     cfg = SimulationConfig(
-        n=10_000,
-        reps=100_000,
-        policy=one_sided_optimal_policy(band, 10_000, 0.05),
-        test=TestSpec(sided="one", alpha=0.05, statistic="z", sigma_ref=band.sigma_hi),
+        n=LIMIT_N,
+        reps=LIMIT_REPS,
+        policy=one_sided_optimal_policy(band, LIMIT_N, REPRO_ALPHA),
+        test=TestSpec(sided="one", alpha=REPRO_ALPHA, statistic="z", sigma_ref=band.sigma_hi),
         seed=args.seed,
         workers=args.workers,
     )
@@ -366,31 +389,30 @@ def cmd_repro(args) -> int:
         (
             "one-sided limit n=1e4",
             f"{rate:.5f}",
-            f"|rate - {target:.5f}| <= 0.004",
-            abs(rate - target) <= 0.004,
+            f"|rate - {LIMIT_TARGET:.5f}| <= {LIMIT_TOL}",
+            abs(rate - LIMIT_TARGET) <= LIMIT_TOL,
         )
     )
 
-    for n, expected in ((20, 0.0565), (200, 0.0589)):
+    for n, expected in HETERO_TARGETS:
         cfg = SimulationConfig(
             n=n,
             reps=reps,
             policy=heuristic_t_policy(
-                band, n, 0.05, crit_rule="normal" if args.crit == "normal" else "t_step"
+                band, n, REPRO_ALPHA,
+                crit_rule="normal" if args.crit == "normal" else "t_step",
             ),
-            test=TestSpec(sided="two", alpha=0.05, statistic="t"),
+            test=TestSpec(sided="two", alpha=REPRO_ALPHA, statistic="t"),
             seed=args.seed,
             workers=args.workers,
         )
         report = run(cfg)
-        lo3, _ = wilson_interval(report.rejections, report.reps - report.degenerate, 3.0)
-        ok = abs(report.rate - expected) <= sim_tol and lo3 > 0.05
         checks.append(
             (
                 f"two-sided t rate n={n}",
                 f"{report.rate:.5f}",
-                f"|rate - {expected}| <= {sim_tol} and > 0.05 by 3 Wilson SDs",
-                ok,
+                f"|rate - {expected}| <= {sim_tol} and > {REPRO_ALPHA} by {WILSON_Z:g} Wilson SDs",
+                abs(report.rate - expected) <= sim_tol and above_nominal(report),
             )
         )
 

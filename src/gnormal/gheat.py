@@ -35,7 +35,7 @@ partitioned.  Distinct solves share no mutable state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -172,9 +172,8 @@ class ThresholdLevel:
 class GridSolution:
     """Space-time solution on the retained time levels.
 
-    ``values[k, j]`` is u(times[k], x[j]); ``uxx_sign`` holds the sign of
-    the discrete second difference (boundary columns 0).  ``snapped_c`` is
-    the cell-midpoint threshold actually used for indicator data.
+    ``values[k, j]`` is u(times[k], x[j]).  ``snapped_c`` is the
+    cell-midpoint threshold actually used for indicator data.
     """
 
     grid: GridSpec
@@ -183,14 +182,12 @@ class GridSolution:
     x: np.ndarray
     times: np.ndarray
     values: np.ndarray
-    uxx_sign: np.ndarray
     dt: float
     n_steps: int
     snapped_c: float | None = None
     threshold_times: np.ndarray | None = None
     threshold_roots: np.ndarray | None = None
     threshold_flags: np.ndarray | None = None
-    _ic_range: tuple[float, float] = field(default=(0.0, 1.0))
 
     @property
     def final_values(self) -> np.ndarray:
@@ -263,7 +260,10 @@ def _snap_to_cell_midpoint(c: float, x_min: float, dx: float) -> float:
 
 
 def _sample_ic(ic, x, dx, band):
-    """Initial vector, boundary-value callback, snapped threshold, data range."""
+    """Initial vector, boundary-value callback, snapped threshold, data range.
+
+    The callback maps an array of times to the (left, right) boundary values
+    at each of them."""
     x_min, x_max = float(x[0]), float(x[-1])
     lo_positive = band.sigma_lo > 0.0
 
@@ -278,11 +278,8 @@ def _sample_ic(ic, x, dx, band):
         if lo_positive:
 
             def bc(t):
-                rt = math.sqrt(t)
-                return (
-                    profile_f((x_min - c) / rt, band),
-                    profile_f((x_max - c) / rt, band),
-                )
+                rt = np.sqrt(t)
+                return profile_f((x_min - c) / rt, band), profile_f((x_max - c) / rt, band)
 
         else:
 
@@ -302,7 +299,7 @@ def _sample_ic(ic, x, dx, band):
         if lo_positive:
 
             def bc(t):
-                rt = math.sqrt(t)
+                rt = np.sqrt(t)
                 return (
                     profile_f((x_min - c) / rt, band) + profile_f((-x_min - c) / rt, band),
                     profile_f((x_max - c) / rt, band) + profile_f((-x_max - c) / rt, band),
@@ -373,7 +370,10 @@ def solve(
 
     times = np.empty(levels)
     values = np.empty((levels, grid.nx))
-    signs = np.zeros((levels, grid.nx), dtype=np.int8)
+    # Boundary values of every step at once; t_next = (k + 1) * dt.
+    bc_left, bc_right = (
+        np.broadcast_to(v, (n_steps,)) for v in bc(np.arange(1, n_steps + 1) * dt)
+    )
     if track_threshold:
         thr_times = np.empty(n_steps + 1)
         thr_roots = np.empty(n_steps + 1)
@@ -385,11 +385,10 @@ def solve(
     kept = 0
     nan_step = -1
 
-    def record(t: float, d2: np.ndarray) -> None:
+    def record(t: float) -> None:
         nonlocal kept
         times[kept] = t
         values[kept] = u
-        signs[kept, 1:-1] = np.sign(d2)
         kept += 1
 
     def track(step_index: int, t: float, d2: np.ndarray) -> None:
@@ -405,13 +404,12 @@ def solve(
         d2 = ((u[:-2] + u[2:]) - 2.0 * u[1:-1]) * inv_dx2
         t_now = k * dt
         if k % stride == 0:
-            record(t_now, d2)
+            record(t_now)
         if track_threshold:
             track(k, t_now, d2)
         g = half_hi * np.maximum(d2, 0.0) + half_lo * np.minimum(d2, 0.0)
         u[1:-1] += dt * g
-        t_next = (k + 1) * dt
-        u[0], u[-1] = bc(t_next)
+        u[0], u[-1] = bc_left[k], bc_right[k]
         if nan_step < 0 and not np.isfinite(u[1 :: max(grid.nx // 8, 1)]).all():
             nan_step = k + 1
             break
@@ -421,19 +419,17 @@ def solve(
     if nan_step >= 0:
         raise NumericalError(f"non-finite values detected at step {nan_step}")
 
-    d2 = ((u[:-2] + u[2:]) - 2.0 * u[1:-1]) * inv_dx2
-    record(grid.t_end, d2)
+    record(grid.t_end)
     if track_threshold:
-        track(n_steps, grid.t_end, d2)
+        track(n_steps, grid.t_end, ((u[:-2] + u[2:]) - 2.0 * u[1:-1]) * inv_dx2)
     assert kept == levels
 
     return GridSolution(
         grid=grid, band=band, ic=ic, x=x, times=times, values=values,
-        uxx_sign=signs, dt=dt, n_steps=n_steps, snapped_c=snapped_c,
+        dt=dt, n_steps=n_steps, snapped_c=snapped_c,
         threshold_times=thr_times if track_threshold else None,
         threshold_roots=thr_roots if track_threshold else None,
         threshold_flags=thr_flags if track_threshold else None,
-        _ic_range=ic_range,
     )
 
 
@@ -523,12 +519,7 @@ def one_sided_exact_values(sol: GridSolution, t: float) -> np.ndarray:
     c = sol.snapped_c
     if t == 0.0:
         return (sol.x > c).astype(float)
-    rt = math.sqrt(t)
-    return np.fromiter(
-        (profile_f((xj - c) / rt, sol.band) for xj in sol.x),
-        dtype=float,
-        count=sol.x.size,
-    )
+    return profile_f((sol.x - c) / math.sqrt(t), sol.band)
 
 
 def two_sided_exact_sum(sol: GridSolution, t: float) -> np.ndarray:
@@ -539,15 +530,7 @@ def two_sided_exact_sum(sol: GridSolution, t: float) -> np.ndarray:
     if t == 0.0:
         return (np.abs(sol.x) > c).astype(float)
     rt = math.sqrt(t)
-    band = sol.band
-    return np.fromiter(
-        (
-            profile_f((xj - c) / rt, band) + profile_f((-xj - c) / rt, band)
-            for xj in sol.x
-        ),
-        dtype=float,
-        count=sol.x.size,
-    )
+    return profile_f((sol.x - c) / rt, sol.band) + profile_f((-sol.x - c) / rt, sol.band)
 
 
 def verify_sandwich(

@@ -3,19 +3,20 @@
 Every rule is predictable: the volatility for step i depends only on the
 observations X_1 .. X_{i-1} carried in the policy state, and the output
 always lies inside the volatility band.  All rules except ``constant`` are
-bang-bang: they sit at sigma_hi until the running statistic crosses a
-threshold and drop to sigma_lo after.
+bang-bang: sigma_hi while their comparison holds, sigma_lo otherwise, so
+ties resolve toward sigma_hi.  With S and Q the sum and the sum of squares
+of the first m = i-1 observations, the comparisons are
 
-Ties at a threshold resolve toward sigma_hi (inclusive <=), matching the
-one-sided optimal rule
+    one-sided optimal:   S <= sigma_hi * Phi^-1(1-alpha) * sqrt(n)
+    two-sided threshold: |S| <= thr * sqrt(n), thr from the table row with
+                         time_remaining nearest 1 - (i-1)/n (first on a tie)
+    heuristic:           not (s2 > 0 and S*S > crit_i * crit_i * n * s2),
+                         s2 = max((Q - S*S/m) / (m - 1), 0),
 
-    sigma_i = sigma_hi  if S_{i-1}/sqrt(n) <= sigma_hi * Phi^-1(1-alpha),
-    sigma_i = sigma_lo  otherwise.
-
-The heuristic rule compares |S_{i-1}| / sqrt(n * s^2_{i-1}) against a
-critical value, where s^2_{i-1} is the sample variance of the first i-1
-observations (divisor i-2).  The scaling uses the full horizon n, not i-1.
-Conventions left open by the construction are configuration:
+the last being |S| / sqrt(n * s2) <= crit_i, scaled by the full horizon n
+rather than i-1.  Each is written once, in ``CompiledPolicy.sigma``, which
+both ``next_sigma`` and the Monte Carlo engine evaluate.  Conventions left
+open by the construction are configuration:
 
 * critical value: a fixed normal quantile Phi^-1(1-alpha/2) (default), the
   per-step Student-t quantile with i-2 degrees of freedom, or an explicit
@@ -32,7 +33,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .capacity import VolatilityBand
+from .capacity import VolatilityBand, profile_f_yy
 from .errors import ConfigurationError, StateError
 from .gheat import ThresholdLevel
 from .special import norm_quantile, t_quantile
@@ -45,9 +46,9 @@ __all__ = [
     "one_sided_optimal_policy",
     "two_sided_threshold_policy",
     "heuristic_t_policy",
+    "CompiledPolicy",
+    "compile_policy",
     "next_sigma",
-    "heuristic_critical_value",
-    "profile_f_yy_values",
     "pde_policy_equiv_check",
 ]
 
@@ -56,7 +57,7 @@ __all__ = [
 class ThresholdTable:
     """Time-indexed thresholds from the two-sided PDE sign-change locus.
 
-    Lookup picks the nearest ``time_remaining`` entry, no interpolation.
+    The policy uses the nearest ``time_remaining`` entry, no interpolation.
     """
 
     time_remaining: tuple[float, ...]
@@ -74,13 +75,6 @@ class ThresholdTable:
             time_remaining=tuple(lv.time_remaining for lv in levels),
             threshold=tuple(lv.threshold for lv in levels),
         )
-
-    def lookup(self, time_remaining: float) -> float:
-        best = min(
-            range(len(self.time_remaining)),
-            key=lambda j: abs(self.time_remaining[j] - time_remaining),
-        )
-        return self.threshold[best]
 
 
 @dataclass(frozen=True)
@@ -193,61 +187,85 @@ class PolicyState:
         return max((self.running_sum_sq - mean_sq) / (self.count - 1), 0.0)
 
 
-@lru_cache(maxsize=None)
-def heuristic_critical_value(rule: str, alpha: float, i: int) -> float:
-    """Critical value used by the heuristic rule at step i."""
-    if rule == "normal":
-        return norm_quantile(1.0 - alpha / 2.0)
-    if rule == "t_step":
-        return t_quantile(1.0 - alpha / 2.0, max(i - 2, 1))
-    raise ConfigurationError(f"unknown heuristic critical-value rule {rule!r}")
+@dataclass(frozen=True)
+class CompiledPolicy:
+    """A spec with the right-hand sides of its comparisons computed once:
+    a float for the one-sided rule, an array indexed by step i for the
+    two-sided and heuristic rules, None for the constant rule."""
+
+    spec: PolicySpec
+    bound: float | np.ndarray | None
+
+    def sigma(self, i: int, s: np.ndarray, ss: np.ndarray | None):
+        """Volatility for step i from the running sums ``s`` and sums of
+        squares ``ss`` of the first i-1 observations; a float where the
+        rule ignores them, otherwise an array shaped like ``s``."""
+        spec = self.spec
+        lo, hi = spec.band.sigma_lo, spec.band.sigma_hi
+        if spec.kind == "constant":
+            return spec.sigma_const
+        if spec.kind == "one_sided_optimal":
+            return np.where(s <= self.bound, hi, lo)
+        if spec.kind == "two_sided_threshold":
+            return np.where(np.abs(s) <= self.bound[i], hi, lo)
+        if i <= 2:
+            return hi
+        m = i - 1
+        s2 = np.maximum((ss - s * s / m) / (m - 1), 0.0)
+        exceed = (s2 > 0.0) & (s * s > self.bound[i] * s2)
+        return np.where(exceed, lo, hi)
+
+
+@lru_cache(maxsize=64)
+def compile_policy(spec: PolicySpec) -> CompiledPolicy:
+    """The spec's comparison bounds, computed once per spec."""
+    n = spec.n
+    root_n = math.sqrt(n)
+    if spec.kind == "constant":
+        bound = None
+    elif spec.kind == "one_sided_optimal":
+        bound = spec.band.sigma_hi * norm_quantile(1.0 - spec.alpha) * root_n
+    elif spec.kind == "two_sided_threshold":
+        # Nearest table row for time remaining 1 - (i-1)/n; a strict < keeps
+        # the first row among equally near ones.
+        time_remaining = 1.0 - np.arange(-1, n) / n
+        best = np.full(n + 1, np.inf)
+        thr = np.empty(n + 1)
+        for tau, th in zip(spec.table.time_remaining, spec.table.threshold):
+            dist = np.abs(tau - time_remaining)
+            nearer = dist < best
+            best[nearer] = dist[nearer]
+            thr[nearer] = th
+        bound = thr * root_n
+    else:
+        if spec.crit_rule == "fixed":
+            crit = np.full(n + 1, spec.c_alpha)
+        elif spec.crit_rule == "normal":
+            crit = np.full(n + 1, norm_quantile(1.0 - spec.alpha / 2.0))
+        else:
+            p = 1.0 - spec.alpha / 2.0
+            crit = np.array([t_quantile(p, max(i - 2, 1)) for i in range(n + 1)])
+        bound = crit * crit * n
+    if isinstance(bound, np.ndarray):
+        bound.flags.writeable = False
+    return CompiledPolicy(spec, bound)
 
 
 def next_sigma(spec: PolicySpec, state: PolicyState) -> float:
-    """Volatility for step ``state.i`` under ``spec``; always in the band."""
+    """Volatility for step ``state.i`` under ``spec``; always in the band.
+
+    A width-1 evaluation of the kernel the Monte Carlo engine runs.
+    """
     if state.count != state.i - 1:
         raise StateError(
             f"state count {state.count} inconsistent with step index {state.i}"
         )
     if state.i > spec.n:
         raise StateError(f"step index {state.i} beyond horizon n={spec.n}")
-    lo, hi = spec.band.sigma_lo, spec.band.sigma_hi
-    root_n = math.sqrt(spec.n)
-
-    if spec.kind == "constant":
-        return spec.sigma_const
-
-    if spec.kind == "one_sided_optimal":
-        threshold = hi * norm_quantile(1.0 - spec.alpha)
-        return hi if state.running_sum / root_n <= threshold else lo
-
-    if spec.kind == "two_sided_threshold":
-        time_remaining = 1.0 - (state.i - 1) / spec.n
-        threshold = spec.table.lookup(time_remaining)
-        return hi if abs(state.running_sum) / root_n <= threshold else lo
-
-    if spec.kind == "heuristic_t":
-        if state.i <= 2:
-            return hi
-        s2 = state.sample_variance()
-        if s2 <= 0.0:
-            return hi
-        if spec.crit_rule == "fixed":
-            crit = spec.c_alpha
-        else:
-            crit = heuristic_critical_value(spec.crit_rule, spec.alpha, state.i)
-        stat = abs(state.running_sum) / math.sqrt(spec.n * s2)
-        return hi if stat <= crit else lo
-
-    raise ConfigurationError(f"unknown policy kind {spec.kind!r}")
-
-
-def profile_f_yy_values(y: np.ndarray, band: VolatilityBand) -> np.ndarray:
-    """Array version of ``capacity.profile_f_yy`` (same closed form)."""
-    lo, hi = band.sigma_lo, band.sigma_hi
-    sig = np.where(y <= 0.0, hi, lo)
-    dens = np.exp(-0.5 * (y / sig) ** 2) / math.sqrt(2.0 * math.pi)
-    return -2.0 * y / (hi + lo) * dens / (sig * sig)
+    sig = compile_policy(spec).sigma(
+        state.i, np.array([state.running_sum]), np.array([state.running_sum_sq])
+    )
+    return float(np.reshape(sig, -1)[0])
 
 
 def pde_policy_equiv_check(
@@ -272,7 +290,7 @@ def pde_policy_equiv_check(
     for i in range(1, n + 1):
         tau = 1.0 - (i - 1) / n
         y = (xs - c) / math.sqrt(tau)
-        v = profile_f_yy_values(y, band)
+        v = profile_f_yy(y, band)
         # The Gaussian factor is strictly positive but underflows for huge
         # |y|; v == 0.0 then resolves by the analytic sign, sign(-y).
         rule_a = (v > 0.0) | ((v == 0.0) & (y <= 0.0))

@@ -8,9 +8,12 @@ count, any block size, and any subset of replications rerun in isolation.
 Replications are processed in blocks, vectorized across the block: at step
 i the policy maps the running sums S_{i-1} (and sum of squares, for the
 heuristic rule) to sigma_i for every replication at once, then
-X_i = sigma_i * eps_i is absorbed.  The blocked policy arithmetic is
-replication-local, so blocking cannot change any value.  Workers own
-disjoint replication ranges and their integer tallies merge by summation.
+X_i = sigma_i * eps_i is absorbed.  The map is the policy kernel that
+``policy.next_sigma`` evaluates at width 1; the heuristic rule takes
+sigma_lo exactly when s^2 > 0 and S^2 > crit_i * crit_i * n * s^2, so ties
+and s^2 = 0 give sigma_hi.  The kernel is replication-local, so blocking
+cannot change any value.  Workers own disjoint replication ranges and
+their integer tallies merge by summation.
 
 Degenerate replications (zero sample variance, probability zero under
 continuous noise) are tallied separately and excluded from the rejection
@@ -29,7 +32,7 @@ from numpy.random import Generator, Philox
 
 from .capacity import VolatilityBand, p1, p2_approx
 from .errors import ConfigurationError, DomainError, UndefinedStatisticError
-from .policy import PolicySpec, heuristic_critical_value
+from .policy import PolicySpec, compile_policy
 from .special import norm_quantile, t_quantile
 
 __all__ = [
@@ -291,53 +294,11 @@ def _noise_block(seed: int, rep_lo: int, rep_hi: int, n: int) -> np.ndarray:
     return np.ascontiguousarray(out.T)
 
 
-def _sigma_step(policy: PolicySpec, i: int, s: np.ndarray, ss: np.ndarray, crit_i):
-    """Vectorized policy evaluation for step i given running sums of the
-    first i-1 observations; mirrors ``policy.next_sigma`` exactly."""
-    lo, hi = policy.band.sigma_lo, policy.band.sigma_hi
-    root_n = math.sqrt(policy.n)
-
-    if policy.kind == "constant":
-        return policy.sigma_const
-
-    if policy.kind == "one_sided_optimal":
-        threshold = hi * norm_quantile(1.0 - policy.alpha)
-        return np.where(s <= threshold * root_n, hi, lo)
-
-    if policy.kind == "two_sided_threshold":
-        time_remaining = 1.0 - (i - 1) / policy.n
-        threshold = policy.table.lookup(time_remaining)
-        return np.where(np.abs(s) <= threshold * root_n, hi, lo)
-
-    if policy.kind == "heuristic_t":
-        if i <= 2:
-            return hi
-        m = i - 1
-        s2 = np.maximum((ss - s * s / m) / (m - 1), 0.0)
-        # stat <= crit  <=>  S^2 <= crit^2 * n * s2; s2 == 0 stays at hi.
-        exceed = (s2 > 0.0) & (s * s > crit_i * crit_i * policy.n * s2)
-        return np.where(exceed, lo, hi)
-
-    raise ConfigurationError(f"unknown policy kind {policy.kind!r}")
-
-
-def _heuristic_crits(policy: PolicySpec, n: int) -> np.ndarray | None:
-    if policy.kind != "heuristic_t":
-        return None
-    if policy.crit_rule == "fixed":
-        return np.full(n + 1, policy.c_alpha)
-    out = np.empty(n + 1)
-    for i in range(3, n + 1):
-        out[i] = heuristic_critical_value(policy.crit_rule, policy.alpha, i)
-    out[:3] = np.inf
-    return out
-
-
 def _run_range(config: SimulationConfig, rep_lo: int, rep_hi: int, critical: float):
     """Tallies for the replication range [rep_lo, rep_hi)."""
     n = config.n
     needs_ss = config.policy.kind == "heuristic_t" or config.test.statistic == "t"
-    crits = _heuristic_crits(config.policy, n)
+    policy = compile_policy(config.policy)
     hist = _empty_histogram()
     rejections = 0
     degenerate = 0
@@ -350,9 +311,7 @@ def _run_range(config: SimulationConfig, rep_lo: int, rep_hi: int, critical: flo
         s = np.zeros(width)
         ss = np.zeros(width) if needs_ss else None
         for i in range(1, n + 1):
-            crit_i = None if crits is None else crits[i]
-            sig = _sigma_step(config.policy, i, s, ss, crit_i)
-            x = sig * noise[i - 1]
+            x = policy.sigma(i, s, ss) * noise[i - 1]
             s += x
             if needs_ss:
                 ss += x * x

@@ -3,7 +3,8 @@
 Run with ``pytest -s tests/test_acceptance.py`` to see one PASS/FAIL line
 per criterion.  The two-sided simulation reproduction defaults to the full
 one-million-replication scale; set GNORMAL_ACCEPT_REPS=100000 for the
-desk-scale fallback with its wider tolerance.
+desk-scale fallback with its wider tolerance.  Criteria 1, 4 and 5 take
+their targets, tolerances and sizes from the table ``gnormal repro`` uses.
 """
 
 import json
@@ -35,12 +36,23 @@ from gnormal import (
     verify_sandwich,
     wilson_interval,
 )
+from gnormal.cli import (
+    CAPACITY_POINTS,
+    HETERO_TARGETS,
+    LIMIT_N,
+    LIMIT_REPS,
+    LIMIT_TARGET,
+    LIMIT_TOL,
+    REPRO_ALPHA,
+    REPRO_BAND,
+    above_nominal,
+    capacity_point_met,
+    hetero_tolerance,
+)
 
-BAND = VolatilityBand(0.8, 1.0)
+BAND = REPRO_BAND
 ACCEPT_REPS = int(os.environ.get("GNORMAL_ACCEPT_REPS", "1000000"))
-# full-scale tolerance 0.20pp covers reference MC noise, the independent
-# seed, and the open critical-value convention; desk scale widens
-SIM_TOL = 0.0020 if ACCEPT_REPS >= 1_000_000 else 0.0045
+SIM_TOL = hetero_tolerance(ACCEPT_REPS)
 SEED = 1
 
 
@@ -53,13 +65,13 @@ def report(criterion: int, ok: bool, detail: str) -> None:
 def heuristic_reports():
     """The four heteroscedastic t-test reproductions (n x critical rule)."""
     out = {}
-    for n in (20, 200):
+    for n, _ in HETERO_TARGETS:
         for rule in ("normal", "t_step"):
             config = SimulationConfig(
                 n=n,
                 reps=ACCEPT_REPS,
-                policy=heuristic_t_policy(BAND, n, 0.05, crit_rule=rule),
-                test=TestSpec(sided="two", alpha=0.05, statistic="t"),
+                policy=heuristic_t_policy(BAND, n, REPRO_ALPHA, crit_rule=rule),
+                test=TestSpec(sided="two", alpha=REPRO_ALPHA, statistic="t"),
                 seed=SEED,
             )
             out[(n, rule)] = run(config)
@@ -67,17 +79,11 @@ def heuristic_reports():
 
 
 def test_criterion_1_two_sided_capacity_values():
-    points = [
-        (0.95, 2, 0.11, 2e-3),
-        (0.975, 3, 0.056, 4e-4),
-        (0.995, 3, 0.011, 5e-6),
-    ]
     details = []
     ok = True
-    for level, digits, rounded, rel_cap in points:
+    for level, digits, rounded, rel_cap in CAPACITY_POINTS:
         approx = p2_approx(norm_quantile(level), BAND)
-        good = round(approx.value, digits) == rounded and approx.rel_error_bound < rel_cap
-        ok &= good
+        ok &= capacity_point_met(approx, digits, rounded, rel_cap)
         details.append(f"p2({level})={approx.value:.6f} RE<{approx.rel_error_bound:.1e}")
     report(1, ok, "; ".join(details))
 
@@ -114,35 +120,34 @@ def test_criterion_3_sandwich():
 
 
 def test_criterion_4_one_sided_limit():
-    target = 2 * 0.05 / (1.0 + BAND.sigma_lo / BAND.sigma_hi)
     config = SimulationConfig(
-        n=10_000,
-        reps=100_000,
-        policy=one_sided_optimal_policy(BAND, 10_000, 0.05),
-        test=TestSpec(sided="one", alpha=0.05, statistic="z", sigma_ref=BAND.sigma_hi),
+        n=LIMIT_N,
+        reps=LIMIT_REPS,
+        policy=one_sided_optimal_policy(BAND, LIMIT_N, REPRO_ALPHA),
+        test=TestSpec(sided="one", alpha=REPRO_ALPHA, statistic="z", sigma_ref=BAND.sigma_hi),
         seed=SEED,
     )
     rate = run(config).rate
-    ok = abs(rate - target) <= 0.004
-    report(4, ok, f"rate {rate:.5f} vs limit {target:.5f} (|diff| <= 0.004)")
+    ok = abs(rate - LIMIT_TARGET) <= LIMIT_TOL
+    report(4, ok, f"rate {rate:.5f} vs limit {LIMIT_TARGET:.5f} (|diff| <= {LIMIT_TOL})")
 
 
 def test_criterion_5_heteroscedastic_reproduction(heuristic_reports):
     ok = True
     details = []
-    for n, expected in ((20, 0.0565), (200, 0.0589)):
+    for n, expected in HETERO_TARGETS:
         in_band = []
         for rule in ("normal", "t_step"):
             rep = heuristic_reports[(n, rule)]
             in_band.append(abs(rep.rate - expected) <= SIM_TOL)
-            lo3, _ = wilson_interval(rep.rejections, rep.reps - rep.degenerate, 3.0)
-            ok &= lo3 > 0.05
+            ok &= above_nominal(rep)
             details.append(f"n={n}/{rule}: {rep.rate:.5f}")
         ok &= any(in_band)
     report(
         5,
         ok,
-        f"targets 0.0565/0.0589 +-{SIM_TOL:.4f} at reps={ACCEPT_REPS}; "
+        f"targets {'/'.join(str(rate) for _, rate in HETERO_TARGETS)} "
+        f"+-{SIM_TOL:.4f} at reps={ACCEPT_REPS}; "
         + ", ".join(details),
     )
 

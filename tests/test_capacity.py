@@ -76,6 +76,20 @@ class TestProfileF:
         vals = [profile_f(float(y), BAND) for y in ys]
         assert all(b >= a for a, b in zip(vals, vals[1:]))
 
+    def test_array_equals_scalar_closed_form(self):
+        # The piecewise formula evaluated one float at a time through
+        # norm_cdf is the reference; arrays must reproduce it bit for bit.
+        def reference(y, lo=0.8, hi=1.0):
+            if y <= 0.0:
+                return 2.0 * hi / (hi + lo) * norm_cdf(y / hi)
+            return 1.0 - 2.0 * lo / (hi + lo) * norm_cdf(-y / lo)
+
+        ys = np.concatenate([np.linspace(-40, 40, 20_001),
+                             [0.0, -0.0, 5e-324, -5e-324, math.inf, -math.inf]])
+        assert profile_f(ys, BAND).tolist() == [reference(y) for y in ys.tolist()]
+        assert type(profile_f(0.3, BAND)) is float
+        assert profile_f(0.3, BAND) == reference(0.3)
+
 
 class TestProfileFyy:
     def test_zero_at_origin(self):

@@ -1,0 +1,75 @@
+"""Golden checksums of small CLI runs.
+
+The pinned ``output_sha256`` values were taken with numpy 2.4.6.  They are
+the tripwire for any change to the numbers: the simulate checksums cover
+the noise streams (numpy gives no cross-version guarantee for
+``Generator`` output) and every policy kind, ``threshold`` and ``solve``
+cover the PDE solver and the closed-form boundary values.  A change meant
+to alter the Monte Carlo streams must update the simulate values and say
+so; any other change must leave all of them alone.
+"""
+
+import json
+
+import pytest
+
+from gnormal.cli import main
+
+BAND = ["--sigma-lo", "0.8", "--sigma-hi", "1"]
+
+SIMULATE = {
+    "constant": (
+        ["--n", "30", "--reps", "3000", "--policy", "constant", "--sigma", "0.9",
+         "--sided", "one", "--stat", "z"],
+        "85e3324396475afd26341774ce17f5c45571a5922ae7a78eb0fcc877e9031370",
+    ),
+    "one-sided-opt": (
+        ["--n", "50", "--reps", "2000", "--policy", "one-sided-opt",
+         "--sided", "one", "--stat", "z"],
+        "d9ccd2cf83defa8852de1c8d1e70da15375109a104169a5ef09d65ac97ecec03",
+    ),
+    "two-sided-thresh": (
+        ["--n", "40", "--reps", "2000", "--policy", "two-sided-thresh",
+         "--table-levels", "20", "--sided", "two", "--stat", "z"],
+        "99d61962f64955417158265c3ec7c02b2270d6fbeba367a81c8db618ebba9588",
+    ),
+    "heuristic-t normal": (
+        ["--n", "40", "--reps", "4000", "--policy", "heuristic-t", "--crit", "normal",
+         "--sided", "two", "--stat", "t"],
+        "01d6c8d1bd380834b820ecde9465a75a5d3cbe7b36d00f5fc3333b4353469371",
+    ),
+    "heuristic-t t": (
+        ["--n", "40", "--reps", "4000", "--policy", "heuristic-t", "--crit", "t",
+         "--sided", "two", "--stat", "t"],
+        "9d6e9d34f9195bffed79d9d7b23a3f30b563ddbb89b516225a4db5fbf202d63a",
+    ),
+}
+
+SOLVE = {
+    "one-sided": "f477d47968c645770bffa758dd942b6151dbf82a8c77303eebdfbe67b81cecfd",
+    "two-sided": "d23f77c60a51b3dd13bcfb33756425403b87b4fd8017fd0777c9aad744c7e9fd",
+}
+
+
+@pytest.mark.parametrize("policy", SIMULATE)
+def test_simulate(policy, capsys):
+    argv, expected = SIMULATE[policy]
+    assert main(["simulate", *BAND, *argv, "--seed", "11"]) == 0
+    assert json.loads(capsys.readouterr().out)["manifest"]["output_sha256"] == expected
+
+
+def test_threshold(capsys):
+    assert main(["threshold", *BAND, "--alpha", "0.05", "--levels", "20"]) == 0
+    manifest = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert manifest["output_sha256"] == (
+        "8bf03987ee3418c3c4206fc65f198599e700532f9e66e65c0c57dd280a274f63"
+    )
+
+
+@pytest.mark.parametrize("ic", SOLVE)
+def test_solve_csv(ic, tmp_path):
+    out = str(tmp_path / "u.csv")
+    argv = ["solve", *BAND, "--ic", ic, "--c", "1", "--nx", "201", "--levels", "5"]
+    assert main([*argv, "--out", out]) == 0
+    with open(out + ".manifest.json", encoding="utf-8") as fh:
+        assert json.load(fh)["output_sha256"][out] == SOLVE[ic]

@@ -16,6 +16,7 @@ from gnormal import (
     constant_policy,
     heuristic_t_policy,
     next_sigma,
+    norm_pdf,
     norm_quantile,
     one_sided_optimal_policy,
     pde_policy_equiv_check,
@@ -24,7 +25,7 @@ from gnormal import (
     two_sided_threshold,
     two_sided_threshold_policy,
 )
-from gnormal.policy import heuristic_critical_value, profile_f_yy_values
+from gnormal.policy import compile_policy
 
 BAND = VolatilityBand(0.8, 1.0)
 
@@ -160,9 +161,9 @@ class TestHeuristicT:
 
     def test_t_step_convention(self):
         spec = heuristic_t_policy(BAND, 20, 0.05, crit_rule="t_step")
-        assert heuristic_critical_value("t_step", 0.05, 5) == t_quantile(0.975, 3)
-        st = state_after([1.0, 1.5, 0.5, 1.2])
         crit = t_quantile(0.975, 3)
+        assert compile_policy(spec).bound[5] == crit * crit * 20
+        st = state_after([1.0, 1.5, 0.5, 1.2])
         stat = abs(st.running_sum) / math.sqrt(20 * st.sample_variance())
         expected = BAND.sigma_hi if stat <= crit else BAND.sigma_lo
         assert next_sigma(spec, st) == expected
@@ -214,12 +215,96 @@ class TestStateContracts:
                 st.observe(sig * rng.standard_normal())
 
 
+def near(x, ulps=4):
+    """x and its neighbours up to ``ulps`` representable doubles away."""
+    out = [x]
+    lo = hi = x
+    for _ in range(ulps):
+        lo, hi = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
+        out += [lo, hi]
+    return sorted(out)
+
+
+class TestScalarMatchesKernel:
+    """``next_sigma`` must give exactly what the simulator's kernel gives for
+    the same state, at ties and within a few ulps of them.  Both paths once
+    wrote each rule separately, with different rounding, and disagreed on
+    about 2.5% of near-tie heuristic states."""
+
+    @staticmethod
+    def kernel(spec, states):
+        # The simulator's per-step call, on one array holding every state.
+        sig = compile_policy(spec).sigma(
+            states[0].i,
+            np.array([st.running_sum for st in states]),
+            np.array([st.running_sum_sq for st in states]),
+        )
+        return np.broadcast_to(sig, (len(states),)).tolist()
+
+    def check(self, spec, states):
+        scalar = [next_sigma(spec, st) for st in states]
+        assert scalar == self.kernel(spec, states)
+        assert all(self.kernel(spec, [st]) == [sig] for st, sig in zip(states, scalar))
+        return scalar
+
+    def test_reported_disagreements(self):
+        one_sided = one_sided_optimal_policy(BAND, 10_000, 0.05)
+        st = PolicyState(i=2, running_sum=164.4853626951472, count=1)
+        assert self.check(one_sided, [st]) == [BAND.sigma_hi]
+        heuristic = heuristic_t_policy(BAND, 20, 0.05)
+        st = PolicyState(i=10, running_sum=9.144849381033172, running_sum_sq=18.0, count=9)
+        assert self.check(heuristic, [st]) == [BAND.sigma_lo]
+
+    def test_exact_ties_take_high(self, table):
+        hi, lo = BAND.sigma_hi, BAND.sigma_lo
+        one_sided = one_sided_optimal_policy(BAND, 10_000, 0.05)
+        s_tie = compile_policy(one_sided).bound
+        states = [PolicyState(i=7, running_sum=s, count=6) for s in near(s_tie, 1)]
+        assert self.check(one_sided, states) == [hi, hi, lo]
+
+        two_sided = two_sided_threshold_policy(BAND, 100, table)
+        s_tie = compile_policy(two_sided).bound[40]
+        for sign in (1.0, -1.0):
+            states = [PolicyState(i=40, running_sum=sign * s, count=39) for s in near(s_tie, 1)]
+            assert self.check(two_sided, states) == [hi, hi, lo]
+
+        # c = 1, n = 4, i = 3: S = 2, Q = 3 gives s^2 = 1 and S^2 = c^2 n s^2.
+        fixed = heuristic_t_policy(BAND, 4, c_alpha=1.0)
+        states = [PolicyState(i=3, running_sum=s, running_sum_sq=3.0, count=2)
+                  for s in near(2.0, 1)]
+        assert self.check(fixed, states) == [hi, hi, lo]
+        zero_variance = PolicyState(i=3, running_sum=2.0, running_sum_sq=2.0, count=2)
+        assert self.check(fixed, [zero_variance]) == [hi]
+
+    @pytest.mark.parametrize("rule", ["normal", "t_step"])
+    def test_heuristic_near_ties(self, rule):
+        # With Q fixed, s^2 = (Q - S^2/m)/(m - 1) and the tie S^2 = k s^2
+        # solves to S^2 = k Q / ((m - 1) + k/m), k = crit^2 n.
+        for n, i, q in ((20, 10, 18.0), (20, 5, 3.7), (200, 150, 160.0), (40, 3, 2.5)):
+            spec = heuristic_t_policy(BAND, n, 0.05, crit_rule=rule)
+            k = compile_policy(spec).bound[i]
+            m = i - 1
+            s_tie = math.sqrt(k * q / ((m - 1) + k / m))
+            states = [PolicyState(i=i, running_sum=sign * s, running_sum_sq=q, count=m)
+                      for s in near(s_tie) for sign in (1.0, -1.0)]
+            assert set(self.check(spec, states)) == {BAND.sigma_lo, BAND.sigma_hi}
+
+    def test_constant(self):
+        spec = constant_policy(BAND, 5, 0.85)
+        states = [PolicyState(i=3, running_sum=s, running_sum_sq=9.0, count=2) for s in (-3.0, 3.0)]
+        assert self.check(spec, states) == [0.85, 0.85]
+
+
 class TestCurvatureRuleEquivalence:
     def test_array_profile_matches_scalar(self):
         ys = np.linspace(-40, 40, 2001)
-        vec = profile_f_yy_values(ys, BAND)
+        vec = profile_f_yy(ys, BAND)
         for j in range(0, 2001, 97):
-            assert vec[j] == pytest.approx(profile_f_yy(float(ys[j]), BAND), rel=1e-12, abs=1e-300)
+            y = float(ys[j])
+            sig = BAND.sigma_hi if y <= 0.0 else BAND.sigma_lo
+            closed_form = -2.0 * y / 1.8 * norm_pdf(y / sig) / (sig * sig)
+            assert vec[j] == pytest.approx(closed_form, rel=1e-12, abs=1e-300)
+            assert vec[j] == profile_f_yy(y, BAND)
 
     def test_equivalence_small(self):
         assert pde_policy_equiv_check(BAND, 0.05, 100)
