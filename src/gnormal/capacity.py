@@ -160,12 +160,7 @@ def p1(c: float, band: VolatilityBand) -> float:
     Closed form p1(c) = f(-c): for c >= 0 this is
     2 s_hi/(s_hi+s_lo) * Phi(-c/s_hi).
     """
-    _require_closed_form(band)
-    lo, hi = band.sigma_lo, band.sigma_hi
-    s = hi + lo
-    if c >= 0.0:
-        return 2.0 * hi / s * norm_cdf(-c / hi)
-    return 1.0 - 2.0 * lo / s * norm_cdf(c / lo)
+    return profile_f(-c, band)
 
 
 def two_sided_error_bound(c: float, t: float, band: VolatilityBand) -> float:

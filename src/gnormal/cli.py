@@ -37,7 +37,6 @@ from .errors import (
 )
 from .gheat import (
     GridSpec,
-    default_one_sided_grid,
     default_two_sided_grid,
     indicator_above,
     indicator_abs_above,
@@ -191,11 +190,7 @@ def cmd_solve(args) -> int:
             raise DomainError(f"--ic {args.ic} requires --c")
         ic = indicator_above(args.c) if args.ic == "one-sided" else indicator_abs_above(args.c)
         if args.x_min is None or args.x_max is None:
-            default = (
-                default_one_sided_grid(args.c, band)
-                if args.ic == "one-sided"
-                else default_two_sided_grid(args.c, band)
-            )
+            default = default_two_sided_grid(args.c, band)
             x_min = args.x_min if args.x_min is not None else default.x_min
             x_max = args.x_max if args.x_max is not None else default.x_max
         else:

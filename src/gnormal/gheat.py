@@ -14,11 +14,11 @@ Numerical conventions that matter to the contracts:
   sits midway between nodes.  The snapped threshold is reported on the
   solution object; converged output approximates the problem with the
   snapped threshold exactly.
-* Dirichlet boundaries are pinned to the closed-form one-sided solution
-  (or the one-sided sum for two-sided data) when the band has a positive
-  lower edge, otherwise to the initial datum; default domains put the
-  boundary 10 s_hi beyond the threshold, where either choice is accurate
-  to well below discretization error.
+* Dirichlet boundaries of indicator data are pinned to the closed-form
+  one-sided solution (or the one-sided sum for two-sided data) when the
+  band has a positive lower edge; every other datum keeps its initial end
+  values.  Default domains put the boundary 10 s_hi beyond the threshold,
+  where either choice is accurate to well below discretization error.
 * The second difference is evaluated as (u[j-1] + u[j+1]) - 2 u[j].  With
   symmetric data on a symmetric grid this makes every step bitwise
   mirror-symmetric.
@@ -54,11 +54,11 @@ __all__ = [
     "GridSolution",
     "ThresholdLevel",
     "SandwichReport",
-    "default_one_sided_grid",
     "default_two_sided_grid",
     "solve",
     "p2_numeric",
     "two_sided_threshold",
+    "exact_values",
     "verify_sandwich",
 ]
 
@@ -238,13 +238,6 @@ class SandwichReport:
         return self.lower_ok and self.upper_ok
 
 
-def default_one_sided_grid(
-    c: float, band: VolatilityBand, *, nx: int = 2001, t_end: float = 1.0
-) -> GridSpec:
-    span = abs(c) + 10.0 * band.sigma_hi
-    return GridSpec(x_min=-span, x_max=span, nx=nx, t_end=t_end)
-
-
 def default_two_sided_grid(
     c: float, band: VolatilityBand, *, nx: int = 2401, t_end: float = 1.0
 ) -> GridSpec:
@@ -259,71 +252,37 @@ def _snap_to_cell_midpoint(c: float, x_min: float, dx: float) -> float:
     return x_min + (k + 0.5) * dx
 
 
-def _sample_ic(ic, x, dx, band):
-    """Initial vector, boundary-value callback, snapped threshold, data range.
-
-    The callback maps an array of times to the (left, right) boundary values
-    at each of them."""
+def _sample_ic(ic, x, dx):
+    """Initial vector, snapped threshold (None for tables), data range."""
     x_min, x_max = float(x[0]), float(x[-1])
-    lo_positive = band.sigma_lo > 0.0
 
-    if isinstance(ic, IndicatorAbove):
-        if not x_min < ic.c < x_max:
+    if isinstance(ic, (IndicatorAbove, IndicatorAbsAbove)):
+        # 1{x > c} needs c inside the grid; 1{|x| > c} only needs c < x_max.
+        lowest = x_min if isinstance(ic, IndicatorAbove) else -math.inf
+        if not lowest < ic.c < x_max:
             raise ConfigurationError(
                 f"threshold c = {ic.c!r} outside grid [{x_min!r}, {x_max!r}]"
             )
         c = _snap_to_cell_midpoint(ic.c, x_min, dx)
-        u0 = (x > c).astype(float)
-
-        if lo_positive:
-
-            def bc(t):
-                rt = np.sqrt(t)
-                return profile_f((x_min - c) / rt, band), profile_f((x_max - c) / rt, band)
-
-        else:
-
-            def bc(t):
-                return (0.0 if x_min <= c else 1.0, 1.0 if x_max > c else 0.0)
-
-        return u0, bc, c, (0.0, 1.0)
-
-    if isinstance(ic, IndicatorAbsAbove):
-        if not ic.c < x_max:
-            raise ConfigurationError(
-                f"threshold c = {ic.c!r} outside grid [{x_min!r}, {x_max!r}]"
-            )
-        c = _snap_to_cell_midpoint(ic.c, x_min, dx)
-        u0 = (np.abs(x) > c).astype(float)
-
-        if lo_positive:
-
-            def bc(t):
-                rt = np.sqrt(t)
-                return (
-                    profile_f((x_min - c) / rt, band) + profile_f((-x_min - c) / rt, band),
-                    profile_f((x_max - c) / rt, band) + profile_f((-x_max - c) / rt, band),
-                )
-
-        else:
-
-            def bc(t):
-                return (1.0 if abs(x_min) > c else 0.0, 1.0 if abs(x_max) > c else 0.0)
-
-        return u0, bc, c, (0.0, 1.0)
+        above = x if isinstance(ic, IndicatorAbove) else np.abs(x)
+        return (above > c).astype(float), c, (0.0, 1.0)
 
     if isinstance(ic, LipschitzTable):
-        tx = np.asarray(ic.x)
         ty = np.asarray(ic.y)
-        u0 = np.interp(x, tx, ty)
-        left, right = float(u0[0]), float(u0[-1])
-
-        def bc(t):
-            return (left, right)
-
-        return u0, bc, None, (float(ty.min()), float(ty.max()))
+        return np.interp(x, np.asarray(ic.x), ty), None, (float(ty.min()), float(ty.max()))
 
     raise ConfigurationError(f"unknown initial condition {ic!r}")
+
+
+def _closed_form(ic, c, x, t, band):
+    """Exact solution for indicator data with threshold c at (t, x), t > 0:
+    f((x - c)/sqrt(t)), plus the mirror term f((-x - c)/sqrt(t)) for
+    1{|x| > c}.  ``x`` and ``t`` broadcast against each other."""
+    rt = np.sqrt(t)
+    out = profile_f((x - c) / rt, band)
+    if isinstance(ic, IndicatorAbsAbove):
+        out = out + profile_f((-x - c) / rt, band)
+    return out
 
 
 def _retention_plan(raw_steps: int, max_levels: int):
@@ -354,7 +313,7 @@ def solve(
         raise ConfigurationError("max_levels must be >= 2")
     x = np.linspace(grid.x_min, grid.x_max, grid.nx)
     dx = grid.dx
-    u0, bc, snapped_c, ic_range = _sample_ic(ic, x, dx, band)
+    u0, snapped_c, ic_range = _sample_ic(ic, x, dx)
 
     dt_max = grid.safety * dx * dx / (band.sigma_hi * band.sigma_hi)
     raw_steps = max(1, math.ceil(grid.t_end / dt_max))
@@ -371,9 +330,12 @@ def solve(
     times = np.empty(levels)
     values = np.empty((levels, grid.nx))
     # Boundary values of every step at once; t_next = (k + 1) * dt.
-    bc_left, bc_right = (
-        np.broadcast_to(v, (n_steps,)) for v in bc(np.arange(1, n_steps + 1) * dt)
-    )
+    if snapped_c is not None and band.sigma_lo > 0.0:
+        t_next = np.arange(1, n_steps + 1)[:, None] * dt
+        boundary = _closed_form(ic, snapped_c, x[[0, -1]], t_next, band)
+    else:
+        boundary = np.broadcast_to(u0[[0, -1]], (n_steps, 2))
+    bc_left, bc_right = boundary.T
     if track_threshold:
         thr_times = np.empty(n_steps + 1)
         thr_roots = np.empty(n_steps + 1)
@@ -382,14 +344,6 @@ def solve(
     ref_c = snapped_c if snapped_c is not None else 0.0
 
     u = u0.copy()
-    kept = 0
-    nan_step = -1
-
-    def record(t: float) -> None:
-        nonlocal kept
-        times[kept] = t
-        values[kept] = u
-        kept += 1
 
     def track(step_index: int, t: float, d2: np.ndarray) -> None:
         root, degenerate, multiple = _d2_sign_change_root(
@@ -404,25 +358,22 @@ def solve(
         d2 = ((u[:-2] + u[2:]) - 2.0 * u[1:-1]) * inv_dx2
         t_now = k * dt
         if k % stride == 0:
-            record(t_now)
+            times[k // stride] = t_now
+            values[k // stride] = u
         if track_threshold:
             track(k, t_now, d2)
         g = half_hi * np.maximum(d2, 0.0) + half_lo * np.minimum(d2, 0.0)
         u[1:-1] += dt * g
         u[0], u[-1] = bc_left[k], bc_right[k]
-        if nan_step < 0 and not np.isfinite(u[1 :: max(grid.nx // 8, 1)]).all():
-            nan_step = k + 1
-            break
+        if not np.isfinite(u[1 :: max(grid.nx // 8, 1)]).all():
+            raise NumericalError(f"non-finite values detected at step {k + 1}")
+    if not np.isfinite(u).all():
+        raise NumericalError(f"non-finite values detected at step {n_steps}")
 
-    if nan_step < 0 and not np.isfinite(u).all():
-        nan_step = n_steps
-    if nan_step >= 0:
-        raise NumericalError(f"non-finite values detected at step {nan_step}")
-
-    record(grid.t_end)
+    times[-1] = grid.t_end
+    values[-1] = u
     if track_threshold:
         track(n_steps, grid.t_end, ((u[:-2] + u[2:]) - 2.0 * u[1:-1]) * inv_dx2)
-    assert kept == levels
 
     return GridSolution(
         grid=grid, band=band, ic=ic, x=x, times=times, values=values,
@@ -484,7 +435,8 @@ def two_sided_threshold(
 
     ``time_remaining`` is the PDE time: the policy that consumes this table
     evaluates it at 1 - (i-1)/n.  Where no sign change is found the row
-    reports the threshold c itself with the degenerate flag set.
+    reports the solver's snapped threshold (the cell midpoint nearest c)
+    with the degenerate flag set.
     """
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must lie in (0, 1), got {alpha!r}")
@@ -511,26 +463,15 @@ def two_sided_threshold(
     return out
 
 
-def one_sided_exact_values(sol: GridSolution, t: float) -> np.ndarray:
-    """Closed-form one-sided solution on the solution's grid at time t,
-    using the solver's snapped threshold."""
+def exact_values(sol: GridSolution, t: float) -> np.ndarray:
+    """Closed-form solution on the solution's grid at time t, using the
+    solver's snapped threshold: u for 1{x > c} data, u + v for 1{|x| > c}.
+    At t = 0 this is the sampled indicator."""
     if sol.snapped_c is None:
         raise DomainError("exact values are defined for indicator data only")
-    c = sol.snapped_c
     if t == 0.0:
-        return (sol.x > c).astype(float)
-    return profile_f((sol.x - c) / math.sqrt(t), sol.band)
-
-
-def two_sided_exact_sum(sol: GridSolution, t: float) -> np.ndarray:
-    """Closed-form u + v on the solution's grid at time t (snapped c)."""
-    if sol.snapped_c is None:
-        raise DomainError("exact values are defined for indicator data only")
-    c = sol.snapped_c
-    if t == 0.0:
-        return (np.abs(sol.x) > c).astype(float)
-    rt = math.sqrt(t)
-    return profile_f((sol.x - c) / rt, sol.band) + profile_f((-sol.x - c) / rt, sol.band)
+        return sol.values[0].copy()
+    return _closed_form(sol.ic, sol.snapped_c, sol.x, t, sol.band)
 
 
 def verify_sandwich(
@@ -559,13 +500,10 @@ def verify_sandwich(
         x_min=grid.x_min, x_max=grid.x_max, nx=(grid.nx + 1) // 2,
         t_end=grid.t_end, safety=grid.safety,
     )
-    # Use one shared level count so retained times match across resolutions.
-    raw_coarse = _raw_steps(coarse_grid, band)
-    raw_fine = _raw_steps(grid, band)
-    levels = min(max_levels, raw_coarse + 1, raw_fine + 1)
-
-    fine = solve(indicator_abs_above(c), band, grid, max_levels=levels)
-    coarse = solve(indicator_abs_above(c), band, coarse_grid, max_levels=levels)
+    # The fine grid takes more steps, so capping it at the coarse level count
+    # gives both resolutions the same retained times.
+    coarse = solve(indicator_abs_above(c), band, coarse_grid, max_levels=max_levels)
+    fine = solve(indicator_abs_above(c), band, grid, max_levels=coarse.times.size)
     if fine.times.size != coarse.times.size:
         raise NumericalError("refinement levels failed to align")
 
@@ -579,7 +517,7 @@ def verify_sandwich(
     nodes = 0
     for k in range(1, fine.times.size):
         t = float(fine.times[k])
-        uv = two_sided_exact_sum(fine, t)
+        uv = exact_values(fine, t)
         w = fine.values[k]
         bound = two_sided_error_bound(fine.snapped_c, t, band)
         gap = uv - w
@@ -595,8 +533,3 @@ def verify_sandwich(
         upper_bound_slack=upper_slack,
         nodes_checked=nodes,
     )
-
-
-def _raw_steps(grid: GridSpec, band: VolatilityBand) -> int:
-    dt_max = grid.safety * grid.dx * grid.dx / (band.sigma_hi * band.sigma_hi)
-    return max(1, math.ceil(grid.t_end / dt_max))

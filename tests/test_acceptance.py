@@ -45,6 +45,7 @@ from gnormal.cli import (
     LIMIT_TOL,
     REPRO_ALPHA,
     REPRO_BAND,
+    WILSON_Z,
     above_nominal,
     capacity_point_met,
     hetero_tolerance,
@@ -162,13 +163,14 @@ def test_criterion_6_statistic_distribution(heuristic_reports):
     kolmogorov = max(
         abs(ecdf[j] - t_cdf(float(edges[j]), 199)) for j in np.nonzero(inside)[0]
     )
-    lo3, _ = wilson_interval(rep.rejections, total, 3.0)
-    ok = kolmogorov <= 0.01 and lo3 > 0.05
+    above = above_nominal(rep)
+    ok = kolmogorov <= 0.01 and above
     report(
         6,
         ok,
         f"Kolmogorov on |T|<=1.5: {kolmogorov:.4f} (<= 0.01); "
-        f"tail mass {rep.rate:.5f}, Wilson z=3 lower {lo3:.5f} > 0.05",
+        f"tail mass {rep.rate:.5f}, Wilson z={WILSON_Z:g} lower bound "
+        f"above {REPRO_ALPHA}: {above}",
     )
 
 

@@ -24,11 +24,7 @@ from gnormal import (
     two_sided_threshold,
     verify_sandwich,
 )
-from gnormal.gheat import (
-    default_two_sided_grid,
-    one_sided_exact_values,
-    two_sided_exact_sum,
-)
+from gnormal.gheat import default_two_sided_grid, exact_values
 
 BAND = VolatilityBand(0.8, 1.0)
 
@@ -68,10 +64,31 @@ class TestInitialConditions:
             solve(indicator_above(20.0), BAND, GridSpec(-5, 5, 101, 1.0))
 
     def test_level_zero_is_sampled_datum(self):
-        sol = solve(indicator_above(0.3), BAND, GridSpec(-5, 5, 101, 0.25))
-        assert sol.times[0] == 0.0
-        expected = (sol.x > sol.snapped_c).astype(float)
-        assert np.array_equal(sol.values[0], expected)
+        for make, fold in ((indicator_above, np.positive), (indicator_abs_above, np.abs)):
+            sol = solve(make(0.3), BAND, GridSpec(-5, 5, 101, 0.25))
+            assert sol.times[0] == 0.0
+            expected = (fold(sol.x) > sol.snapped_c).astype(float)
+            assert np.array_equal(sol.values[0], expected)
+            assert np.array_equal(exact_values(sol, 0.0), sol.values[0])
+
+    def test_boundary_values(self):
+        # Indicator data with sigma_lo > 0 is pinned to the closed form at
+        # the end nodes; sigma_lo = 0 and table data hold their end values.
+        grid = GridSpec(-3, 3, 121, 0.5)
+        xs = np.linspace(-3, 3, 13)
+        ys = np.sin(xs) + 0.3 * xs
+        held = [
+            (solve(indicator_above(0.4), VolatilityBand(0.0, 1.0), grid), [0.0, 1.0]),
+            (solve(indicator_abs_above(1.0), VolatilityBand(0.0, 1.0), grid), [1.0, 1.0]),
+            (solve(lipschitz_sampled(xs, ys), BAND, grid), [ys[0], ys[-1]]),
+        ]
+        for sol, ends in held:
+            assert (sol.values[:, [0, -1]] == ends).all()
+        for ic in (indicator_above(0.4), indicator_abs_above(1.0)):
+            sol = solve(ic, BAND, grid, max_levels=6)
+            for k in range(1, sol.times.size):
+                exact = exact_values(sol, float(sol.times[k]))
+                assert np.array_equal(sol.values[k, [0, -1]], exact[[0, -1]])
 
 
 class TestPolynomialData:
@@ -96,7 +113,7 @@ class TestOneSidedOracle:
         c = 1.96
         grid = GridSpec(-10, 10, 501, 1.0)
         sol = solve(indicator_above(c), BAND, grid, max_levels=2)
-        exact_snap = one_sided_exact_values(sol, 1.0)
+        exact_snap = exact_values(sol, 1.0)
         assert np.abs(sol.final_values - exact_snap).max() <= 5e-4
         exact_req = np.array([profile_f(x - c, BAND) for x in sol.x])
         assert np.abs(sol.final_values - exact_req).max() <= 2e-2
@@ -242,7 +259,7 @@ class TestVerifySandwich:
         # sublinearity echo: w <= u + v up to discretization tolerance
         grid = default_two_sided_grid(1.5, BAND, nx=1601)
         sol = solve(indicator_abs_above(1.5), BAND, grid, max_levels=2)
-        uv = two_sided_exact_sum(sol, 1.0)
+        uv = exact_values(sol, 1.0)
         assert float(np.max(sol.final_values - uv)) <= 5e-5
 
 

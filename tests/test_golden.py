@@ -4,7 +4,8 @@ The pinned ``output_sha256`` values were taken with numpy 2.4.6.  They are
 the tripwire for any change to the numbers: the simulate checksums cover
 the noise streams (numpy gives no cross-version guarantee for
 ``Generator`` output) and every policy kind, ``threshold`` and ``solve``
-cover the PDE solver and the closed-form boundary values.  A change meant
+cover the PDE solver and both boundary rules (closed-form values for
+indicator data with sigma_lo > 0, held end values otherwise).  A change meant
 to alter the Monte Carlo streams must update the simulate values and say
 so; any other change must leave all of them alone.
 """
@@ -46,9 +47,26 @@ SIMULATE = {
 }
 
 SOLVE = {
-    "one-sided": "f477d47968c645770bffa758dd942b6151dbf82a8c77303eebdfbe67b81cecfd",
-    "two-sided": "d23f77c60a51b3dd13bcfb33756425403b87b4fd8017fd0777c9aad744c7e9fd",
+    "one-sided": (
+        [*BAND, "--ic", "one-sided", "--c", "1"],
+        "f477d47968c645770bffa758dd942b6151dbf82a8c77303eebdfbe67b81cecfd",
+    ),
+    "two-sided": (
+        [*BAND, "--ic", "two-sided", "--c", "1"],
+        "d23f77c60a51b3dd13bcfb33756425403b87b4fd8017fd0777c9aad744c7e9fd",
+    ),
+    "two-sided sigma_lo=0": (
+        ["--sigma-lo", "0", "--sigma-hi", "1", "--ic", "two-sided", "--c", "1"],
+        "79ba8e79e8db0ba14e3c70139b99d2afa290daf6dcb58a175e7aab878ff4a56c",
+    ),
+    "table": (
+        [*BAND, "--ic", "table:{table}"],
+        "c619a59c4dad702043967525314528239952500f09c6730d4726922d2f49e394",
+    ),
 }
+
+# Lipschitz datum with non-zero end values, so the held boundary shows.
+TABLE = "x,y\n-3,0.25\n-1,0.5\n0,0\n0.5,1.5\n2,1\n3,0.75\n"
 
 
 @pytest.mark.parametrize("policy", SIMULATE)
@@ -66,10 +84,13 @@ def test_threshold(capsys):
     )
 
 
-@pytest.mark.parametrize("ic", SOLVE)
-def test_solve_csv(ic, tmp_path):
+@pytest.mark.parametrize("case", SOLVE)
+def test_solve_csv(case, tmp_path):
+    table = tmp_path / "table.csv"
+    table.write_text(TABLE, encoding="utf-8")
+    argv, expected = SOLVE[case]
+    argv = [arg.format(table=table) for arg in argv]
     out = str(tmp_path / "u.csv")
-    argv = ["solve", *BAND, "--ic", ic, "--c", "1", "--nx", "201", "--levels", "5"]
-    assert main([*argv, "--out", out]) == 0
+    assert main(["solve", *argv, "--nx", "201", "--levels", "5", "--out", out]) == 0
     with open(out + ".manifest.json", encoding="utf-8") as fh:
-        assert json.load(fh)["output_sha256"][out] == SOLVE[ic]
+        assert json.load(fh)["output_sha256"][out] == expected
