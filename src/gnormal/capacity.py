@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .special import _INV_SQRT_2PI, _SQRT2, norm_cdf
+from .special import _INV_SQRT_2PI, _SQRT2, norm_cdf, norm_quantile
 
 _erfc = np.frompyfunc(math.erfc, 1, 1)
 
@@ -42,6 +42,7 @@ __all__ = [
     "u_one_sided",
     "v_one_sided",
     "p1",
+    "tail_threshold",
     "p2_approx",
     "two_sided_error_bound",
     "relative_error_bound",
@@ -120,7 +121,10 @@ def profile_f(y, band: VolatilityBand):
     s = hi + lo
     ys = np.asarray(y, dtype=float)
     left = ys <= 0.0
-    z = np.where(left, ys / hi, -ys / lo)
+    # For |y| > ~1.8e308 * sigma a piece overflows to +-inf, where erfc
+    # gives the exact limit 0 or 2; np.where then picks the right piece.
+    with np.errstate(over="ignore"):
+        z = np.where(left, ys / hi, -ys / lo)
     cdf = 0.5 * np.asarray(_erfc(-z / _SQRT2), dtype=float)
     out = np.where(left, 2.0 * hi / s * cdf, 1.0 - 2.0 * lo / s * cdf)
     return float(out) if out.ndim == 0 else out
@@ -137,7 +141,9 @@ def profile_f_yy(y, band: VolatilityBand):
     ys = np.asarray(y, dtype=float)
     sig = np.where(ys <= 0.0, hi, lo)
     z = ys / sig
-    out = -2.0 * ys / (hi + lo) * (_INV_SQRT_2PI * np.exp(-0.5 * z * z)) / (sig * sig)
+    # z * z overflows to inf for large |z|; exp(-inf) = 0 is the exact limit.
+    with np.errstate(over="ignore"):
+        out = -2.0 * ys / (hi + lo) * (_INV_SQRT_2PI * np.exp(-0.5 * z * z)) / (sig * sig)
     return float(out) if out.ndim == 0 else out
 
 
@@ -161,6 +167,15 @@ def p1(c: float, band: VolatilityBand) -> float:
     2 s_hi/(s_hi+s_lo) * Phi(-c/s_hi).
     """
     return profile_f(-c, band)
+
+
+def tail_threshold(alpha: float, band: VolatilityBand, sided: str) -> float:
+    """Level-alpha threshold at the upper edge: sigma_hi * Phi^-1(1 - alpha)
+    one-sided, sigma_hi * Phi^-1(1 - alpha/2) two-sided."""
+    if sided not in ("one", "two"):
+        raise DomainError(f"sided must be 'one' or 'two', got {sided!r}")
+    level = 1.0 - (alpha if sided == "one" else alpha / 2.0)
+    return band.sigma_hi * norm_quantile(level)
 
 
 def two_sided_error_bound(c: float, t: float, band: VolatilityBand) -> float:

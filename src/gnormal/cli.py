@@ -25,6 +25,7 @@ from .capacity import (
     p1,
     p2_approx,
     relative_error_bound,
+    tail_threshold,
     two_sided_error_bound,
 )
 from .errors import (
@@ -100,8 +101,7 @@ def _resolve_c(args, band: VolatilityBand) -> float:
         return args.c
     if args.alpha is None:
         raise DomainError("provide --c, or --alpha with --sided")
-    level = 1.0 - (args.alpha if args.sided == "one" else args.alpha / 2.0)
-    return band.sigma_hi * norm_quantile(level)
+    return tail_threshold(args.alpha, band, args.sided)
 
 
 # --------------------------------------------------------------------------
@@ -237,11 +237,8 @@ def cmd_solve(args) -> int:
 
 def cmd_threshold(args) -> int:
     band = _band(args)
-    grid = None
-    if args.nx is not None:
-        c = band.sigma_hi * norm_quantile(1.0 - args.alpha / 2.0)
-        grid = default_two_sided_grid(c, band, nx=args.nx)
-    rows = two_sided_threshold(band, args.alpha, args.levels, grid=grid)
+    nx = {} if args.nx is None else {"nx": args.nx}
+    rows = two_sided_threshold(band, args.alpha, args.levels, **nx)
     constant_band = band.is_classical
     lines = ["time_remaining,threshold,flag"]
     for row in rows:
@@ -437,6 +434,13 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--sigma-lo", type=float, required=True)
         p.add_argument("--sigma-hi", type=float, required=True)
 
+    def add_workers(p):
+        # A string default goes through type=int only when the flag is
+        # absent, so a bad GNORMAL_WORKERS is a usage error of this command.
+        p.add_argument(
+            "--workers", type=int, default=os.environ.get("GNORMAL_WORKERS", "1")
+        )
+
     p = sub.add_parser("capacity", help="closed-form capacities and error bounds")
     add_band(p)
     p.add_argument("--c", type=float, default=None, help="threshold")
@@ -487,10 +491,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--table-levels", type=int, default=50,
                    help="threshold table rows for two-sided-thresh")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--workers", type=int,
-        default=int(os.environ.get("GNORMAL_WORKERS", "1")),
-    )
+    add_workers(p)
     p.add_argument("--hist", default=None, help="write histogram CSV here")
     p.set_defaults(func=cmd_simulate)
 
@@ -499,10 +500,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fast", action="store_true", help="desk scale: reps=1e5, wider bands")
     p.add_argument("--crit", choices=("normal", "t"), default="normal")
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument(
-        "--workers", type=int,
-        default=int(os.environ.get("GNORMAL_WORKERS", "1")),
-    )
+    add_workers(p)
     p.set_defaults(func=cmd_repro)
 
     return parser

@@ -26,6 +26,8 @@ Numerical conventions that matter to the contracts:
   endpoints included); the step count is rounded up so retained times land
   on exact multiples of t_end/(levels-1) at every spatial resolution,
   which lets refinement studies compare matching levels.
+* The threshold table reads the same march, locating the sign change of the
+  second difference only at the step nearest each reported time.
 
 Within one solve, the update is a data-parallel map over space with one
 synchronization per step; results are independent of how the space loop is
@@ -36,12 +38,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
-from .capacity import VolatilityBand, profile_f, two_sided_error_bound
+from .capacity import VolatilityBand, profile_f, tail_threshold, two_sided_error_bound
 from .errors import ConfigurationError, DomainError, NumericalError
-from .special import norm_quantile
 
 __all__ = [
     "IndicatorAbove",
@@ -185,9 +187,6 @@ class GridSolution:
     dt: float
     n_steps: int
     snapped_c: float | None = None
-    threshold_times: np.ndarray | None = None
-    threshold_roots: np.ndarray | None = None
-    threshold_flags: np.ndarray | None = None
 
     @property
     def final_values(self) -> np.ndarray:
@@ -253,7 +252,7 @@ def _snap_to_cell_midpoint(c: float, x_min: float, dx: float) -> float:
 
 
 def _sample_ic(ic, x, dx):
-    """Initial vector, snapped threshold (None for tables), data range."""
+    """Initial vector and snapped threshold (None for tables)."""
     x_min, x_max = float(x[0]), float(x[-1])
 
     if isinstance(ic, (IndicatorAbove, IndicatorAbsAbove)):
@@ -265,11 +264,10 @@ def _sample_ic(ic, x, dx):
             )
         c = _snap_to_cell_midpoint(ic.c, x_min, dx)
         above = x if isinstance(ic, IndicatorAbove) else np.abs(x)
-        return (above > c).astype(float), c, (0.0, 1.0)
+        return (above > c).astype(float), c
 
     if isinstance(ic, LipschitzTable):
-        ty = np.asarray(ic.y)
-        return np.interp(x, np.asarray(ic.x), ty), None, (float(ty.min()), float(ty.max()))
+        return np.interp(x, np.asarray(ic.x), np.asarray(ic.y)), None
 
     raise ConfigurationError(f"unknown initial condition {ic!r}")
 
@@ -285,13 +283,69 @@ def _closed_form(ic, c, x, t, band):
     return out
 
 
-def _retention_plan(raw_steps: int, max_levels: int):
+@dataclass(frozen=True)
+class _March:
+    """One explicit march to t_end.  ``times[k]`` is the time of step k
+    (k * dt, and exactly t_end at k = n_steps); ``states`` yields
+    (k, u, d2) for k = 0..n_steps, where u is the state at times[k] (one
+    buffer, advanced in place after the yield) and d2 its second difference
+    divided by dx^2.  Retained levels are the steps divisible by ``stride``."""
+
+    x: np.ndarray
+    snapped_c: float | None
+    dt: float
+    times: np.ndarray
+    stride: int
+    states: Iterator[tuple[int, np.ndarray, np.ndarray]]
+
+
+def _march(
+    ic: InitialCondition, band: VolatilityBand, grid: GridSpec, max_levels: int
+) -> _March:
+    if max_levels < 2:
+        raise ConfigurationError("max_levels must be >= 2")
+    x = np.linspace(grid.x_min, grid.x_max, grid.nx)
+    dx = grid.dx
+    u0, snapped_c = _sample_ic(ic, x, dx)
+
+    dt_max = grid.safety * dx * dx / (band.sigma_hi * band.sigma_hi)
+    raw_steps = max(1, math.ceil(grid.t_end / dt_max))
     # Round the step count up so retained levels sit at j*t_end/(levels-1).
     levels = min(max_levels, raw_steps + 1)
     segments = max(levels - 1, 1)
     n_steps = ((raw_steps + segments - 1) // segments) * segments
     stride = n_steps // segments
-    return n_steps, stride, levels
+    dt = grid.t_end / n_steps
+    times = np.arange(n_steps + 1) * dt
+    times[-1] = grid.t_end
+
+    # Boundary values of every step at once; t_next = (k + 1) * dt.
+    if snapped_c is not None and band.sigma_lo > 0.0:
+        t_next = np.arange(1, n_steps + 1)[:, None] * dt
+        boundary = _closed_form(ic, snapped_c, x[[0, -1]], t_next, band)
+    else:
+        boundary = np.broadcast_to(u0[[0, -1]], (n_steps, 2))
+    bc_left, bc_right = boundary.T
+
+    def states():
+        half_hi = 0.5 * band.sigma_hi * band.sigma_hi
+        half_lo = 0.5 * band.sigma_lo * band.sigma_lo
+        inv_dx2 = 1.0 / (dx * dx)
+        u = u0.copy()
+        for k in range(n_steps):
+            # Second difference in mirror-stable order: (u[j-1] + u[j+1]) - 2 u[j].
+            d2 = ((u[:-2] + u[2:]) - 2.0 * u[1:-1]) * inv_dx2
+            yield k, u, d2
+            g = half_hi * np.maximum(d2, 0.0) + half_lo * np.minimum(d2, 0.0)
+            u[1:-1] += dt * g
+            u[0], u[-1] = bc_left[k], bc_right[k]
+            if not np.isfinite(u[1 :: max(grid.nx // 8, 1)]).all():
+                raise NumericalError(f"non-finite values detected at step {k + 1}")
+        if not np.isfinite(u).all():
+            raise NumericalError(f"non-finite values detected at step {n_steps}")
+        yield n_steps, u, ((u[:-2] + u[2:]) - 2.0 * u[1:-1]) * inv_dx2
+
+    return _March(x, snapped_c, dt, times, stride, states())
 
 
 def solve(
@@ -300,87 +354,21 @@ def solve(
     grid: GridSpec,
     *,
     max_levels: int = _DEFAULT_MAX_LEVELS,
-    track_threshold: bool = False,
 ) -> GridSolution:
     """March the explicit monotone scheme to t_end.
 
     ``max_levels`` caps how many time levels are retained in the solution
-    (uniformly subsampled, endpoints always included).  With
-    ``track_threshold`` the positive sign-change root of the discrete
-    second derivative is recorded at every step.
+    (uniformly subsampled, endpoints always included).
     """
-    if max_levels < 2:
-        raise ConfigurationError("max_levels must be >= 2")
-    x = np.linspace(grid.x_min, grid.x_max, grid.nx)
-    dx = grid.dx
-    u0, snapped_c, ic_range = _sample_ic(ic, x, dx)
-
-    dt_max = grid.safety * dx * dx / (band.sigma_hi * band.sigma_hi)
-    raw_steps = max(1, math.ceil(grid.t_end / dt_max))
-    n_steps, stride, levels = _retention_plan(raw_steps, max_levels)
-    dt = grid.t_end / n_steps
-
-    half_hi = 0.5 * band.sigma_hi * band.sigma_hi
-    half_lo = 0.5 * band.sigma_lo * band.sigma_lo
-    inv_dx2 = 1.0 / (dx * dx)
-    d2_noise_floor = _D2_NOISE_MULT * np.finfo(float).eps * inv_dx2 * max(
-        abs(ic_range[0]), abs(ic_range[1]), 1.0
-    )
-
-    times = np.empty(levels)
-    values = np.empty((levels, grid.nx))
-    # Boundary values of every step at once; t_next = (k + 1) * dt.
-    if snapped_c is not None and band.sigma_lo > 0.0:
-        t_next = np.arange(1, n_steps + 1)[:, None] * dt
-        boundary = _closed_form(ic, snapped_c, x[[0, -1]], t_next, band)
-    else:
-        boundary = np.broadcast_to(u0[[0, -1]], (n_steps, 2))
-    bc_left, bc_right = boundary.T
-    if track_threshold:
-        thr_times = np.empty(n_steps + 1)
-        thr_roots = np.empty(n_steps + 1)
-        thr_flags = np.zeros(n_steps + 1, dtype=np.int8)
-        pos_from = int(np.searchsorted(x[1:-1], 0.0))
-    ref_c = snapped_c if snapped_c is not None else 0.0
-
-    u = u0.copy()
-
-    def track(step_index: int, t: float, d2: np.ndarray) -> None:
-        root, degenerate, multiple = _d2_sign_change_root(
-            x, d2, pos_from, ref_c, d2_noise_floor
-        )
-        thr_times[step_index] = t
-        thr_roots[step_index] = root
-        thr_flags[step_index] = (1 if degenerate else 0) | (2 if multiple else 0)
-
-    for k in range(n_steps):
-        # Second difference in mirror-stable order: (u[j-1] + u[j+1]) - 2 u[j].
-        d2 = ((u[:-2] + u[2:]) - 2.0 * u[1:-1]) * inv_dx2
-        t_now = k * dt
-        if k % stride == 0:
-            times[k // stride] = t_now
-            values[k // stride] = u
-        if track_threshold:
-            track(k, t_now, d2)
-        g = half_hi * np.maximum(d2, 0.0) + half_lo * np.minimum(d2, 0.0)
-        u[1:-1] += dt * g
-        u[0], u[-1] = bc_left[k], bc_right[k]
-        if not np.isfinite(u[1 :: max(grid.nx // 8, 1)]).all():
-            raise NumericalError(f"non-finite values detected at step {k + 1}")
-    if not np.isfinite(u).all():
-        raise NumericalError(f"non-finite values detected at step {n_steps}")
-
-    times[-1] = grid.t_end
-    values[-1] = u
-    if track_threshold:
-        track(n_steps, grid.t_end, ((u[:-2] + u[2:]) - 2.0 * u[1:-1]) * inv_dx2)
-
+    march = _march(ic, band, grid, max_levels)
+    times = march.times[:: march.stride]
+    values = np.empty((times.size, grid.nx))
+    for k, u, _ in march.states:
+        if k % march.stride == 0:
+            values[k // march.stride] = u
     return GridSolution(
-        grid=grid, band=band, ic=ic, x=x, times=times, values=values,
-        dt=dt, n_steps=n_steps, snapped_c=snapped_c,
-        threshold_times=thr_times if track_threshold else None,
-        threshold_roots=thr_roots if track_threshold else None,
-        threshold_flags=thr_flags if track_threshold else None,
+        grid=grid, band=band, ic=ic, x=march.x, times=times, values=values,
+        dt=march.dt, n_steps=march.times.size - 1, snapped_c=march.snapped_c,
     )
 
 
@@ -427,40 +415,40 @@ def two_sided_threshold(
     alpha: float,
     levels: int,
     *,
-    grid: GridSpec | None = None,
+    nx: int = 1201,
 ) -> list[ThresholdLevel]:
     """Sign-change locus of w_xx for initial data 1{|x| > c} with
     c = s_hi * Phi^-1(1 - alpha/2), sampled at ``levels`` uniformly spaced
-    times over (0, t_end].
+    times over (0, 1].
 
-    ``time_remaining`` is the PDE time: the policy that consumes this table
-    evaluates it at 1 - (i-1)/n.  Where no sign change is found the row
-    reports the solver's snapped threshold (the cell midpoint nearest c)
-    with the degenerate flag set.
+    The march runs on ``default_two_sided_grid(c, band, nx=nx)``; row j
+    reports the step nearest j/levels (the earlier step on a tie), and the
+    root is found only at those steps, so rows that share a step repeat it.
+    ``time_remaining`` is that step's PDE time: the policy that consumes
+    this table evaluates it at 1 - (i-1)/n.  Where no sign change is found
+    the row reports the solver's snapped threshold (the cell midpoint
+    nearest c) with the degenerate flag set.
     """
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must lie in (0, 1), got {alpha!r}")
     if levels < 1:
         raise DomainError("levels must be >= 1")
-    c = band.sigma_hi * norm_quantile(1.0 - alpha / 2.0)
-    if grid is None:
-        grid = default_two_sided_grid(c, band, nx=1201)
-    sol = solve(indicator_abs_above(c), band, grid, max_levels=2, track_threshold=True)
-    t_all = sol.threshold_times
-    out = []
-    for j in range(1, levels + 1):
-        target = j * grid.t_end / levels
-        k = int(np.argmin(np.abs(t_all - target)))
-        flags = int(sol.threshold_flags[k])
-        out.append(
-            ThresholdLevel(
-                time_remaining=float(t_all[k]),
-                threshold=float(sol.threshold_roots[k]),
-                degenerate=bool(flags & 1),
-                multiple=bool(flags & 2),
-            )
-        )
-    return out
+    c = tail_threshold(alpha, band, "two")
+    grid = default_two_sided_grid(c, band, nx=nx)
+    march = _march(indicator_abs_above(c), band, grid, max_levels=2)
+    picks = [
+        int(np.argmin(np.abs(march.times - j * grid.t_end / levels)))
+        for j in range(1, levels + 1)
+    ]
+    wanted = set(picks)
+    pos_from = int(np.searchsorted(march.x[1:-1], 0.0))
+    noise_floor = _D2_NOISE_MULT * np.finfo(float).eps * (1.0 / (grid.dx * grid.dx))
+    roots = {
+        k: _d2_sign_change_root(march.x, d2, pos_from, march.snapped_c, noise_floor)
+        for k, _, d2 in march.states
+        if k in wanted
+    }
+    return [ThresholdLevel(float(march.times[k]), *roots[k]) for k in picks]
 
 
 def exact_values(sol: GridSolution, t: float) -> np.ndarray:

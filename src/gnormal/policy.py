@@ -33,7 +33,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .capacity import VolatilityBand, profile_f_yy
+from .capacity import VolatilityBand, profile_f_yy, tail_threshold
 from .errors import ConfigurationError, StateError
 from .gheat import ThresholdLevel
 from .special import norm_quantile, t_quantile
@@ -224,7 +224,7 @@ def compile_policy(spec: PolicySpec) -> CompiledPolicy:
     if spec.kind == "constant":
         bound = None
     elif spec.kind == "one_sided_optimal":
-        bound = spec.band.sigma_hi * norm_quantile(1.0 - spec.alpha) * root_n
+        bound = tail_threshold(spec.alpha, spec.band, "one") * root_n
     elif spec.kind == "two_sided_threshold":
         # Nearest table row for time remaining 1 - (i-1)/n; a strict < keeps
         # the first row among equally near ones.
@@ -283,7 +283,7 @@ def pde_policy_equiv_check(
     a grid of S spanning +-5 sqrt(n) plus the exact threshold point, for
     every step i.  Returns True iff the rules agree everywhere.
     """
-    c = band.sigma_hi * norm_quantile(1.0 - alpha)
+    c = tail_threshold(alpha, band, "one")
     # x = S/sqrt(n); the tie point x = c must take the sigma_hi branch.
     xs = np.append(np.linspace(-5.0, 5.0, s_points), c)
     rule_b = xs <= c

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .capacity import VolatilityBand, p1, p2_approx
+from .capacity import VolatilityBand, p1, p2_approx, tail_threshold
 from .errors import ConfigurationError, DomainError, UndefinedStatisticError
 from .policy import PolicySpec, compile_policy
 from .special import norm_quantile, t_quantile
@@ -406,10 +406,8 @@ def capacity_convergence(
     target is p1 at sigma_hi * Phi^-1(1-alpha) one-sided, or the two-sided
     approximation 2*p1 at sigma_hi * Phi^-1(1-alpha/2).
     """
-    if sided == "one":
-        target = p1(band.sigma_hi * norm_quantile(1.0 - alpha), band)
-    else:
-        target = p2_approx(band.sigma_hi * norm_quantile(1.0 - alpha / 2.0), band).value
+    c = tail_threshold(alpha, band, sided)
+    target = p1(c, band) if sided == "one" else p2_approx(c, band).value
     test = TestSpec(sided=sided, alpha=alpha, statistic="z", sigma_ref=band.sigma_hi)
     rows = []
     for n in n_list:

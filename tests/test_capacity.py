@@ -1,6 +1,7 @@
 """Closed-form capacity machinery against quadrature oracles and identities."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -21,6 +22,8 @@ from gnormal import (
     u_one_sided,
     v_one_sided,
 )
+
+from gnormal.capacity import tail_threshold
 
 import oracles
 
@@ -89,6 +92,21 @@ class TestProfileF:
         assert profile_f(ys, BAND).tolist() == [reference(y) for y in ys.tolist()]
         assert type(profile_f(0.3, BAND)) is float
         assert profile_f(0.3, BAND) == reference(0.3)
+
+    def test_huge_arguments_give_exact_limits_silently(self):
+        # The Gaussian pieces overflow here; the values must still be the
+        # exact limits, with no RuntimeWarning.
+        tiny_lo = VolatilityBand(1e-3, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert p1(1e308, tiny_lo) == 0.0
+            assert p1(-1e308, tiny_lo) == 1.0
+            assert profile_f(1e306, tiny_lo) == 1.0
+            assert profile_f(-1e306, tiny_lo) == 0.0
+            assert profile_f(np.array([1e308, -1e308]), tiny_lo).tolist() == [1.0, 0.0]
+            right, left = profile_f_yy(1e200, BAND), profile_f_yy(-1e200, BAND)
+        assert right == 0.0 and math.copysign(1.0, right) == -1.0
+        assert left == 0.0 and math.copysign(1.0, left) == 1.0
 
 
 class TestProfileFyy:
@@ -219,6 +237,16 @@ class TestP1:
             base = p1(c, VolatilityBand(lo, hi))
             assert p1(c, VolatilityBand(lo * 0.7, hi)) >= base - 1e-15
             assert p1(c, VolatilityBand(lo, hi * 1.3)) >= base - 1e-15
+
+
+class TestTailThreshold:
+    def test_rule(self):
+        band = VolatilityBand(0.5, 2.0)
+        for alpha in (0.01, 0.05, 0.3):
+            assert tail_threshold(alpha, band, "one") == 2.0 * norm_quantile(1.0 - alpha)
+            assert tail_threshold(alpha, band, "two") == 2.0 * norm_quantile(1.0 - alpha / 2)
+        with pytest.raises(DomainError):
+            tail_threshold(0.05, band, "both")
 
 
 class TestTwoSidedApprox:

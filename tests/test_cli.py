@@ -76,6 +76,13 @@ class TestCapacityCommand:
         proc = run_cli("capacity", "--sigma-lo", "0.8")
         assert proc.returncode == 2
 
+    def test_ignores_bad_workers_env(self):
+        # capacity has no --workers, so GNORMAL_WORKERS is not its input
+        proc = run_cli("capacity", "--sigma-lo", "0.8", "--sigma-hi", "1", "--c", "2",
+                       env_extra={"GNORMAL_WORKERS": "abc"})
+        assert proc.returncode == 0, proc.stderr
+        assert "Traceback" not in proc.stderr
+
 
 class TestSolveCommand:
     def test_writes_csv_and_manifest(self, tmp_path):
@@ -225,6 +232,15 @@ class TestSimulateCommand:
                        "--seed", "1", env_extra={"GNORMAL_WORKERS": "2"})
         assert proc.returncode == 0
         assert "workers: 2" in proc.stderr
+
+    def test_bad_workers_env_is_usage_error(self):
+        simulate = ("simulate", "--n", "10", "--reps", "64", "--policy", "constant",
+                    "--sigma-lo", "1", "--sigma-hi", "1", "--sided", "one", "--stat", "z")
+        for argv in (simulate, ("repro", "--fast")):
+            proc = run_cli(*argv, env_extra={"GNORMAL_WORKERS": "abc"})
+            assert proc.returncode == 2
+            assert "argument --workers: invalid int value: 'abc'" in proc.stderr
+            assert "Traceback" not in proc.stderr
 
 
 class TestTopLevel:

@@ -24,6 +24,7 @@ from gnormal import (
     two_sided_threshold,
     verify_sandwich,
 )
+from gnormal.capacity import tail_threshold
 from gnormal.gheat import default_two_sided_grid, exact_values
 
 BAND = VolatilityBand(0.8, 1.0)
@@ -237,6 +238,28 @@ class TestThresholdLocus:
         rows = two_sided_threshold(BAND, 0.05, 3)
         for row in rows:
             assert isinstance(row.flag, str)
+
+    def test_more_levels_than_steps_share_nearest_steps(self):
+        # nx=41 takes 4 steps of 1/4; 8 rows must reuse them, each reading
+        # the step nearest j/8, the earlier one at the exact ties (odd j).
+        levels = 8
+        rows = two_sided_threshold(BAND, 0.05, levels, nx=41)
+        c = tail_threshold(0.05, BAND, "two")
+        grid = default_two_sided_grid(c, BAND, nx=41)
+        n_steps = solve(indicator_abs_above(c), BAND, grid, max_levels=2).n_steps
+        assert n_steps == 4
+        every = solve(indicator_abs_above(c), BAND, grid, max_levels=n_steps + 1)
+        assert every.n_steps == n_steps
+        times = every.times.tolist()
+        assert len(rows) == levels
+        by_step = {}
+        for j, row in enumerate(rows, start=1):
+            k = min(range(len(times)), key=lambda i: abs(times[i] - j / levels))
+            assert row.time_remaining == times[k]
+            by_step.setdefault(k, []).append(row)
+        assert len(by_step) < levels
+        for shared in by_step.values():
+            assert len({(r.time_remaining, r.threshold, r.flag) for r in shared}) == 1
 
 
 class TestVerifySandwich:
