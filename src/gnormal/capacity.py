@@ -140,10 +140,14 @@ def profile_f_yy(y, band: VolatilityBand):
     lo, hi = band.sigma_lo, band.sigma_hi
     ys = np.asarray(y, dtype=float)
     sig = np.where(ys <= 0.0, hi, lo)
-    z = ys / sig
     # z * z overflows to inf for large |z|; exp(-inf) = 0 is the exact limit.
     with np.errstate(over="ignore"):
-        out = -2.0 * ys / (hi + lo) * (_INV_SQRT_2PI * np.exp(-0.5 * z * z)) / (sig * sig)
+        z = ys / sig
+        density = _INV_SQRT_2PI * np.exp(-0.5 * z * z)
+    # Where the density is 0 the value is a zero signed like -y; a unit
+    # stand-in for y keeps -2y finite there (inf * 0 would give NaN).
+    ys = np.where(density == 0.0, np.sign(ys), ys)
+    out = -2.0 * ys / (hi + lo) * density / (sig * sig)
     return float(out) if out.ndim == 0 else out
 
 

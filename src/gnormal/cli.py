@@ -5,9 +5,11 @@ JSON goes to stdout, diagnostics to stderr.  Exit codes: 0 success,
 
 Every subcommand echoes a run manifest (inside the JSON payload, next to
 file outputs, or on stderr for CSV-emitting commands) holding the resolved
-parameters, tool version, seed and a SHA-256 checksum of the deterministic
-output content.  Wall-clock runtime is excluded from the checksum; re-runs
-with the same manifest parameters reproduce all checksummed bytes.
+parameters, tool and numpy versions, seed and a SHA-256 checksum of the
+deterministic output content.  Wall-clock runtime is excluded from the
+checksum; re-runs with the same manifest parameters reproduce all
+checksummed bytes.  ``simulate`` also prints its per-phase seconds on
+stderr.
 """
 
 from __future__ import annotations
@@ -18,6 +20,8 @@ import json
 import math
 import os
 import sys
+
+import numpy
 
 from . import __version__
 from .capacity import (
@@ -74,6 +78,7 @@ def _manifest(subcommand: str, parameters: dict, *, seed=None, checksums=None) -
         "subcommand": subcommand,
         "parameters": parameters,
         "version": __version__,
+        "numpy": numpy.__version__,
         "seed": seed,
         "output_sha256": checksums,
     }
@@ -301,6 +306,7 @@ def cmd_simulate(args) -> int:
         checksums = {args.hist: _file_sha256(args.hist)}
 
     print(f"workers: {config.workers}", file=sys.stderr)
+    print(f"diagnostics: {json.dumps(report.diagnostics)}", file=sys.stderr)
     params = {
         "n": args.n, "reps": args.reps, "policy": args.policy,
         "sigma_lo": args.sigma_lo, "sigma_hi": args.sigma_hi,

@@ -1,19 +1,30 @@
 """Parallel Monte Carlo engine for adversarially controlled test statistics.
 
-Each replication r draws its noise from a dedicated counter-based stream,
-``Philox(key=(seed, r))``, so the draws are a pure function of (seed, r):
-identical configurations produce bit-identical tallies for any worker
-count, any block size, and any subset of replications rerun in isolation.
+Noise comes in tiles of ``TILE`` = 1024 replications.  Replication r takes
+column ``r % TILE`` of tile ``r // TILE``, and the tile is drawn step-major
+from its own counter-based stream::
 
-Replications are processed in blocks, vectorized across the block: at step
-i the policy maps the running sums S_{i-1} (and sum of squares, for the
+    Generator(Philox(key=(seed, r // TILE))).standard_normal((n, TILE))
+
+so row i-1 of the tile holds step i of all its replications (Salmon et al.,
+"Parallel random numbers: as easy as 1, 2, 3", SC'11).  The draws are a pure
+function of (seed, r): worker ranges start on tile boundaries, so identical
+configurations produce bit-identical tallies for any worker count.  A
+partial last tile is still drawn in full and its surplus columns unused.
+
+Replications are processed in blocks of up to ``_BLOCK_MAX`` replications
+(whole tiles side by side), vectorized across the block: at step i the
+policy maps the running sums S_{i-1} (and sum of squares, for the
 heuristic rule) to sigma_i for every replication at once, then
 X_i = sigma_i * eps_i is absorbed.  The map is the policy kernel that
 ``policy.next_sigma`` evaluates at width 1; the heuristic rule takes
 sigma_lo exactly when s^2 > 0 and S^2 > crit_i * crit_i * n * s^2, so ties
-and s^2 = 0 give sigma_hi.  The kernel is replication-local, so blocking
-cannot change any value.  Workers own disjoint replication ranges and
-their integer tallies merge by summation.
+and s^2 = 0 give sigma_hi.  Noise is drawn in chunks of steps that continue
+each tile's generator, so a block holds about ``_CHUNK_DOUBLES`` normals
+at a time whatever n is.  The kernel is replication-local and chunking does
+not change the stream, so neither block nor chunk size can change any
+value.  Workers own disjoint tile ranges and their integer tallies merge by
+summation.
 
 Degenerate replications (zero sample variance, probability zero under
 continuous noise) are tallied separately and excluded from the rejection
@@ -51,10 +62,15 @@ HIST_LO = -6.0
 HIST_HI = 6.0
 HIST_BINS = 240  # width 0.05, fine enough to resolve the +-1.97 notches
 
-# Replications per vectorized block, sized so a block's noise matrix stays
-# around 2e7 doubles.
-_BLOCK_TARGET = 20_000_000
+# The noise contract (see the module docstring).  It decides every tally,
+# so its id is echoed inside the output checksum.
+TILE = 1024
+RNG_SCHEME = f"philox-tile{TILE}-stepmajor"
+
+# Replications per vectorized block (whole tiles, at least one), and the
+# normals a block draws per chunk of steps.  Neither changes any value.
 _BLOCK_MAX = 100_000
+_CHUNK_DOUBLES = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -174,6 +190,10 @@ class SimulationReport:
     histogram: Histogram
     runtime_seconds: float
     config: SimulationConfig
+    # Seconds per phase, like ``runtime_seconds`` volatile and kept out of
+    # ``to_json_dict``: noise_s, step_s and tally_s summed over workers,
+    # pool_start_s and merge_s in the parent process.
+    diagnostics: dict[str, float]
 
     def to_json_dict(self) -> dict:
         return {
@@ -198,14 +218,14 @@ class SimulationReport:
 def _config_echo(config: SimulationConfig) -> dict:
     # Only parameters that determine the results: the worker count cannot
     # appear here or byte-level determinism across worker counts would be
-    # unattainable by construction.  The noise law is fixed; it is echoed so
-    # manifests name it.
+    # unattainable by construction.  The noise scheme decides every tally,
+    # so it is echoed.
     pol = config.policy
     echo = {
         "n": config.n,
         "reps": config.reps,
         "seed": config.seed,
-        "noise": "standard_normal",
+        "noise": RNG_SCHEME,
         "policy": {
             "kind": pol.kind,
             "sigma_lo": pol.band.sigma_lo,
@@ -255,68 +275,55 @@ def wilson_interval(successes: int, trials: int, z: float) -> tuple[float, float
     return (max(0.0, center - margin), min(1.0, center + margin))
 
 
-def _philox_state(key: np.ndarray, counter: np.ndarray, buffer: np.ndarray) -> dict:
-    return {
-        "bit_generator": "Philox",
-        "state": {"counter": counter, "key": key},
-        "buffer": buffer,
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
+def _tile_generator(seed: int, tile: int) -> Generator:
+    return Generator(Philox(key=np.array([seed, tile], dtype=np.uint64)))
 
 
-def replication_noise(seed: int, rep: int, n: int) -> np.ndarray:
-    """The noise vector of replication ``rep``: standard normals from a
-    fresh ``Philox(key=(seed, rep))`` stream."""
-    bitgen = Philox(key=np.array([seed, rep], dtype=np.uint64))
-    return Generator(bitgen).standard_normal(n)
-
-
-def _noise_block(seed: int, rep_lo: int, rep_hi: int, n: int) -> np.ndarray:
-    # (n, reps) matrix of per-replication streams.  Resetting one Philox
-    # through its state dict is bit-identical to fresh construction with
-    # key=(seed, rep) and several times faster.
-    reps = rep_hi - rep_lo
-    out = np.empty((reps, n))
-    key = np.array([seed, 0], dtype=np.uint64)
-    counter = np.zeros(4, dtype=np.uint64)
-    buffer = np.zeros(4, dtype=np.uint64)
-    bitgen = Philox(key=key)
-    gen = Generator(bitgen)
-    state = _philox_state(key, counter, buffer)
-    for j, rep in enumerate(range(rep_lo, rep_hi)):
-        key[1] = rep
-        bitgen.state = state
-        out[j] = gen.standard_normal(n)
-    return np.ascontiguousarray(out.T)
-
-
-def _run_range(config: SimulationConfig, rep_lo: int, rep_hi: int, critical: float):
-    """Tallies for the replication range [rep_lo, rep_hi)."""
+def _run_range(config: SimulationConfig, tile_lo: int, tile_hi: int, critical: float):
+    """Tallies and phase seconds for the replications of tiles
+    [tile_lo, tile_hi), cut at ``config.reps``."""
     n = config.n
     needs_ss = config.policy.kind == "heuristic_t" or config.test.statistic == "t"
     policy = compile_policy(config.policy)
     hist = _empty_histogram()
     rejections = 0
     degenerate = 0
+    timers = {"noise_s": 0.0, "step_s": 0.0, "tally_s": 0.0}
 
-    block = max(1, min(_BLOCK_MAX, _BLOCK_TARGET // max(n, 1)))
-    for lo in range(rep_lo, rep_hi, block):
-        hi = min(lo + block, rep_hi)
-        noise = _noise_block(config.seed, lo, hi, n)
-        width = hi - lo
-        s = np.zeros(width)
-        ss = np.zeros(width) if needs_ss else None
-        for i in range(1, n + 1):
-            x = policy.sigma(i, s, ss) * noise[i - 1]
-            s += x
-            if needs_ss:
-                ss += x * x
+    tiles_per_block = max(1, _BLOCK_MAX // TILE)
+    for b_lo in range(tile_lo, tile_hi, tiles_per_block):
+        b_hi = min(b_lo + tiles_per_block, tile_hi)
+        width = b_hi - b_lo
+        gens = [_tile_generator(config.seed, t) for t in range(b_lo, b_hi)]
+        chunk = max(1, min(n, _CHUNK_DOUBLES // (width * TILE)))
+        # noise[t, j] is step j of the chunk for tile b_lo + t: each tile's
+        # chunk is a contiguous (steps, TILE) slice drawn in place.
+        noise = np.empty((width, chunk, TILE))
+        s = np.zeros((width, TILE))
+        ss = np.zeros((width, TILE)) if needs_ss else None
+        x = np.empty((width, TILE))
+        for i0 in range(1, n + 1, chunk):
+            steps = min(chunk, n + 1 - i0)
+            t0 = time.perf_counter()
+            for t, gen in enumerate(gens):
+                gen.standard_normal(out=noise[t, :steps])
+            t1 = time.perf_counter()
+            for j in range(steps):
+                np.multiply(policy.sigma(i0 + j, s, ss), noise[:, j], out=x)
+                s += x
+                if needs_ss:
+                    x *= x
+                    ss += x
+            timers["noise_s"] += t1 - t0
+            timers["step_s"] += time.perf_counter() - t1
 
+        t0 = time.perf_counter()
+        used = min(b_hi * TILE, config.reps) - b_lo * TILE
+        s = s.ravel()[:used]
         if config.test.statistic == "z":
             stats = s / (math.sqrt(n) * config.test.sigma_ref)
         else:
+            ss = ss.ravel()[:used]
             s2 = np.maximum((ss - s * s / n) / (n - 1), 0.0)
             good = s2 > 0.0
             degenerate += int(np.count_nonzero(~good))
@@ -327,8 +334,9 @@ def _run_range(config: SimulationConfig, rep_lo: int, rep_hi: int, critical: flo
         else:
             rejections += int(np.count_nonzero(np.abs(stats) > critical))
         hist.add(stats)
+        timers["tally_s"] += time.perf_counter() - t0
 
-    return rejections, degenerate, hist
+    return rejections, degenerate, hist, timers
 
 
 def _run_range_star(args):
@@ -342,27 +350,37 @@ def run(config: SimulationConfig) -> SimulationReport:
     """
     start = time.perf_counter()
     critical = config.test.critical_value(config.n)
+    n_tiles = -(-config.reps // TILE)
 
-    workers = min(config.workers, config.reps)
+    workers = min(config.workers, n_tiles)
+    pool_start = 0.0
     if workers == 1:
-        parts = [_run_range(config, 0, config.reps, critical)]
+        parts = [_run_range(config, 0, n_tiles, critical)]
     else:
-        bounds = np.linspace(0, config.reps, workers + 1).astype(int)
+        bounds = np.linspace(0, n_tiles, workers + 1).astype(int)
         tasks = [
             (config, int(bounds[w]), int(bounds[w + 1]), critical)
             for w in range(workers)
             if bounds[w] < bounds[w + 1]
         ]
+        t0 = time.perf_counter()
         with multiprocessing.Pool(processes=workers) as pool:
+            pool_start = time.perf_counter() - t0
             parts = pool.map(_run_range_star, tasks)
 
+    t0 = time.perf_counter()
     rejections = 0
     degenerate = 0
     hist = _empty_histogram()
-    for part_rej, part_deg, part_hist in parts:
+    diagnostics = dict.fromkeys(parts[0][3], 0.0)
+    for part_rej, part_deg, part_hist, part_timers in parts:
         rejections += part_rej
         degenerate += part_deg
         hist.merge(part_hist)
+        for key, seconds in part_timers.items():
+            diagnostics[key] += seconds
+    diagnostics["pool_start_s"] = pool_start
+    diagnostics["merge_s"] = time.perf_counter() - t0
 
     effective = config.reps - degenerate
     rate = rejections / effective if effective > 0 else math.nan
@@ -377,6 +395,7 @@ def run(config: SimulationConfig) -> SimulationReport:
         histogram=hist,
         runtime_seconds=time.perf_counter() - start,
         config=config,
+        diagnostics=diagnostics,
     )
 
 

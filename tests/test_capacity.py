@@ -132,6 +132,20 @@ class TestProfileFyy:
             ) / (h * h)
             assert profile_f_yy(y, BAND) == pytest.approx(central, abs=1e-6)
 
+    def test_infinite_and_near_overflow_arguments_give_signed_zero(self):
+        # -2y overflows for |y| >= ~9e307 and the density there is 0: the
+        # exact value is a zero signed like -y, not inf * 0 = NaN.
+        ys = [math.inf, -math.inf, 1e308, -1e308, 9e307, -9e307]
+        for band in (BAND, VolatilityBand(1e-3, 1.0)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                vals = profile_f_yy(np.array(ys), band).tolist()
+                scalars = [profile_f_yy(y, band) for y in ys]
+            for y, v, s in zip(ys, vals, scalars):
+                for got in (v, s):
+                    assert got == 0.0
+                    assert math.copysign(1.0, got) == -math.copysign(1.0, y)
+
 
 class TestOneSidedSolutions:
     def test_initial_condition(self):

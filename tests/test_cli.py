@@ -6,9 +6,11 @@ import os
 import subprocess
 import sys
 
+import numpy
 import pytest
 
 from gnormal import norm_cdf, norm_quantile
+from gnormal.simulate import RNG_SCHEME
 
 
 def run_cli(*args, env_extra=None):
@@ -194,6 +196,19 @@ class TestSimulateCommand:
         outs = [json_out(run_cli(*args, "--workers", w)) for w in ("1", "4")]
         assert strip_runtime(outs[0]) == strip_runtime(outs[1])
         assert outs[0]["manifest"]["output_sha256"] == outs[1]["manifest"]["output_sha256"]
+
+    def test_provenance_and_phase_seconds(self):
+        proc = run_cli("simulate", "--n", "10", "--reps", "300", "--policy",
+                       "constant", "--sigma", "0.9", "--sigma-lo", "0.8",
+                       "--sigma-hi", "1", "--sided", "one", "--stat", "z",
+                       "--seed", "1")
+        out = json_out(proc)
+        assert out["manifest"]["numpy"] == numpy.__version__
+        assert out["config_echo"]["noise"] == RNG_SCHEME
+        assert "diagnostics" not in out
+        line = [l for l in proc.stderr.splitlines() if l.startswith("diagnostics: ")]
+        phases = json.loads(line[0].split(": ", 1)[1])
+        assert set(phases) == {"noise_s", "step_s", "tally_s", "pool_start_s", "merge_s"}
 
     def test_null_rate_near_alpha(self):
         out = json_out(

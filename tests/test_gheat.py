@@ -25,7 +25,12 @@ from gnormal import (
     verify_sandwich,
 )
 from gnormal.capacity import tail_threshold
-from gnormal.gheat import default_two_sided_grid, exact_values
+from gnormal.gheat import (
+    ThresholdLevel,
+    _d2_sign_change_root,
+    default_two_sided_grid,
+    exact_values,
+)
 
 BAND = VolatilityBand(0.8, 1.0)
 
@@ -232,12 +237,34 @@ class TestThresholdLocus:
         for row in rows:
             assert row.threshold > 0.0
 
+    # d2 lives on the interior nodes x[1:-1]; roots are sought from x = 0 on.
+    X = np.linspace(-5.0, 5.0, 101)
+    POS_FROM = int(np.searchsorted(X[1:-1], 0.0))
+    FLOOR = 1e-6
+
     def test_flags_on_flat_data(self):
-        # sigma_hi = sigma_lo = tiny horizon keeps curvature localized; a
-        # degenerate row must fall back to the requested threshold
-        rows = two_sided_threshold(BAND, 0.05, 3)
-        for row in rows:
-            assert isinstance(row.flag, str)
+        # no sign change above the noise floor: fall back to ref_c, flagged
+        ref_c = 1.7
+        xs = self.X[1:-1]
+        flat = np.zeros(xs.size)
+        wiggle = 0.5 * self.FLOOR * np.where(np.arange(xs.size) % 2 == 0, 1.0, -1.0)
+        for d2 in (flat, wiggle):
+            got = _d2_sign_change_root(self.X, d2, self.POS_FROM, ref_c, self.FLOOR)
+            assert got == (ref_c, True, False)
+            assert ThresholdLevel(1.0, *got).flag == "degenerate"
+
+    def test_multiple_sign_changes_report_nearest_root(self):
+        # d2 changes sign near 1.05 and 2.95 (between nodes); each reference
+        # threshold must get the root nearest to it
+        xs = self.X[1:-1]
+        d2 = (xs - 1.05) * (xs - 2.95)
+        for ref_c, near in ((1.2, 1.05), (0.0, 1.05), (2.5, 2.95), (4.0, 2.95)):
+            root, degenerate, multiple = _d2_sign_change_root(
+                self.X, d2, self.POS_FROM, ref_c, self.FLOOR
+            )
+            assert root == pytest.approx(near, abs=0.01)
+            assert (degenerate, multiple) == (False, True)
+            assert ThresholdLevel(1.0, root, degenerate, multiple).flag == "multiple"
 
     def test_more_levels_than_steps_share_nearest_steps(self):
         # nx=41 takes 4 steps of 1/4; 8 rows must reuse them, each reading

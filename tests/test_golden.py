@@ -2,12 +2,13 @@
 
 The pinned ``output_sha256`` values were taken with numpy 2.4.6.  They are
 the tripwire for any change to the numbers: the simulate checksums cover
-the noise streams (numpy gives no cross-version guarantee for
-``Generator`` output) and every policy kind, ``threshold`` and ``solve``
-cover the PDE solver and both boundary rules (closed-form values for
-indicator data with sigma_lo > 0, held end values otherwise).  A change meant
-to alter the Monte Carlo streams must update the simulate values and say
-so; any other change must leave all of them alone.
+the noise streams of ``simulate.RNG_SCHEME``, which the config echo names
+(numpy gives no cross-version guarantee for ``Generator`` output), and
+every policy kind; ``threshold`` and ``solve`` cover the PDE solver and
+both boundary rules (closed-form values for indicator data with
+sigma_lo > 0, held end values otherwise).  A change meant to alter the
+Monte Carlo streams must update the simulate values and say so; any other
+change must leave all of them alone.
 """
 
 import json
@@ -22,27 +23,27 @@ SIMULATE = {
     "constant": (
         ["--n", "30", "--reps", "3000", "--policy", "constant", "--sigma", "0.9",
          "--sided", "one", "--stat", "z"],
-        "85e3324396475afd26341774ce17f5c45571a5922ae7a78eb0fcc877e9031370",
+        "7839fe9ea2ea45f8656399ad2b735dead7f2339553b6fe189f95fdf75065f87a",
     ),
     "one-sided-opt": (
         ["--n", "50", "--reps", "2000", "--policy", "one-sided-opt",
          "--sided", "one", "--stat", "z"],
-        "d9ccd2cf83defa8852de1c8d1e70da15375109a104169a5ef09d65ac97ecec03",
+        "ad0f4242daeaf66757370137c8e587d50e0b301656177b095861bcedf8c12b44",
     ),
     "two-sided-thresh": (
         ["--n", "40", "--reps", "2000", "--policy", "two-sided-thresh",
          "--table-levels", "20", "--sided", "two", "--stat", "z"],
-        "99d61962f64955417158265c3ec7c02b2270d6fbeba367a81c8db618ebba9588",
+        "d4f2c0df3ada3ab6eb4b41197fefa7a32b773646021b504e6543d4f1bd00a7f2",
     ),
     "heuristic-t normal": (
         ["--n", "40", "--reps", "4000", "--policy", "heuristic-t", "--crit", "normal",
          "--sided", "two", "--stat", "t"],
-        "01d6c8d1bd380834b820ecde9465a75a5d3cbe7b36d00f5fc3333b4353469371",
+        "1ba81e2bd87b3ea82fb4933176af4790c48ec9adcf36b8258b8696a6234fd64f",
     ),
     "heuristic-t t": (
         ["--n", "40", "--reps", "4000", "--policy", "heuristic-t", "--crit", "t",
          "--sided", "two", "--stat", "t"],
-        "9d6e9d34f9195bffed79d9d7b23a3f30b563ddbb89b516225a4db5fbf202d63a",
+        "6e016d39ac2585ae0ce35e85974865e9b56632f598c71396546af65d7dd146c3",
     ),
 }
 

@@ -2,6 +2,7 @@
 calibration, and report bookkeeping."""
 
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -27,10 +28,29 @@ from gnormal import (
     two_sided_threshold_policy,
     wilson_interval,
 )
+from gnormal import simulate
 from gnormal.policy import ThresholdTable
-from gnormal.simulate import HIST_BINS, replication_noise, _noise_block
+from gnormal.simulate import HIST_BINS, RNG_SCHEME
 
 BAND = VolatilityBand(0.8, 1.0)
+
+# The noise contract: replication r takes column r % TILE of tile r // TILE,
+# drawn step-major as Philox(key=(seed, r // TILE)).standard_normal((n, TILE)).
+TILE = 1024
+
+
+@lru_cache(maxsize=8)
+def _reference_tile(seed: int, tile: int, n: int) -> np.ndarray:
+    gen = Generator(Philox(key=np.array([seed, tile], dtype=np.uint64)))
+    draws = gen.standard_normal((n, TILE))
+    draws.flags.writeable = False  # shared by every caller through the cache
+    return draws
+
+
+def replication_noise(seed: int, rep: int, n: int) -> np.ndarray:
+    """Noise of replication ``rep``, from the contract alone: its column of
+    a freshly drawn tile."""
+    return _reference_tile(seed, rep // TILE, n)[:, rep % TILE]
 
 
 class TestTStatistic:
@@ -111,18 +131,52 @@ class TestSpecValidation:
 
 
 class TestStreams:
-    def test_block_matches_fresh_construction(self):
-        # the state-reset fast path must be bit-identical to Philox(key=(seed, r))
-        block = _noise_block(987, 3, 8, 40)
-        for j, rep in enumerate(range(3, 8)):
-            fresh = Generator(Philox(key=np.array([987, rep], dtype=np.uint64)))
-            assert np.array_equal(block[:, j], fresh.standard_normal(40))
+    def test_scheme_id_names_the_contract(self):
+        assert simulate.TILE == TILE
+        assert RNG_SCHEME == "philox-tile1024-stepmajor"
+
+    def test_engine_draws_match_reference_columns(self, monkeypatch):
+        # Record what each tile's generator writes into the engine's noise
+        # buffer, over several blocks and step chunks, and compare every
+        # column around the 1023/1024 tile boundary and in the partial last
+        # tile with a fresh draw of the contract.
+        n, seed, reps = 12, 987, 2 * TILE + 5
+        drawn = {}
+        make_generator = simulate._tile_generator
+
+        class Recorder:
+            def __init__(self, seed, tile):
+                self.gen = make_generator(seed, tile)
+                self.chunks = drawn.setdefault(tile, [])
+
+            def standard_normal(self, out):
+                self.gen.standard_normal(out=out)
+                self.chunks.append(out.copy())
+
+        monkeypatch.setattr(simulate, "_tile_generator", Recorder)
+        monkeypatch.setattr(simulate, "_BLOCK_MAX", 2 * TILE)
+        monkeypatch.setattr(simulate, "_CHUNK_DOUBLES", 5 * 2 * TILE)
+        test = TestSpec(sided="one", alpha=0.05, statistic="z", sigma_ref=1.0)
+        run(SimulationConfig(
+            n=n, reps=reps, policy=constant_policy(BAND, n, 0.9), test=test, seed=seed
+        ))
+        assert sorted(drawn) == [0, 1, 2]
+        # 5-step chunks in the two-tile block, 10-step in the one-tile block
+        assert [len(drawn[t]) for t in range(3)] == [3, 3, 2]
+        tiles = {t: np.concatenate(chunks) for t, chunks in drawn.items()}
+        checked = [*range(0, 3), *range(TILE - 3, TILE + 3), *range(2 * TILE - 1, reps)]
+        for rep in checked:
+            engine = tiles[rep // TILE][:, rep % TILE]
+            assert np.array_equal(engine, replication_noise(seed, rep, n)), rep
+        # the partial last tile is drawn in full
+        assert np.array_equal(tiles[2], _reference_tile(seed, 2, n))
 
     def test_replication_noise_is_pure(self):
         a = replication_noise(5, 123, 16)
         b = replication_noise(5, 123, 16)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, replication_noise(5, 124, 16))
+        assert not np.array_equal(a, replication_noise(5, 123 + TILE, 16))
         assert not np.array_equal(a, replication_noise(6, 123, 16))
 
 
@@ -138,14 +192,28 @@ def _report_key(report):
 
 class TestDeterminism:
     def test_worker_invariance(self):
+        # three tiles, the last partial: workers own whole tiles, so 7
+        # workers run as 3
         spec = heuristic_t_policy(BAND, 30, 0.05)
         test = TestSpec(sided="two", alpha=0.05, statistic="t")
         reports = [
-            run(SimulationConfig(n=30, reps=501, policy=spec, test=test, seed=11, workers=w))
-            for w in (1, 3, 7)
+            run(SimulationConfig(
+                n=30, reps=2 * TILE + 5, policy=spec, test=test, seed=11, workers=w
+            ))
+            for w in (1, 2, 3, 7)
         ]
         keys = {_report_key(r) for r in reports}
         assert len(keys) == 1
+
+    def test_block_and_chunk_sizes_do_not_change_tallies(self, monkeypatch):
+        spec = heuristic_t_policy(BAND, 30, 0.05)
+        test = TestSpec(sided="two", alpha=0.05, statistic="t")
+        config = SimulationConfig(n=30, reps=3 * TILE + 17, policy=spec, test=test, seed=5)
+        expected = _report_key(run(config))
+        for block_max, chunk_doubles in ((1, 1), (TILE, 7 * TILE), (2 * TILE + 1, 1)):
+            monkeypatch.setattr(simulate, "_BLOCK_MAX", block_max)
+            monkeypatch.setattr(simulate, "_CHUNK_DOUBLES", chunk_doubles)
+            assert _report_key(run(config)) == expected
 
     def test_single_replication_isolated_rerun(self):
         # replication r's contribution is reproducible from (seed, r) alone
@@ -303,3 +371,19 @@ class TestReportShape:
         assert payload["histogram"]["lo"] == -6.0
         assert len(payload["histogram"]["bins"]) == HIST_BINS
         assert payload["config_echo"]["policy"]["kind"] == "constant"
+        assert payload["config_echo"]["noise"] == RNG_SCHEME
+
+    def test_phase_seconds_stay_out_of_the_payload(self):
+        config = SimulationConfig(
+            n=10, reps=3 * TILE, workers=2,
+            policy=constant_policy(BAND, 10, 0.9),
+            test=TestSpec(sided="one", alpha=0.05, statistic="z", sigma_ref=1.0),
+            seed=0,
+        )
+        report = run(config)
+        assert set(report.diagnostics) == {
+            "noise_s", "step_s", "tally_s", "pool_start_s", "merge_s"
+        }
+        assert all(seconds >= 0.0 for seconds in report.diagnostics.values())
+        assert report.diagnostics["pool_start_s"] > 0.0
+        assert "diagnostics" not in report.to_json_dict()
