@@ -178,14 +178,6 @@ class PolicyState:
         self.count += 1
         self.i += 1
 
-    def sample_variance(self) -> float:
-        """Unbiased sample variance of the count observations seen (divisor
-        count - 1); 0.0 while fewer than two observations exist."""
-        if self.count < 2:
-            return 0.0
-        mean_sq = self.running_sum * self.running_sum / self.count
-        return max((self.running_sum_sq - mean_sq) / (self.count - 1), 0.0)
-
 
 @dataclass(frozen=True)
 class CompiledPolicy:

@@ -37,6 +37,15 @@ def state_after(xs):
     return st
 
 
+def sample_variance(st):
+    """Unbiased sample variance (divisor count - 1) from the running sums;
+    0.0 while fewer than two observations exist."""
+    if st.count < 2:
+        return 0.0
+    mean_sq = st.running_sum * st.running_sum / st.count
+    return max((st.running_sum_sq - mean_sq) / (st.count - 1), 0.0)
+
+
 class TestSpecValidation:
     def test_constant_inside_band(self):
         with pytest.raises(ConfigurationError):
@@ -141,13 +150,13 @@ class TestHeuristicT:
     def test_zero_variance_takes_high(self):
         spec = heuristic_t_policy(BAND, 20, 0.05)
         st = state_after([2.0, 2.0, 2.0])  # equal observations, s2 = 0
-        assert st.sample_variance() == 0.0
+        assert sample_variance(st) == 0.0
         assert next_sigma(spec, st) == BAND.sigma_hi
 
     def test_significant_path_takes_low(self):
         spec = heuristic_t_policy(BAND, 4, 0.05)
         st = state_after([3.0, 3.1, 3.2])
-        stat = abs(st.running_sum) / math.sqrt(4 * st.sample_variance())
+        stat = abs(st.running_sum) / math.sqrt(4 * sample_variance(st))
         assert stat > norm_quantile(0.975)
         assert next_sigma(spec, st) == BAND.sigma_lo
 
@@ -164,7 +173,7 @@ class TestHeuristicT:
         crit = t_quantile(0.975, 3)
         assert compile_policy(spec).bound[5] == crit * crit * 20
         st = state_after([1.0, 1.5, 0.5, 1.2])
-        stat = abs(st.running_sum) / math.sqrt(20 * st.sample_variance())
+        stat = abs(st.running_sum) / math.sqrt(20 * sample_variance(st))
         expected = BAND.sigma_hi if stat <= crit else BAND.sigma_lo
         assert next_sigma(spec, st) == expected
 
@@ -172,7 +181,7 @@ class TestHeuristicT:
         spec = heuristic_t_policy(BAND, 20, c_alpha=2.5)
         assert spec.crit_rule == "fixed"
         st = state_after([3.0, 3.1, 3.2])
-        stat = abs(st.running_sum) / math.sqrt(20 * st.sample_variance())
+        stat = abs(st.running_sum) / math.sqrt(20 * sample_variance(st))
         assert next_sigma(spec, st) == (BAND.sigma_hi if stat <= 2.5 else BAND.sigma_lo)
 
 

@@ -6,7 +6,7 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from numpy.random import Generator, Philox
+from numpy.random import SFC64, Generator, SeedSequence
 
 from gnormal import (
     ConfigurationError,
@@ -35,13 +35,15 @@ from gnormal.simulate import HIST_BINS, RNG_SCHEME
 BAND = VolatilityBand(0.8, 1.0)
 
 # The noise contract: replication r takes column r % TILE of tile r // TILE,
-# drawn step-major as Philox(key=(seed, r // TILE)).standard_normal((n, TILE)).
+# drawn step-major from tile r // TILE's child of SeedSequence(seed):
+# Generator(SFC64(SeedSequence(seed).spawn(k + 1)[k])).standard_normal((n, TILE))
+# with k = r // TILE.
 TILE = 1024
 
 
 @lru_cache(maxsize=8)
 def _reference_tile(seed: int, tile: int, n: int) -> np.ndarray:
-    gen = Generator(Philox(key=np.array([seed, tile], dtype=np.uint64)))
+    gen = Generator(SFC64(SeedSequence(seed).spawn(tile + 1)[tile]))
     draws = gen.standard_normal((n, TILE))
     draws.flags.writeable = False  # shared by every caller through the cache
     return draws
@@ -133,7 +135,38 @@ class TestSpecValidation:
 class TestStreams:
     def test_scheme_id_names_the_contract(self):
         assert simulate.TILE == TILE
-        assert RNG_SCHEME == "philox-tile1024-stepmajor"
+        assert RNG_SCHEME == "sfc64-tile1024-stepmajor"
+
+    def test_tile_keys_are_unambiguous(self):
+        # Keyed by the entropy list [seed, tile], the first two pairs share
+        # a state and tile 0 of seed 7 repeats SeedSequence(7) itself.  The
+        # last pairs are adjacent seeds, which benchmark iterations use.
+        def state(gen):
+            return tuple(gen.bit_generator.state["state"]["state"].tolist())
+
+        def tile_state(seed, tile):
+            return state(simulate._tile_generator(seed, tile))
+
+        assert tile_state(2**32 + 5, 0) != tile_state(5, 1)
+        assert tile_state(7, 0) != state(Generator(SFC64(SeedSequence(7))))
+        for seed in (0, 5, 2**32 - 1, 2**32 + 5, 2**64 - 2):
+            assert tile_state(seed, 1) != tile_state(seed + 1, 0)
+
+    def test_tile_streams_look_independent(self):
+        # Smoke test of the first 2**16 draws of 4 tiles x 2 adjacent seeds:
+        # mean 0 and variance 1 within 5 standard errors, and every pairwise
+        # correlation within 5 / sqrt(N).
+        size = 2**16
+        draws = np.array([
+            simulate._tile_generator(seed, tile).standard_normal(size)
+            for seed in (41, 42) for tile in range(4)
+        ])
+        assert np.all(np.abs(draws.mean(axis=1)) < 5.0 / math.sqrt(size))
+        # the variance of a sample variance of normals is 2 / N
+        assert np.all(np.abs(draws.var(axis=1) - 1.0) < 5.0 * math.sqrt(2.0 / size))
+        corr = np.corrcoef(draws)
+        off_diagonal = corr[~np.eye(len(draws), dtype=bool)]
+        assert np.all(np.abs(off_diagonal) < 5.0 / math.sqrt(size))
 
     def test_engine_draws_match_reference_columns(self, monkeypatch):
         # Record what each tile's generator writes into the engine's noise
