@@ -31,8 +31,6 @@ import numpy as np
 from .errors import DomainError
 from .special import _INV_SQRT_2PI, _SQRT2, norm_cdf, norm_quantile
 
-_erfc = np.frompyfunc(math.erfc, 1, 1)
-
 __all__ = [
     "VolatilityBand",
     "TailQuery",
@@ -125,7 +123,9 @@ def profile_f(y, band: VolatilityBand):
     # gives the exact limit 0 or 2; np.where then picks the right piece.
     with np.errstate(over="ignore"):
         z = np.where(left, ys / hi, -ys / lo)
-    cdf = 0.5 * np.asarray(_erfc(-z / _SQRT2), dtype=float)
+    w = -z / _SQRT2
+    erfc = np.fromiter(map(math.erfc, w.ravel().tolist()), float, w.size)
+    cdf = 0.5 * erfc.reshape(w.shape)
     out = np.where(left, 2.0 * hi / s * cdf, 1.0 - 2.0 * lo / s * cdf)
     return float(out) if out.ndim == 0 else out
 

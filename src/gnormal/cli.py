@@ -9,7 +9,7 @@ parameters, tool and numpy versions, seed and a SHA-256 checksum of the
 deterministic output content.  Wall-clock runtime is excluded from the
 checksum; re-runs with the same manifest parameters reproduce all
 checksummed bytes.  ``simulate`` also prints its per-phase seconds on
-stderr.
+stderr, and ``solve`` its march seconds, steps/s and CFL fraction.
 """
 
 from __future__ import annotations
@@ -233,6 +233,7 @@ def cmd_solve(args) -> int:
         json.dump(manifest, fh, indent=2)
         fh.write("\n")
     print(f"wrote {args.out} and {manifest_path}", file=sys.stderr)
+    print(f"diagnostics: {json.dumps(sol.diagnostics)}", file=sys.stderr)
     return 0
 
 

@@ -19,9 +19,22 @@ Numerical conventions that matter to the contracts:
   band has a positive lower edge; every other datum keeps its initial end
   values.  Default domains put the boundary 10 s_hi beyond the threshold,
   where either choice is accurate to well below discretization error.
-* The second difference is evaluated as (u[j-1] + u[j+1]) - 2 u[j].  With
-  symmetric data on a symmetric grid this makes every step bitwise
-  mirror-symmetric.
+* One step, in this order, with every numpy result written into buffers
+  made once per march: d2 = ((u[j-1] + u[j+1]) - 2 u[j]) * (1/dx^2);
+  g = max(h_hi d2, h_lo d2) + 0.0 with h = s^2/2; u[j] += dt g on the
+  interior; then the two boundary values.  This d2 order makes every step
+  bitwise mirror-symmetric for symmetric data on a symmetric grid.  g
+  equals h_hi max(d2, 0) + h_lo min(d2, 0) bit for bit: as h_hi >= h_lo
+  >= 0 the max picks the product the sum keeps, and the + 0.0 turns the
+  -0.0 that h_lo d2 is when s_lo = 0 or it underflows into the sum's +0.0;
+  without it a -0.0 node of table data could stay -0.0 where the sum
+  form makes it +0.0.
+* Overflow surfaces once, as NumericalError naming the step: after every
+  step a probe of the nodes 1, 1 + nx//8, ... raises on a non-finite value
+  (the final state is checked at every node).  ``solve`` and
+  ``two_sided_threshold`` run the whole march under one np.errstate that
+  ignores overflow and invalid operations; not per step (about 2 us each)
+  and not inside the generator, where it would span the yields.
 * Time levels are retained on a uniform subsample (every ``stride`` steps,
   endpoints included); the step count is rounded up so retained times land
   on exact multiples of t_end/(levels-1) at every spatial resolution,
@@ -37,7 +50,8 @@ partitioned.  Distinct solves share no mutable state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
 from typing import Iterator
 
 import numpy as np
@@ -176,6 +190,11 @@ class GridSolution:
 
     ``values[k, j]`` is u(times[k], x[j]).  ``snapped_c`` is the
     cell-midpoint threshold actually used for indicator data.
+    ``diagnostics`` holds the march's wall seconds (``march_s``, set-up
+    included), ``steps_per_s`` and ``cfl``, the CFL fraction actually used,
+    dt s_hi^2 / dx^2 (at most ``safety``, up to one rounding of dt); it is
+    volatile, so it takes no part in equality, ``write_csv`` or any
+    checksum.
     """
 
     grid: GridSpec
@@ -187,6 +206,7 @@ class GridSolution:
     dt: float
     n_steps: int
     snapped_c: float | None = None
+    diagnostics: dict[str, float] = field(default_factory=dict, compare=False)
 
     @property
     def final_values(self) -> np.ndarray:
@@ -287,9 +307,11 @@ def _closed_form(ic, c, x, t, band):
 class _March:
     """One explicit march to t_end.  ``times[k]`` is the time of step k
     (k * dt, and exactly t_end at k = n_steps); ``states`` yields
-    (k, u, d2) for k = 0..n_steps, where u is the state at times[k] (one
-    buffer, advanced in place after the yield) and d2 its second difference
-    divided by dx^2.  Retained levels are the steps divisible by ``stride``."""
+    (k, u, d2) for k = 0..n_steps, where u is the state at times[k] and d2
+    its second difference divided by dx^2.  Both are buffers allocated once
+    per march: u is advanced in place after the yield and d2 is overwritten
+    by the next step, so a consumer that keeps either must copy it.
+    Retained levels are the steps divisible by ``stride``."""
 
     x: np.ndarray
     snapped_c: float | None
@@ -319,31 +341,51 @@ def _march(
     times = np.arange(n_steps + 1) * dt
     times[-1] = grid.t_end
 
-    # Boundary values of every step at once; t_next = (k + 1) * dt.
+    # Boundary values of every step at once, as Python floats for cheap
+    # indexing in the step loop; t_next = (k + 1) * dt.
     if snapped_c is not None and band.sigma_lo > 0.0:
         t_next = np.arange(1, n_steps + 1)[:, None] * dt
         boundary = _closed_form(ic, snapped_c, x[[0, -1]], t_next, band)
     else:
         boundary = np.broadcast_to(u0[[0, -1]], (n_steps, 2))
-    bc_left, bc_right = boundary.T
+    bc_left, bc_right = boundary.T.tolist()
 
     def states():
         half_hi = 0.5 * band.sigma_hi * band.sigma_hi
         half_lo = 0.5 * band.sigma_lo * band.sigma_lo
         inv_dx2 = 1.0 / (dx * dx)
         u = u0.copy()
+        west, mid, east = u[:-2], u[1:-1], u[2:]
+        d2, g, work = np.empty((3, grid.nx - 2))
+        probe = u[1 :: max(grid.nx // 8, 1)]
+        finite = np.empty(probe.size, dtype=bool)
+
+        def second_difference():
+            # (u[j-1] + u[j+1]) - 2 u[j], then / dx^2: mirror-stable order.
+            np.add(west, east, out=d2)
+            np.multiply(mid, 2.0, out=work)
+            np.subtract(d2, work, out=d2)
+            np.multiply(d2, inv_dx2, out=d2)
+
         for k in range(n_steps):
-            # Second difference in mirror-stable order: (u[j-1] + u[j+1]) - 2 u[j].
-            d2 = ((u[:-2] + u[2:]) - 2.0 * u[1:-1]) * inv_dx2
+            second_difference()
             yield k, u, d2
-            g = half_hi * np.maximum(d2, 0.0) + half_lo * np.minimum(d2, 0.0)
-            u[1:-1] += dt * g
-            u[0], u[-1] = bc_left[k], bc_right[k]
-            if not np.isfinite(u[1 :: max(grid.nx // 8, 1)]).all():
+            # G(d2) = max(s_hi^2 d2, s_lo^2 d2) / 2 + 0.0; see the module notes.
+            np.multiply(d2, half_hi, out=g)
+            np.multiply(d2, half_lo, out=work)
+            np.maximum(g, work, out=g)
+            np.add(g, 0.0, out=g)
+            np.multiply(g, dt, out=g)
+            np.add(mid, g, out=mid)
+            u[0] = bc_left[k]
+            u[-1] = bc_right[k]
+            np.isfinite(probe, out=finite)
+            if not finite.all():
                 raise NumericalError(f"non-finite values detected at step {k + 1}")
         if not np.isfinite(u).all():
             raise NumericalError(f"non-finite values detected at step {n_steps}")
-        yield n_steps, u, ((u[:-2] + u[2:]) - 2.0 * u[1:-1]) * inv_dx2
+        second_difference()
+        yield n_steps, u, d2
 
     return _March(x, snapped_c, dt, times, stride, states())
 
@@ -360,15 +402,24 @@ def solve(
     ``max_levels`` caps how many time levels are retained in the solution
     (uniformly subsampled, endpoints always included).
     """
+    start = time.perf_counter()
     march = _march(ic, band, grid, max_levels)
     times = march.times[:: march.stride]
     values = np.empty((times.size, grid.nx))
-    for k, u, _ in march.states:
-        if k % march.stride == 0:
-            values[k // march.stride] = u
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, u, _ in march.states:
+            if k % march.stride == 0:
+                values[k // march.stride] = u
+    march_s = time.perf_counter() - start
+    n_steps = march.times.size - 1
     return GridSolution(
         grid=grid, band=band, ic=ic, x=march.x, times=times, values=values,
-        dt=march.dt, n_steps=march.times.size - 1, snapped_c=march.snapped_c,
+        dt=march.dt, n_steps=n_steps, snapped_c=march.snapped_c,
+        diagnostics={
+            "march_s": march_s,
+            "steps_per_s": n_steps / march_s,
+            "cfl": march.dt * band.sigma_hi * band.sigma_hi / (grid.dx * grid.dx),
+        },
     )
 
 
@@ -443,11 +494,12 @@ def two_sided_threshold(
     wanted = set(picks)
     pos_from = int(np.searchsorted(march.x[1:-1], 0.0))
     noise_floor = _D2_NOISE_MULT * np.finfo(float).eps * (1.0 / (grid.dx * grid.dx))
-    roots = {
-        k: _d2_sign_change_root(march.x, d2, pos_from, march.snapped_c, noise_floor)
-        for k, _, d2 in march.states
-        if k in wanted
-    }
+    with np.errstate(over="ignore", invalid="ignore"):
+        roots = {
+            k: _d2_sign_change_root(march.x, d2, pos_from, march.snapped_c, noise_floor)
+            for k, _, d2 in march.states
+            if k in wanted
+        }
     return [ThresholdLevel(float(march.times[k]), *roots[k]) for k in picks]
 
 

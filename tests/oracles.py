@@ -1,12 +1,20 @@
-"""Independent high-precision oracles used to derive frozen test values.
+"""Independent oracles used to derive frozen test values and to pin
+rewritten hot paths.
 
-Everything here goes through mpmath at 40 significant digits and never
-touches the package's own code paths: normal quantities via erf/erfc,
+The high-precision oracles go through mpmath at 40 significant digits and
+never touch the package's own code paths: normal quantities via erf/erfc,
 Student-t via the regularized incomplete beta, and the capacity profile via
 adaptive quadrature of its defining integral.
+
+The bitwise references at the end keep the first, allocating spelling of
+the explicit PDE step and of the profile's erfc map; the package's
+buffered forms must reproduce them byte for byte.
 """
 
+import math
+
 import mpmath as mp
+import numpy as np
 
 mp.mp.dps = 40
 
@@ -65,3 +73,38 @@ def profile_f_quad(y, sigma_lo, sigma_hi):
 def p1_quad(c, sigma_lo, sigma_hi):
     """One-sided capacity by quadrature of its defining integral."""
     return profile_f_quad(-mp.mpf(c), sigma_lo, sigma_hi)
+
+
+def reference_march(u0, boundary, dt, dx, sigma_lo, sigma_hi):
+    """The explicit monotone step, one allocating expression per line.
+
+    Yields (k, u, d2) for k = 0..len(boundary) like ``gheat._march``'s
+    states, with fresh arrays; ``boundary[k]`` holds the (left, right) end
+    values set after step k + 1.
+    """
+    half_hi = 0.5 * sigma_hi * sigma_hi
+    half_lo = 0.5 * sigma_lo * sigma_lo
+    inv_dx2 = 1.0 / (dx * dx)
+    u = np.array(u0, dtype=float)
+    for k, (left, right) in enumerate(boundary):
+        d2 = ((u[:-2] + u[2:]) - 2.0 * u[1:-1]) * inv_dx2
+        yield k, u.copy(), d2
+        g = half_hi * np.maximum(d2, 0.0) + half_lo * np.minimum(d2, 0.0)
+        u[1:-1] += dt * g
+        u[0], u[-1] = left, right
+    yield len(boundary), u.copy(), ((u[:-2] + u[2:]) - 2.0 * u[1:-1]) * inv_dx2
+
+
+_erfc_object = np.frompyfunc(math.erfc, 1, 1)
+
+
+def profile_f_object_erfc(y, sigma_lo, sigma_hi):
+    """``capacity.profile_f`` with its erfc map through an object array."""
+    s = sigma_hi + sigma_lo
+    ys = np.asarray(y, dtype=float)
+    left = ys <= 0.0
+    with np.errstate(over="ignore"):
+        z = np.where(left, ys / sigma_hi, -ys / sigma_lo)
+    cdf = 0.5 * np.asarray(_erfc_object(-z / math.sqrt(2.0)), dtype=float)
+    out = np.where(left, 2.0 * sigma_hi / s * cdf, 1.0 - 2.0 * sigma_lo / s * cdf)
+    return float(out) if out.ndim == 0 else out

@@ -93,6 +93,22 @@ class TestProfileF:
         assert type(profile_f(0.3, BAND)) is float
         assert profile_f(0.3, BAND) == reference(0.3)
 
+    def test_matches_object_array_erfc_bitwise(self):
+        # The erfc map runs through a float iterator; the object-array
+        # spelling it replaced is the reference, byte for byte.
+        rng = np.random.default_rng(3)
+        ys = np.concatenate([
+            rng.standard_normal(20_000) * 8.0, np.linspace(-40, 40, 9_001),
+            [0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, math.inf, -math.inf],
+        ])
+        for lo, hi in ((0.8, 1.0), (0.5, 2.0), (1.0, 1.0), (1e-3, 1.0)):
+            band = VolatilityBand(lo, hi)
+            for y in (ys, ys[:29_000].reshape(290, 100), np.array(0.7), -0.0, -1.5):
+                got = profile_f(y, band)
+                want = oracles.profile_f_object_erfc(y, lo, hi)
+                assert type(got) is type(want)
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
     def test_huge_arguments_give_exact_limits_silently(self):
         # The Gaussian pieces overflow here; the values must still be the
         # exact limits, with no RuntimeWarning.

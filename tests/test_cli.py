@@ -149,6 +149,32 @@ class TestSolveCommand:
         assert len(at_origin) == 1
         assert cap["p2_numeric"] == pytest.approx(at_origin[0], abs=1e-12)
 
+    def test_prints_march_diagnostics(self, tmp_path):
+        proc = run_cli(
+            "solve", "--ic", "two-sided", "--c", "1", "--sigma-lo", "0.8",
+            "--sigma-hi", "1", "--nx", "201", "--safety", "0.5",
+            "--out", str(tmp_path / "d.csv"),
+        )
+        assert proc.returncode == 0, proc.stderr
+        line = [l for l in proc.stderr.splitlines() if l.startswith("diagnostics: ")]
+        diag = json.loads(line[0].split(": ", 1)[1])
+        assert set(diag) == {"march_s", "steps_per_s", "cfl"}
+        assert 0.0 < diag["cfl"] <= 0.5
+        manifest = (tmp_path / "d.csv.manifest.json").read_text()
+        assert "march_s" not in manifest and "cfl" not in manifest
+
+    def test_overflow_is_one_numerical_failure_line(self, tmp_path):
+        table = tmp_path / "huge.csv"
+        table.write_text("0 0\n1 1.7e308\n2 -1.7e308\n3 1.7e308\n4 0\n")
+        proc = run_cli(
+            "solve", "--ic", f"table:{table}", "--sigma-lo", "0.8",
+            "--sigma-hi", "1", "--nx", "5", "--out", str(tmp_path / "h.csv"),
+        )
+        assert proc.returncode == 3
+        assert proc.stderr.splitlines() == [
+            "numerical failure: non-finite values detected at step 1"
+        ]
+
     def test_cfl_violation_exit_2(self, tmp_path):
         proc = run_cli(
             "solve", "--ic", "one-sided", "--c", "0", "--sigma-lo", "1",

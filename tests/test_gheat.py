@@ -2,14 +2,20 @@
 maximum principle, symmetry, refinement behavior, sandwich checking."""
 
 import csv
+import dataclasses
+import operator
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gnormal import (
     ConfigurationError,
     DomainError,
     GridSpec,
+    NumericalError,
     VolatilityBand,
     indicator_above,
     indicator_abs_above,
@@ -26,13 +32,18 @@ from gnormal import (
 )
 from gnormal.capacity import tail_threshold
 from gnormal.gheat import (
+    GridSolution,
     ThresholdLevel,
     _d2_sign_change_root,
+    _march,
     default_two_sided_grid,
     exact_values,
 )
 
+import oracles
+
 BAND = VolatilityBand(0.8, 1.0)
+STEP_BANDS = [(0.8, 1.0), (0.0, 1.0), (1.0, 1.0), (0.5, 2.0)]
 
 
 def aligned_grid(c, nx_minus_1, span=12.0, t_end=1.0):
@@ -143,6 +154,139 @@ class TestMaximumPrincipleAndSymmetry:
         sol = solve(indicator_abs_above(1.2), BAND, default_two_sided_grid(1.2, BAND, nx=401))
         flipped = sol.values[:, ::-1]
         assert np.abs(sol.values - flipped).max() <= 1e-13
+
+
+class TestBufferedStep:
+    """The buffered march reproduces the allocating step byte for byte."""
+
+    def test_every_step_matches_reference_bitwise(self):
+        rng = np.random.default_rng(8)
+        for lo, hi in STEP_BANDS:
+            band = VolatilityBand(lo, hi)
+            for nx, t_end in ((41, 0.5), (161, 0.1), (1601, 0.002)):
+                grid = GridSpec(-4.0, 4.0, nx, t_end)
+                x = np.linspace(-4.0, 4.0, nx)
+                tables = [
+                    # -0.0 and negative data: sigma_lo = 0 gives -0.0 products
+                    np.where(np.arange(nx) % 3 == 0, -0.0, -np.abs(np.sin(3.0 * x))),
+                    # subnormal data: products and dt * G underflow to zeros
+                    rng.choice([1e-310, -1e-310, -0.0, 0.0, 5e-324, -5e-324], nx),
+                    rng.standard_normal(nx) * (rng.random(nx) < 0.7),
+                ]
+                ics = [indicator_above(0.3), indicator_abs_above(1.1)]
+                ics += [lipschitz_sampled(x, y) for y in tables]
+                for ic in ics:
+                    march = _march(ic, band, grid, 2)
+                    states = [(k, u.copy(), d2.copy()) for k, u, d2 in march.states]
+                    # End values are the boundary rule's (test_boundary_values);
+                    # the reference takes them as given and checks the interior.
+                    ends = [(u[0], u[-1]) for _, u, _ in states[1:]]
+                    reference = oracles.reference_march(
+                        states[0][1], ends, march.dt, grid.dx, lo, hi
+                    )
+                    for got, want in zip(states, reference, strict=True):
+                        assert got[0] == want[0]
+                        assert got[1].tobytes() == want[1].tobytes(), (lo, hi, nx, ic)
+                        assert got[2].tobytes() == want[2].tobytes(), (lo, hi, nx, ic)
+
+    def test_d2_is_one_buffer_reused_by_every_step(self):
+        march = _march(indicator_above(0.3), BAND, GridSpec(-3, 3, 61, 0.1), 2)
+        (_, _, first), (_, _, second) = next(march.states), next(march.states)
+        assert first is second
+
+
+# One explicit step on table data whose abscissae are the grid nodes, so the
+# sampled datum is the table itself.  Magnitudes stay in [1e-3, 1e3] (or 0),
+# so scaling by 2^m with |m| <= 8 neither overflows nor reaches subnormals.
+_magnitude = st.floats(1e-3, 1e3)
+_value = st.one_of(st.just(0.0), _magnitude, _magnitude.map(operator.neg))
+_tables = st.integers(3, 33).flatmap(lambda n: st.lists(_value, min_size=n, max_size=n))
+_bands = st.sampled_from(STEP_BANDS)
+_safety = st.sampled_from([0.3, 0.8, 1.0])
+_property = settings(max_examples=40, deadline=None, database=None, derandomize=True)
+
+
+def one_step(y, bounds, safety):
+    nx = len(y)
+    x = np.linspace(-1.0, 1.0, nx)
+    grid = GridSpec(-1.0, 1.0, nx, 1.0, safety)
+    states = _march(lipschitz_sampled(x, y), VolatilityBand(*bounds), grid, 2).states
+    _, u0, _ = next(states)
+    assert u0.tolist() == list(y)
+    return next(states)[1].copy()
+
+
+class TestOneStepMap:
+    """The one-step map has the properties of a sublinear expectation that
+    survive rounding: monotone up to rounding, constants fixed, bitwise
+    homogeneous for powers of two, bitwise mirror-symmetric."""
+
+    @_property
+    @given(_tables, st.data(), _bands, _safety)
+    def test_monotone_up_to_rounding(self, y, data, bounds, safety):
+        # Raising u[j] by one ulp can lower the next u[j] by about one
+        # rounding of max |u| (seen at 1.6 eps), so the order holds to 4 eps.
+        n = len(y)
+        bumps = data.draw(st.lists(st.floats(0.0, 1e3), min_size=n, max_size=n))
+        by_ulp = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        lower = np.array(y)
+        upper = np.where(by_ulp, np.nextafter(lower, np.inf), lower + np.array(bumps))
+        tol = 4.0 * np.finfo(float).eps * max(np.abs(lower).max(), np.abs(upper).max())
+        gap = one_step(upper, bounds, safety) - one_step(lower, bounds, safety)
+        assert gap.min() >= -tol
+
+    @_property
+    @given(st.integers(3, 33), _value, _bands, _safety)
+    def test_constants_are_fixed_points(self, nx, c, bounds, safety):
+        assert one_step([c] * nx, bounds, safety).tobytes() == np.full(nx, c).tobytes()
+
+    @_property
+    @given(_tables, st.integers(-8, 8), _bands, _safety)
+    def test_homogeneous_for_powers_of_two(self, y, m, bounds, safety):
+        scale = 2.0**m
+        scaled = one_step(np.array(y) * scale, bounds, safety)
+        assert scaled.tobytes() == (one_step(y, bounds, safety) * scale).tobytes()
+
+    @_property
+    @given(_tables, _bands, _safety)
+    def test_mirror_symmetric(self, y, bounds, safety):
+        mirrored = one_step(y[::-1], bounds, safety)
+        assert mirrored.tobytes() == one_step(y, bounds, safety)[::-1].tobytes()
+
+
+class TestNumericalFailure:
+    # 2 * 1.7e308 overflows in the first second difference.
+    X = [0.0, 1.0, 2.0, 3.0, 4.0]
+    Y = [0.0, 1.7e308, -1.7e308, 1.7e308, 0.0]
+
+    def test_overflow_raises_numerical_error_without_warnings(self):
+        before = np.geterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="at step 1$"):
+                solve(lipschitz_sampled(self.X, self.Y), BAND, GridSpec(0, 4, 5, 1.0))
+        assert np.geterr() == before
+
+
+class TestDiagnostics:
+    def test_cfl_fraction_and_rate(self):
+        for nx, safety in ((401, 0.8), (801, 1.0), (201, 0.3)):
+            grid = GridSpec(-6.0, 6.0, nx, 1.0, safety)
+            sol = solve(indicator_abs_above(1.0), BAND, grid, max_levels=3)
+            diag = sol.diagnostics
+            assert set(diag) == {"march_s", "steps_per_s", "cfl"}
+            assert 0.0 < diag["cfl"] <= safety
+            assert diag["cfl"] == pytest.approx(sol.dt * BAND.sigma_hi**2 / grid.dx**2)
+            assert diag["march_s"] > 0.0
+            assert diag["steps_per_s"] == pytest.approx(sol.n_steps / diag["march_s"])
+
+    def test_kept_out_of_equality_and_csv(self, tmp_path):
+        fields = {f.name: f for f in dataclasses.fields(GridSolution)}
+        assert fields["diagnostics"].compare is False
+        sol = solve(indicator_above(0.4), BAND, GridSpec(-3, 3, 61, 0.5), max_levels=5)
+        sol.write_csv(tmp_path / "a.csv")
+        dataclasses.replace(sol, diagnostics={}).write_csv(tmp_path / "b.csv")
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
 class TestP2Numeric:
