@@ -9,7 +9,6 @@ Carlo engine (``simulate``), and normal/Student-t special functions
 """
 
 from .capacity import (
-    TailQuery,
     TwoSidedApprox,
     VolatilityBand,
     p1,
@@ -19,8 +18,6 @@ from .capacity import (
     relative_error_bound,
     relative_error_bound_closed_form,
     two_sided_error_bound,
-    u_one_sided,
-    v_one_sided,
 )
 from .errors import (
     ConfigurationError,
@@ -59,7 +56,6 @@ from .simulate import (
     SimulationConfig,
     SimulationReport,
     TestSpec,
-    capacity_convergence,
     run,
     t_statistic,
     wilson_interval,
@@ -73,9 +69,9 @@ __all__ = [
     # special
     "norm_pdf", "norm_cdf", "norm_quantile", "t_pdf", "t_cdf", "t_quantile",
     # capacity
-    "VolatilityBand", "TailQuery", "TwoSidedApprox", "profile_f", "profile_f_yy",
-    "u_one_sided", "v_one_sided", "p1", "p2_approx", "two_sided_error_bound",
-    "relative_error_bound", "relative_error_bound_closed_form",
+    "VolatilityBand", "TwoSidedApprox", "profile_f", "profile_f_yy", "p1",
+    "p2_approx", "two_sided_error_bound", "relative_error_bound",
+    "relative_error_bound_closed_form",
     # gheat
     "GridSpec", "GridSolution", "SandwichReport", "ThresholdLevel",
     "indicator_above", "indicator_abs_above", "lipschitz_sampled",
@@ -86,7 +82,7 @@ __all__ = [
     "heuristic_t_policy", "next_sigma", "pde_policy_equiv_check",
     # simulate
     "TestSpec", "SimulationConfig", "SimulationReport", "Histogram",
-    "t_statistic", "wilson_interval", "run", "capacity_convergence",
+    "t_statistic", "wilson_interval", "run",
     # errors
     "GNormalError", "DomainError", "ConfigurationError", "NumericalError",
     "UndefinedStatisticError", "StateError",

@@ -33,12 +33,9 @@ from .special import _INV_SQRT_2PI, _SQRT2, norm_cdf, norm_quantile
 
 __all__ = [
     "VolatilityBand",
-    "TailQuery",
     "TwoSidedApprox",
     "profile_f",
     "profile_f_yy",
-    "u_one_sided",
-    "v_one_sided",
     "p1",
     "tail_threshold",
     "p2_approx",
@@ -72,19 +69,6 @@ class VolatilityBand:
     @property
     def is_classical(self) -> bool:
         return self.sigma_lo == self.sigma_hi
-
-
-@dataclass(frozen=True)
-class TailQuery:
-    """Point (t, x) and threshold c at which a one-sided solution is evaluated."""
-
-    c: float
-    t: float
-    x: float
-
-    def __post_init__(self) -> None:
-        if not self.t >= 0.0:
-            raise DomainError(f"time horizon must be >= 0, got {self.t!r}")
 
 
 @dataclass(frozen=True)
@@ -149,19 +133,6 @@ def profile_f_yy(y, band: VolatilityBand):
     ys = np.where(density == 0.0, np.sign(ys), ys)
     out = -2.0 * ys / (hi + lo) * density / (sig * sig)
     return float(out) if out.ndim == 0 else out
-
-
-def u_one_sided(query: TailQuery, band: VolatilityBand) -> float:
-    """Solution u(t, x) of the Cauchy problem with initial data 1{x > c}."""
-    if query.t == 0.0:
-        _require_closed_form(band)
-        return 1.0 if query.x > query.c else 0.0
-    return profile_f((query.x - query.c) / math.sqrt(query.t), band)
-
-
-def v_one_sided(query: TailQuery, band: VolatilityBand) -> float:
-    """Mirror solution v(t, x) with initial data 1{x < -c}; v(t,x) = u(t,-x)."""
-    return u_one_sided(TailQuery(c=query.c, t=query.t, x=-query.x), band)
 
 
 def p1(c: float, band: VolatilityBand) -> float:
@@ -236,11 +207,7 @@ def p2_approx(c: float, band: VolatilityBand) -> TwoSidedApprox:
     Over-estimates the true p2: 0 <= 2*p1 - p2 <= abs_error_bound.  Requires
     c > sigma_hi/2, the regime where the bounds hold at t = 1.
     """
-    _require_closed_form(band)
-    if not c > band.sigma_hi / 2.0:
-        raise DomainError(
-            f"p2_approx requires c > sigma_hi/2 = {band.sigma_hi / 2.0!r}, got c = {c!r}"
-        )
+    _require_relative_regime(c, 1.0, band)
     return TwoSidedApprox(
         value=2.0 * p1(c, band),
         abs_error_bound=two_sided_error_bound(c, 1.0, band),
@@ -248,6 +215,7 @@ def p2_approx(c: float, band: VolatilityBand) -> TwoSidedApprox:
     )
 
 
+# The one statement of where the bounds hold: gheat and the CLI ask the bounds.
 def _require_positive_time_regime(c: float, t: float, band: VolatilityBand) -> None:
     _require_closed_form(band)
     if not t >= 0.0:

@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import os
 import sys
 
@@ -64,6 +63,8 @@ NUMERICAL_ERROR = 3
 PROPERTY_FAILURE = 4
 
 _USAGE_EXCEPTIONS = (DomainError, ConfigurationError, UndefinedStatisticError, StateError)
+
+CRIT_RULES = {"normal": "normal", "t": "t_step"}
 
 
 def _canonical_checksum(payload: dict) -> str:
@@ -117,6 +118,8 @@ def cmd_capacity(args) -> int:
     band = _band(args)
     c = _resolve_c(args, band)
     t = args.t
+    if not t >= 0.0:
+        raise DomainError(f"time horizon must be >= 0, got {t!r}")
     payload: dict = {
         "sigma_lo": band.sigma_lo,
         "sigma_hi": band.sigma_hi,
@@ -124,20 +127,15 @@ def cmd_capacity(args) -> int:
         "t": t,
         "p1": p1(c, band),
     }
-    bounds_available = c > band.sigma_hi / 2.0 and c > band.sigma_hi * math.sqrt(t) / 2.0
-    if args.bounds and not bounds_available:
-        raise DomainError(
-            f"error bounds require c > sigma_hi/2 and c > sigma_hi*sqrt(t)/2; got c = {c!r}"
-        )
-    if bounds_available:
-        approx = p2_approx(c, band)
-        payload["p2_approx"] = approx.value
+    try:
+        payload["p2_approx"] = p2_approx(c, band).value
         payload["abs_error_bound"] = two_sided_error_bound(c, t, band)
         payload["rel_error_bound"] = relative_error_bound(c, t, band)
-    else:
-        payload["p2_approx"] = None
-        payload["abs_error_bound"] = None
-        payload["rel_error_bound"] = None
+    except DomainError:
+        # Outside the regime where the bounds hold: null fields unless required.
+        if args.bounds:
+            raise
+        payload.update(p2_approx=None, abs_error_bound=None, rel_error_bound=None)
 
     if args.pde:
         grid = default_two_sided_grid(c, band, nx=args.nx)
@@ -279,8 +277,7 @@ def _build_policy(args, band: VolatilityBand):
         rows = two_sided_threshold(band, args.alpha, args.table_levels)
         return two_sided_threshold_policy(band, args.n, ThresholdTable.from_levels(rows))
     if args.policy == "heuristic-t":
-        rule = "normal" if args.crit == "normal" else "t_step"
-        return heuristic_t_policy(band, args.n, args.alpha, crit_rule=rule)
+        return heuristic_t_policy(band, args.n, args.alpha, crit_rule=CRIT_RULES[args.crit])
     raise DomainError(f"unknown policy {args.policy!r}")
 
 
@@ -397,10 +394,7 @@ def cmd_repro(args) -> int:
         cfg = SimulationConfig(
             n=n,
             reps=reps,
-            policy=heuristic_t_policy(
-                band, n, REPRO_ALPHA,
-                crit_rule="normal" if args.crit == "normal" else "t_step",
-            ),
+            policy=heuristic_t_policy(band, n, REPRO_ALPHA, crit_rule=CRIT_RULES[args.crit]),
             test=TestSpec(sided="two", alpha=REPRO_ALPHA, statistic="t"),
             seed=args.seed,
             workers=args.workers,
@@ -493,7 +487,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sided", choices=("one", "two"), required=True)
     p.add_argument("--stat", choices=("z", "t"), required=True)
     p.add_argument("--sigma-ref", type=float, default=None, help="z scale (default sigma-hi)")
-    p.add_argument("--crit", choices=("normal", "t"), default="normal",
+    p.add_argument("--crit", choices=tuple(CRIT_RULES), default="normal",
                    help="heuristic-t critical value rule")
     p.add_argument("--table-levels", type=int, default=50,
                    help="threshold table rows for two-sided-thresh")
@@ -505,7 +499,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("repro", help="re-run the headline numbers and report PASS/FAIL")
     p.add_argument("--reps", type=int, default=1_000_000)
     p.add_argument("--fast", action="store_true", help="desk scale: reps=1e5, wider bands")
-    p.add_argument("--crit", choices=("normal", "t"), default="normal")
+    p.add_argument("--crit", choices=tuple(CRIT_RULES), default="normal")
     p.add_argument("--seed", type=int, default=1)
     add_workers(p)
     p.set_defaults(func=cmd_repro)

@@ -5,7 +5,7 @@
 with indicator or sampled-Lipschitz initial data.  Forward Euler with the
 3-point second difference is monotone under the step restriction
 dt <= dx^2 / s_hi^2, so it converges to the viscosity solution; the solver
-enforces dt = safety * dx^2 / s_hi^2 with safety in (0, 1].
+enforces dt <= safety * dx^2 / s_hi^2 with safety in (0, 1].
 
 Numerical conventions that matter to the contracts:
 
@@ -56,7 +56,13 @@ from typing import Iterator
 
 import numpy as np
 
-from .capacity import VolatilityBand, profile_f, tail_threshold, two_sided_error_bound
+from .capacity import (
+    VolatilityBand,
+    _require_positive_time_regime,
+    profile_f,
+    tail_threshold,
+    two_sided_error_bound,
+)
 from .errors import ConfigurationError, DomainError, NumericalError
 
 __all__ = [
@@ -336,6 +342,8 @@ def _march(
     levels = min(max_levels, raw_steps + 1)
     segments = max(levels - 1, 1)
     n_steps = ((raw_steps + segments - 1) // segments) * segments
+    if grid.t_end / n_steps > dt_max:  # the division can round above dt_max
+        n_steps += segments
     stride = n_steps // segments
     dt = grid.t_end / n_steps
     times = np.arange(n_steps + 1) * dt
@@ -531,10 +539,7 @@ def verify_sandwich(
         grid = default_two_sided_grid(c, band, nx=1601)
     if grid.nx % 2 == 0:
         raise ConfigurationError("verify_sandwich requires odd nx for coarsening")
-    if not c > band.sigma_hi * math.sqrt(grid.t_end) / 2.0:
-        raise DomainError(
-            "sandwich bound requires c > sigma_hi * sqrt(t_end) / 2"
-        )
+    _require_positive_time_regime(c, grid.t_end, band)
 
     coarse_grid = GridSpec(
         x_min=grid.x_min, x_max=grid.x_max, nx=(grid.nx + 1) // 2,

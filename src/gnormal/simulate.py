@@ -45,7 +45,6 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import SFC64, Generator, SeedSequence
 
-from .capacity import VolatilityBand, p1, p2_approx, tail_threshold
 from .errors import ConfigurationError, DomainError, UndefinedStatisticError
 from .policy import PolicySpec, compile_policy
 from .special import norm_quantile, t_quantile
@@ -55,11 +54,9 @@ __all__ = [
     "SimulationConfig",
     "Histogram",
     "SimulationReport",
-    "ConvergenceRow",
     "t_statistic",
     "wilson_interval",
     "run",
-    "capacity_convergence",
 ]
 
 HIST_LO = -6.0
@@ -338,10 +335,6 @@ def _run_range(config: SimulationConfig, tile_lo: int, tile_hi: int, critical: f
     return rejections, degenerate, hist, timers
 
 
-def _run_range_star(args):
-    return _run_range(*args)
-
-
 def run(config: SimulationConfig) -> SimulationReport:
     """Execute the Monte Carlo experiment described by ``config``.
 
@@ -365,7 +358,7 @@ def run(config: SimulationConfig) -> SimulationReport:
         t0 = time.perf_counter()
         with multiprocessing.Pool(processes=workers) as pool:
             pool_start = time.perf_counter() - t0
-            parts = pool.map(_run_range_star, tasks)
+            parts = pool.starmap(_run_range, tasks)
 
     t0 = time.perf_counter()
     rejections = 0
@@ -396,45 +389,3 @@ def run(config: SimulationConfig) -> SimulationReport:
         config=config,
         diagnostics=diagnostics,
     )
-
-
-@dataclass(frozen=True)
-class ConvergenceRow:
-    n: int
-    rate: float
-    ci95: tuple[float, float]
-    target: float
-
-
-def capacity_convergence(
-    band: VolatilityBand,
-    alpha: float,
-    n_list,
-    reps: int,
-    seed: int,
-    *,
-    policy_factory,
-    sided: str = "one",
-    workers: int = 1,
-) -> list[ConvergenceRow]:
-    """Empirical rejection rates of the z test (sigma_ref = sigma_hi) under
-    an adversarial policy, against the analytic limit.
-
-    ``policy_factory(band, n, alpha)`` builds the policy per horizon; the
-    target is p1 at sigma_hi * Phi^-1(1-alpha) one-sided, or the two-sided
-    approximation 2*p1 at sigma_hi * Phi^-1(1-alpha/2).
-    """
-    c = tail_threshold(alpha, band, sided)
-    target = p1(c, band) if sided == "one" else p2_approx(c, band).value
-    test = TestSpec(sided=sided, alpha=alpha, statistic="z", sigma_ref=band.sigma_hi)
-    rows = []
-    for n in n_list:
-        config = SimulationConfig(
-            n=n, reps=reps, policy=policy_factory(band, n, alpha), test=test,
-            seed=seed, workers=workers,
-        )
-        report = run(config)
-        rows.append(
-            ConvergenceRow(n=n, rate=report.rate, ci95=report.ci95, target=target)
-        )
-    return rows

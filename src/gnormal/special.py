@@ -141,17 +141,14 @@ def _invert_cdf(cdf, pdf, p, *, lo, hi, x0, max_iter=200):
     return x
 
 
-def _reg_inc_beta(a: float, b: float, x: float, xc: float | None = None) -> float:
+def _reg_inc_beta(a: float, b: float, x: float, xc: float) -> float:
     # Regularized incomplete beta I_x(a, b); continued fraction applied on
     # the side where it converges (x below the distribution mean).  ``xc``
-    # is the complement 1 - x, passed explicitly when the caller can form
-    # it without cancellation.
+    # is the complement 1 - x, formed by the caller without cancellation.
     if x <= 0.0:
         return 0.0
     if x >= 1.0:
         return 1.0
-    if xc is None:
-        xc = 1.0 - x
     ln_front = (
         math.lgamma(a + b)
         - math.lgamma(a)

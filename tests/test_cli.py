@@ -1,8 +1,10 @@
 """Command-line surface: flags, JSON/CSV shapes, manifests, exit codes."""
 
 import csv
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 
@@ -69,6 +71,24 @@ class TestCapacityCommand:
                        "--c", "0.3", "--bounds")
         assert proc.returncode == 2
         assert "error" in proc.stderr.lower()
+
+    @pytest.mark.parametrize("bounds", [(), ("--bounds",)])
+    @pytest.mark.parametrize("t", ["-1", "nan"])
+    def test_bad_time_exit_2(self, t, bounds):
+        proc = run_cli("capacity", "--sigma-lo", "0.8", "--sigma-hi", "1",
+                       "--c", "1", "--t", t, *bounds)
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [
+            f"error: time horizon must be >= 0, got {float(t)!r}"
+        ]
+
+    def test_outside_bound_regime_prints_null_bounds(self):
+        out = json_out(
+            run_cli("capacity", "--sigma-lo", "0.8", "--sigma-hi", "1", "--c", "0.3")
+        )
+        assert out["p1"] > 0.0
+        for key in ("p2_approx", "abs_error_bound", "rel_error_bound"):
+            assert out[key] is None
 
     def test_invalid_band_exit_2(self):
         proc = run_cli("capacity", "--sigma-lo", "2", "--sigma-hi", "1", "--c", "1")
@@ -285,6 +305,21 @@ class TestSimulateCommand:
 
 
 class TestTopLevel:
+    def test_every_export_resolves(self):
+        # Import does not read __all__; a stale name only breaks `import *`.
+        import gnormal
+
+        modules = [gnormal] + [
+            importlib.import_module(f"gnormal.{info.name}")
+            for info in pkgutil.iter_modules(gnormal.__path__)
+            if info.name != "__main__"  # importing it runs the CLI
+        ]
+        exporting = [m for m in modules if hasattr(m, "__all__")]
+        assert len(exporting) >= 6
+        for module in exporting:
+            missing = [name for name in module.__all__ if not hasattr(module, name)]
+            assert not missing, (module.__name__, missing)
+
     def test_version(self):
         proc = run_cli("--version")
         assert proc.returncode == 0

@@ -280,6 +280,14 @@ class TestDiagnostics:
             assert diag["march_s"] > 0.0
             assert diag["steps_per_s"] == pytest.approx(sol.n_steps / diag["march_s"])
 
+    def test_step_never_rounds_past_the_limit(self):
+        # Here t_end / ceil(t_end / dt_max) rounds one ulp above dt_max.
+        grid = GridSpec(-1.0, 1.0, 381, 0.01, safety=1.0)
+        sol = solve(indicator_above(0.3), BAND, grid, max_levels=2)
+        dx = grid.dx
+        assert sol.dt <= grid.safety * dx * dx / (BAND.sigma_hi * BAND.sigma_hi)
+        assert sol.diagnostics["cfl"] <= grid.safety
+
     def test_kept_out_of_equality_and_csv(self, tmp_path):
         fields = {f.name: f for f in dataclasses.fields(GridSolution)}
         assert fields["diagnostics"].compare is False

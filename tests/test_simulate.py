@@ -16,12 +16,12 @@ from gnormal import (
     TestSpec,
     UndefinedStatisticError,
     VolatilityBand,
-    capacity_convergence,
     constant_policy,
     heuristic_t_policy,
     next_sigma,
     norm_quantile,
     one_sided_optimal_policy,
+    p1,
     run,
     t_statistic,
     two_sided_threshold,
@@ -29,6 +29,7 @@ from gnormal import (
     wilson_interval,
 )
 from gnormal import simulate
+from gnormal.capacity import tail_threshold
 from gnormal.policy import ThresholdTable
 from gnormal.simulate import HIST_BINS, RNG_SCHEME
 
@@ -367,24 +368,29 @@ class TestHistogram:
         assert sum(int(l.split(",")[2]) for l in lines[1:]) == 3
 
 
+def one_sided_limit_run(band, n, reps, seed):
+    """Rejection report of the one-sided z test at level 0.05 under the
+    one-sided optimal policy, and its limit p1(sigma_hi * Phi^-1(0.95))."""
+    config = SimulationConfig(
+        n=n, reps=reps, policy=one_sided_optimal_policy(band, n, 0.05),
+        test=TestSpec(sided="one", alpha=0.05, statistic="z", sigma_ref=band.sigma_hi),
+        seed=seed,
+    )
+    return run(config), p1(tail_threshold(0.05, band, "one"), band)
+
+
 class TestConvergenceTable:
     def test_classical_band_hits_alpha(self):
         band = VolatilityBand(1.0, 1.0)
-        rows = capacity_convergence(
-            band, 0.05, [50, 200], reps=20_000, seed=2,
-            policy_factory=lambda b, n, a: one_sided_optimal_policy(b, n, a),
-        )
-        for row in rows:
-            assert row.target == pytest.approx(0.05, rel=1e-12)
-            assert row.ci95[0] - 0.01 <= 0.05 <= row.ci95[1] + 0.01
+        for n in (50, 200):
+            report, target = one_sided_limit_run(band, n, reps=20_000, seed=2)
+            assert target == pytest.approx(0.05, rel=1e-12)
+            assert report.ci95[0] - 0.01 <= 0.05 <= report.ci95[1] + 0.01
 
     def test_adversarial_band_targets_limit(self):
-        rows = capacity_convergence(
-            BAND, 0.05, [400], reps=20_000, seed=2,
-            policy_factory=lambda b, n, a: one_sided_optimal_policy(b, n, a),
-        )
-        assert rows[0].target == pytest.approx(0.1 / 1.8, rel=1e-12)
-        assert abs(rows[0].rate - rows[0].target) <= 0.01
+        report, target = one_sided_limit_run(BAND, 400, reps=20_000, seed=2)
+        assert target == pytest.approx(0.1 / 1.8, rel=1e-12)
+        assert abs(report.rate - target) <= 0.01
 
 
 class TestReportShape:
