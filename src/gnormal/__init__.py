@@ -43,7 +43,6 @@ from .gheat import (
 from .policy import (
     PolicySpec,
     PolicyState,
-    ThresholdTable,
     constant_policy,
     heuristic_t_policy,
     next_sigma,
@@ -77,7 +76,7 @@ __all__ = [
     "indicator_above", "indicator_abs_above", "lipschitz_sampled",
     "solve", "p2_numeric", "two_sided_threshold", "verify_sandwich",
     # policy
-    "PolicySpec", "PolicyState", "ThresholdTable", "constant_policy",
+    "PolicySpec", "PolicyState", "constant_policy",
     "one_sided_optimal_policy", "two_sided_threshold_policy",
     "heuristic_t_policy", "next_sigma", "pde_policy_equiv_check",
     # simulate

@@ -31,14 +31,7 @@ from .capacity import (
     tail_threshold,
     two_sided_error_bound,
 )
-from .errors import (
-    ConfigurationError,
-    DomainError,
-    GNormalError,
-    NumericalError,
-    StateError,
-    UndefinedStatisticError,
-)
+from .errors import ConfigurationError, DomainError, GNormalError, NumericalError
 from .gheat import (
     GridSpec,
     default_two_sided_grid,
@@ -49,7 +42,6 @@ from .gheat import (
     two_sided_threshold,
 )
 from .policy import (
-    ThresholdTable,
     constant_policy,
     heuristic_t_policy,
     one_sided_optimal_policy,
@@ -62,8 +54,6 @@ USAGE_ERROR = 2
 NUMERICAL_ERROR = 3
 PROPERTY_FAILURE = 4
 
-_USAGE_EXCEPTIONS = (DomainError, ConfigurationError, UndefinedStatisticError, StateError)
-
 CRIT_RULES = {"normal": "normal", "t": "t_step"}
 
 
@@ -74,14 +64,14 @@ def _canonical_checksum(payload: dict) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-def _manifest(subcommand: str, parameters: dict, *, seed=None, checksums=None) -> dict:
+def _manifest(subcommand: str, parameters: dict, *, seed=None) -> dict:
     return {
         "subcommand": subcommand,
         "parameters": parameters,
         "version": __version__,
         "numpy": numpy.__version__,
         "seed": seed,
-        "output_sha256": checksums,
+        "output_sha256": None,
     }
 
 
@@ -217,9 +207,8 @@ def cmd_solve(args) -> int:
         "nx": args.nx, "t_end": args.t_end, "safety": args.safety,
         "levels": args.levels, "out": args.out,
     }
-    manifest = _manifest(
-        "solve", params, checksums={args.out: _file_sha256(args.out)}
-    )
+    manifest = _manifest("solve", params)
+    manifest["output_sha256"] = {args.out: _file_sha256(args.out)}
     manifest["solution"] = {
         "n_steps": sol.n_steps,
         "dt": sol.dt,
@@ -275,7 +264,7 @@ def _build_policy(args, band: VolatilityBand):
         return one_sided_optimal_policy(band, args.n, args.alpha)
     if args.policy == "two-sided-thresh":
         rows = two_sided_threshold(band, args.alpha, args.table_levels)
-        return two_sided_threshold_policy(band, args.n, ThresholdTable.from_levels(rows))
+        return two_sided_threshold_policy(band, args.n, rows)
     if args.policy == "heuristic-t":
         return heuristic_t_policy(band, args.n, args.alpha, crit_rule=CRIT_RULES[args.crit])
     raise DomainError(f"unknown policy {args.policy!r}")
@@ -298,10 +287,8 @@ def cmd_simulate(args) -> int:
     report = run(config)
     payload = report.to_json_dict()
 
-    checksums = None
     if args.hist is not None:
         report.histogram.write_csv(args.hist)
-        checksums = {args.hist: _file_sha256(args.hist)}
 
     print(f"workers: {config.workers}", file=sys.stderr)
     print(f"diagnostics: {json.dumps(report.diagnostics)}", file=sys.stderr)
@@ -313,9 +300,9 @@ def cmd_simulate(args) -> int:
         "table_levels": args.table_levels, "seed": args.seed,
         "hist": args.hist,
     }
-    manifest = _manifest("simulate", params, seed=args.seed, checksums=checksums)
-    if checksums is not None:
-        manifest["file_sha256"] = checksums
+    manifest = _manifest("simulate", params, seed=args.seed)
+    if args.hist is not None:
+        manifest["file_sha256"] = {args.hist: _file_sha256(args.hist)}
     _emit_json(payload, manifest)
     return 0
 
@@ -512,9 +499,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _USAGE_EXCEPTIONS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return NUMERICAL_ERROR

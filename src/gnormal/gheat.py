@@ -540,6 +540,13 @@ def verify_sandwich(
     if grid.nx % 2 == 0:
         raise ConfigurationError("verify_sandwich requires odd nx for coarsening")
     _require_positive_time_regime(c, grid.t_end, band)
+    # The bound is evaluated at the fine grid's snapped threshold, so the
+    # regime must hold there too; check it before either solve.
+    snapped_c = _snap_to_cell_midpoint(c, grid.x_min, grid.dx)
+    try:
+        _require_positive_time_regime(snapped_c, grid.t_end, band)
+    except DomainError as exc:
+        raise DomainError(f"{exc}, the grid's snap of the requested c = {c!r}") from None
 
     coarse_grid = GridSpec(
         x_min=grid.x_min, x_max=grid.x_max, nx=(grid.nx + 1) // 2,

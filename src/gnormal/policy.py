@@ -14,7 +14,7 @@ of the first m = i-1 observations, the comparisons are
                          s2 = max((Q - S*S/m) / (m - 1), 0),
 
 the last being |S| / sqrt(n * s2) <= crit_i, scaled by the full horizon n
-rather than i-1.  Each is written once, in ``CompiledPolicy.sigma``, which
+rather than i-1.  Each is written once, in ``PolicySpec.sigma``, which
 both ``next_sigma`` and the Monte Carlo engine evaluate.  Conventions left
 open by the construction are configuration:
 
@@ -28,8 +28,7 @@ open by the construction are configuration:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,42 +38,15 @@ from .gheat import ThresholdLevel
 from .special import norm_quantile, t_quantile
 
 __all__ = [
-    "ThresholdTable",
     "PolicySpec",
     "PolicyState",
     "constant_policy",
     "one_sided_optimal_policy",
     "two_sided_threshold_policy",
     "heuristic_t_policy",
-    "CompiledPolicy",
-    "compile_policy",
     "next_sigma",
     "pde_policy_equiv_check",
 ]
-
-
-@dataclass(frozen=True)
-class ThresholdTable:
-    """Time-indexed thresholds from the two-sided PDE sign-change locus.
-
-    The policy uses the nearest ``time_remaining`` entry, no interpolation.
-    """
-
-    time_remaining: tuple[float, ...]
-    threshold: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.time_remaining) != len(self.threshold) or not self.time_remaining:
-            raise ConfigurationError("threshold table must be non-empty and matched")
-        if max(self.time_remaining) < 1.0 - 1e-12 or min(self.time_remaining) <= 0.0:
-            raise ConfigurationError("threshold table must cover time_remaining in (0, 1]")
-
-    @classmethod
-    def from_levels(cls, levels: list[ThresholdLevel]) -> "ThresholdTable":
-        return cls(
-            time_remaining=tuple(lv.time_remaining for lv in levels),
-            threshold=tuple(lv.threshold for lv in levels),
-        )
 
 
 @dataclass(frozen=True)
@@ -83,7 +55,12 @@ class PolicySpec:
 
     ``kind`` is one of "constant", "one_sided_optimal",
     "two_sided_threshold", "heuristic_t"; the remaining fields apply per
-    kind and are validated on construction.
+    kind and are validated on construction, which also computes ``bound``,
+    the right-hand side of the rule's comparison: a float for the one-sided
+    rule, a read-only array indexed by step i for the two-sided and
+    heuristic rules, None for the constant rule.  ``table`` holds the
+    ``gheat.two_sided_threshold`` rows; the rule uses the row with the
+    nearest ``time_remaining``, no interpolation.
     """
 
     kind: str
@@ -91,13 +68,16 @@ class PolicySpec:
     n: int
     alpha: float | None = None
     sigma_const: float | None = None
-    table: ThresholdTable | None = None
+    table: tuple[ThresholdLevel, ...] | None = None
     crit_rule: str = "normal"
     c_alpha: float | None = None
+    bound: float | np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ConfigurationError(f"horizon n must be >= 1, got {self.n!r}")
+        n = self.n
+        if n < 1:
+            raise ConfigurationError(f"horizon n must be >= 1, got {n!r}")
+        root_n = math.sqrt(n)
         if self.kind == "constant":
             if self.sigma_const is None or not (
                 self.band.sigma_lo <= self.sigma_const <= self.band.sigma_hi
@@ -105,11 +85,27 @@ class PolicySpec:
                 raise ConfigurationError(
                     "constant policy needs sigma_const inside the band"
                 )
+            bound = None
         elif self.kind == "one_sided_optimal":
             self._need_alpha()
+            bound = tail_threshold(self.alpha, self.band, "one") * root_n
         elif self.kind == "two_sided_threshold":
-            if self.table is None:
-                raise ConfigurationError("two_sided_threshold policy needs a table")
+            if not self.table:
+                raise ConfigurationError("two_sided_threshold policy needs a non-empty table")
+            taus = [row.time_remaining for row in self.table]
+            if max(taus) < 1.0 - 1e-12 or min(taus) <= 0.0:
+                raise ConfigurationError("threshold table must cover time_remaining in (0, 1]")
+            # Nearest table row for time remaining 1 - (i-1)/n; a strict < keeps
+            # the first row among equally near ones.
+            time_remaining = 1.0 - np.arange(-1, n) / n
+            best = np.full(n + 1, np.inf)
+            thr = np.empty(n + 1)
+            for row in self.table:
+                dist = np.abs(row.time_remaining - time_remaining)
+                nearer = dist < best
+                best[nearer] = dist[nearer]
+                thr[nearer] = row.threshold
+            bound = thr * root_n
         elif self.kind == "heuristic_t":
             if self.crit_rule not in ("normal", "t_step", "fixed"):
                 raise ConfigurationError(
@@ -118,14 +114,42 @@ class PolicySpec:
             if self.crit_rule == "fixed":
                 if self.c_alpha is None or not self.c_alpha > 0.0:
                     raise ConfigurationError("fixed rule needs c_alpha > 0")
+                crit = np.full(n + 1, self.c_alpha)
             else:
                 self._need_alpha()
+                p = 1.0 - self.alpha / 2.0
+                if self.crit_rule == "normal":
+                    crit = np.full(n + 1, norm_quantile(p))
+                else:
+                    crit = np.array([t_quantile(p, max(i - 2, 1)) for i in range(n + 1)])
+            bound = crit * crit * n
         else:
             raise ConfigurationError(f"unknown policy kind {self.kind!r}")
+        if isinstance(bound, np.ndarray):
+            bound.flags.writeable = False
+        object.__setattr__(self, "bound", bound)
 
     def _need_alpha(self) -> None:
         if self.alpha is None or not 0.0 < self.alpha < 1.0:
             raise ConfigurationError(f"policy kind {self.kind!r} needs alpha in (0, 1)")
+
+    def sigma(self, i: int, s: np.ndarray, ss: np.ndarray | None):
+        """Volatility for step i from the running sums ``s`` and sums of
+        squares ``ss`` of the first i-1 observations; a float where the
+        rule ignores them, otherwise an array shaped like ``s``."""
+        lo, hi = self.band.sigma_lo, self.band.sigma_hi
+        if self.kind == "constant":
+            return self.sigma_const
+        if self.kind == "one_sided_optimal":
+            return np.where(s <= self.bound, hi, lo)
+        if self.kind == "two_sided_threshold":
+            return np.where(np.abs(s) <= self.bound[i], hi, lo)
+        if i <= 2:
+            return hi
+        m = i - 1
+        s2 = np.maximum((ss - s * s / m) / (m - 1), 0.0)
+        exceed = (s2 > 0.0) & (s * s > self.bound[i] * s2)
+        return np.where(exceed, lo, hi)
 
 
 def constant_policy(band: VolatilityBand, n: int, sigma: float) -> PolicySpec:
@@ -137,9 +161,9 @@ def one_sided_optimal_policy(band: VolatilityBand, n: int, alpha: float) -> Poli
 
 
 def two_sided_threshold_policy(
-    band: VolatilityBand, n: int, table: ThresholdTable
+    band: VolatilityBand, n: int, levels: list[ThresholdLevel]
 ) -> PolicySpec:
-    return PolicySpec(kind="two_sided_threshold", band=band, n=n, table=table)
+    return PolicySpec(kind="two_sided_threshold", band=band, n=n, table=tuple(levels))
 
 
 def heuristic_t_policy(
@@ -179,70 +203,6 @@ class PolicyState:
         self.i += 1
 
 
-@dataclass(frozen=True)
-class CompiledPolicy:
-    """A spec with the right-hand sides of its comparisons computed once:
-    a float for the one-sided rule, an array indexed by step i for the
-    two-sided and heuristic rules, None for the constant rule."""
-
-    spec: PolicySpec
-    bound: float | np.ndarray | None
-
-    def sigma(self, i: int, s: np.ndarray, ss: np.ndarray | None):
-        """Volatility for step i from the running sums ``s`` and sums of
-        squares ``ss`` of the first i-1 observations; a float where the
-        rule ignores them, otherwise an array shaped like ``s``."""
-        spec = self.spec
-        lo, hi = spec.band.sigma_lo, spec.band.sigma_hi
-        if spec.kind == "constant":
-            return spec.sigma_const
-        if spec.kind == "one_sided_optimal":
-            return np.where(s <= self.bound, hi, lo)
-        if spec.kind == "two_sided_threshold":
-            return np.where(np.abs(s) <= self.bound[i], hi, lo)
-        if i <= 2:
-            return hi
-        m = i - 1
-        s2 = np.maximum((ss - s * s / m) / (m - 1), 0.0)
-        exceed = (s2 > 0.0) & (s * s > self.bound[i] * s2)
-        return np.where(exceed, lo, hi)
-
-
-@lru_cache(maxsize=64)
-def compile_policy(spec: PolicySpec) -> CompiledPolicy:
-    """The spec's comparison bounds, computed once per spec."""
-    n = spec.n
-    root_n = math.sqrt(n)
-    if spec.kind == "constant":
-        bound = None
-    elif spec.kind == "one_sided_optimal":
-        bound = tail_threshold(spec.alpha, spec.band, "one") * root_n
-    elif spec.kind == "two_sided_threshold":
-        # Nearest table row for time remaining 1 - (i-1)/n; a strict < keeps
-        # the first row among equally near ones.
-        time_remaining = 1.0 - np.arange(-1, n) / n
-        best = np.full(n + 1, np.inf)
-        thr = np.empty(n + 1)
-        for tau, th in zip(spec.table.time_remaining, spec.table.threshold):
-            dist = np.abs(tau - time_remaining)
-            nearer = dist < best
-            best[nearer] = dist[nearer]
-            thr[nearer] = th
-        bound = thr * root_n
-    else:
-        if spec.crit_rule == "fixed":
-            crit = np.full(n + 1, spec.c_alpha)
-        elif spec.crit_rule == "normal":
-            crit = np.full(n + 1, norm_quantile(1.0 - spec.alpha / 2.0))
-        else:
-            p = 1.0 - spec.alpha / 2.0
-            crit = np.array([t_quantile(p, max(i - 2, 1)) for i in range(n + 1)])
-        bound = crit * crit * n
-    if isinstance(bound, np.ndarray):
-        bound.flags.writeable = False
-    return CompiledPolicy(spec, bound)
-
-
 def next_sigma(spec: PolicySpec, state: PolicyState) -> float:
     """Volatility for step ``state.i`` under ``spec``; always in the band.
 
@@ -254,7 +214,7 @@ def next_sigma(spec: PolicySpec, state: PolicyState) -> float:
         )
     if state.i > spec.n:
         raise StateError(f"step index {state.i} beyond horizon n={spec.n}")
-    sig = compile_policy(spec).sigma(
+    sig = spec.sigma(
         state.i, np.array([state.running_sum]), np.array([state.running_sum_sq])
     )
     return float(np.reshape(sig, -1)[0])

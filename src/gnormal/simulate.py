@@ -20,10 +20,10 @@ Replications are processed in blocks of up to ``_BLOCK_MAX`` replications
 (whole tiles side by side), vectorized across the block: at step i the
 policy maps the running sums S_{i-1} (and sum of squares, for the
 heuristic rule) to sigma_i for every replication at once, then
-X_i = sigma_i * eps_i is absorbed.  The map is the policy kernel that
-``policy.next_sigma`` evaluates at width 1; the heuristic rule takes
-sigma_lo exactly when s^2 > 0 and S^2 > crit_i * crit_i * n * s^2, so ties
-and s^2 = 0 give sigma_hi.  Noise is drawn in chunks of steps that continue
+X_i = sigma_i * eps_i is absorbed.  The map is ``PolicySpec.sigma``, the
+kernel that ``policy.next_sigma`` evaluates at width 1; the heuristic rule
+takes sigma_lo exactly when s^2 > 0 and S^2 > crit_i * crit_i * n * s^2, so
+ties and s^2 = 0 give sigma_hi.  Noise is drawn in chunks of steps that continue
 each tile's generator, about ``_CHUNK_DOUBLES`` normals per block whatever
 n is, so that a block's sums and its chunk stay in a core's L2 cache.  The
 kernel is replication-local and chunking does not change the stream, so
@@ -46,7 +46,7 @@ import numpy as np
 from numpy.random import SFC64, Generator, SeedSequence
 
 from .errors import ConfigurationError, DomainError, UndefinedStatisticError
-from .policy import PolicySpec, compile_policy
+from .policy import PolicySpec
 from .special import norm_quantile, t_quantile
 
 __all__ = [
@@ -230,7 +230,7 @@ def _config_echo(config: SimulationConfig) -> dict:
             "sigma_const": pol.sigma_const,
             "crit_rule": pol.crit_rule,
             "c_alpha": pol.c_alpha,
-            "table_levels": None if pol.table is None else len(pol.table.threshold),
+            "table_levels": None if pol.table is None else len(pol.table),
         },
         "test": {
             "sided": config.test.sided,
@@ -280,7 +280,7 @@ def _run_range(config: SimulationConfig, tile_lo: int, tile_hi: int, critical: f
     [tile_lo, tile_hi), cut at ``config.reps``."""
     n = config.n
     needs_ss = config.policy.kind == "heuristic_t" or config.test.statistic == "t"
-    policy = compile_policy(config.policy)
+    policy = config.policy
     hist = _empty_histogram()
     rejections = 0
     degenerate = 0

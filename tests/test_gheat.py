@@ -30,6 +30,7 @@ from gnormal import (
     two_sided_threshold,
     verify_sandwich,
 )
+from gnormal import gheat
 from gnormal.capacity import tail_threshold
 from gnormal.gheat import (
     GridSolution,
@@ -456,6 +457,22 @@ class TestVerifySandwich:
     def test_precondition(self):
         with pytest.raises(DomainError):
             verify_sandwich(0.3, BAND)
+
+    def test_snapped_threshold_checked_before_solving(self, monkeypatch):
+        # c = 0.5001 lies inside the regime c > sigma_hi*sqrt(t)/2 = 0.5, but
+        # this grid snaps it to the cell midpoint 0.49, where the bound is
+        # evaluated: the check must fail there, before any solve.
+        calls = []
+        real_solve = gheat.solve
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return real_solve(*args, **kwargs)
+
+        monkeypatch.setattr(gheat, "solve", spy)
+        with pytest.raises(DomainError, match=r"c = 0\.49.*c = 0\.5001"):
+            verify_sandwich(0.5001, BAND, GridSpec(-3.06, 3.14, 63, 1.0), max_levels=5)
+        assert calls == []
 
     def test_final_time_never_exceeds_by_more_than_tolerance(self):
         # sublinearity echo: w <= u + v up to discretization tolerance

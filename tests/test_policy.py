@@ -11,7 +11,7 @@ from gnormal import (
     PolicySpec,
     PolicyState,
     StateError,
-    ThresholdTable,
+    ThresholdLevel,
     VolatilityBand,
     constant_policy,
     heuristic_t_policy,
@@ -25,7 +25,6 @@ from gnormal import (
     two_sided_threshold,
     two_sided_threshold_policy,
 )
-from gnormal.policy import compile_policy
 
 BAND = VolatilityBand(0.8, 1.0)
 
@@ -62,7 +61,11 @@ class TestSpecValidation:
 
     def test_table_coverage(self):
         with pytest.raises(ConfigurationError):
-            ThresholdTable(time_remaining=(0.1, 0.5), threshold=(1.9, 1.9))
+            two_sided_threshold_policy(
+                BAND, 10, [ThresholdLevel(0.1, 1.9), ThresholdLevel(0.5, 1.9)]
+            )
+        with pytest.raises(ConfigurationError):
+            two_sided_threshold_policy(BAND, 10, [])
 
     def test_unknown_kind(self):
         with pytest.raises(ConfigurationError):
@@ -115,7 +118,7 @@ class TestOneSidedOptimal:
 
 @pytest.fixture(scope="module")
 def table():
-    return ThresholdTable.from_levels(two_sided_threshold(BAND, 0.05, 20))
+    return two_sided_threshold(BAND, 0.05, 20)
 
 
 class TestTwoSidedThresholdPolicy:
@@ -135,9 +138,18 @@ class TestTwoSidedThresholdPolicy:
     def test_effective_threshold_near_constant(self, table):
         # for alpha = 0.05 and time_remaining >= 0.5 the threshold is within
         # 0.05 of Phi^-1(0.975)
-        for tau, thr in zip(table.time_remaining, table.threshold):
-            if tau >= 0.5:
-                assert abs(thr - norm_quantile(0.975)) <= 0.05
+        for row in table:
+            if row.time_remaining >= 0.5:
+                assert abs(row.threshold - norm_quantile(0.975)) <= 0.05
+
+    def test_tie_takes_first_row(self):
+        # At i = 2 the time remaining 1 - 1/4 = 0.75 lies exactly between the
+        # rows; the first row's bound 1 * sqrt(4) = 2 puts S = 4 outside it,
+        # where the second row's bound 3 * sqrt(4) = 6 would not.
+        spec = two_sided_threshold_policy(
+            BAND, 4, [ThresholdLevel(0.5, 1.0), ThresholdLevel(1.0, 3.0)]
+        )
+        assert next_sigma(spec, state_after([4.0])) == BAND.sigma_lo
 
 
 class TestHeuristicT:
@@ -171,7 +183,7 @@ class TestHeuristicT:
     def test_t_step_convention(self):
         spec = heuristic_t_policy(BAND, 20, 0.05, crit_rule="t_step")
         crit = t_quantile(0.975, 3)
-        assert compile_policy(spec).bound[5] == crit * crit * 20
+        assert spec.bound[5] == crit * crit * 20
         st = state_after([1.0, 1.5, 0.5, 1.2])
         stat = abs(st.running_sum) / math.sqrt(20 * sample_variance(st))
         expected = BAND.sigma_hi if stat <= crit else BAND.sigma_lo
@@ -208,7 +220,7 @@ class TestStateContracts:
 
     def test_range_property(self):
         rng = np.random.default_rng(7)
-        table = ThresholdTable.from_levels(two_sided_threshold(BAND, 0.05, 10))
+        table = two_sided_threshold(BAND, 0.05, 10)
         specs = [
             constant_policy(BAND, 30, 0.9),
             one_sided_optimal_policy(BAND, 30, 0.05),
@@ -243,7 +255,7 @@ class TestScalarMatchesKernel:
     @staticmethod
     def kernel(spec, states):
         # The simulator's per-step call, on one array holding every state.
-        sig = compile_policy(spec).sigma(
+        sig = spec.sigma(
             states[0].i,
             np.array([st.running_sum for st in states]),
             np.array([st.running_sum_sq for st in states]),
@@ -267,12 +279,12 @@ class TestScalarMatchesKernel:
     def test_exact_ties_take_high(self, table):
         hi, lo = BAND.sigma_hi, BAND.sigma_lo
         one_sided = one_sided_optimal_policy(BAND, 10_000, 0.05)
-        s_tie = compile_policy(one_sided).bound
+        s_tie = one_sided.bound
         states = [PolicyState(i=7, running_sum=s, count=6) for s in near(s_tie, 1)]
         assert self.check(one_sided, states) == [hi, hi, lo]
 
         two_sided = two_sided_threshold_policy(BAND, 100, table)
-        s_tie = compile_policy(two_sided).bound[40]
+        s_tie = two_sided.bound[40]
         for sign in (1.0, -1.0):
             states = [PolicyState(i=40, running_sum=sign * s, count=39) for s in near(s_tie, 1)]
             assert self.check(two_sided, states) == [hi, hi, lo]
@@ -291,7 +303,7 @@ class TestScalarMatchesKernel:
         # solves to S^2 = k Q / ((m - 1) + k/m), k = crit^2 n.
         for n, i, q in ((20, 10, 18.0), (20, 5, 3.7), (200, 150, 160.0), (40, 3, 2.5)):
             spec = heuristic_t_policy(BAND, n, 0.05, crit_rule=rule)
-            k = compile_policy(spec).bound[i]
+            k = spec.bound[i]
             m = i - 1
             s_tie = math.sqrt(k * q / ((m - 1) + k / m))
             states = [PolicyState(i=i, running_sum=sign * s, running_sum_sq=q, count=m)

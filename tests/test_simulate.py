@@ -30,7 +30,6 @@ from gnormal import (
 )
 from gnormal import simulate
 from gnormal.capacity import tail_threshold
-from gnormal.policy import ThresholdTable
 from gnormal.simulate import HIST_BINS, RNG_SCHEME
 
 BAND = VolatilityBand(0.8, 1.0)
@@ -306,7 +305,7 @@ class TestCalibrationAndInflation:
     def test_adversarial_policies_inflate(self):
         # two-sided t rate exceeds alpha under every adversarial rule
         n, reps = 40, 40_000
-        table = ThresholdTable.from_levels(two_sided_threshold(BAND, 0.05, 10))
+        table = two_sided_threshold(BAND, 0.05, 10)
         for spec in (
             heuristic_t_policy(BAND, n, 0.05),
             two_sided_threshold_policy(BAND, n, table),
