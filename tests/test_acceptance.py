@@ -114,7 +114,8 @@ def test_criterion_3_sandwich():
         rep = verify_sandwich(c, BAND)
         ok &= rep.passed
         details.append(
-            f"c={c}: lower {rep.lower_bound_violation:.2e} <= eps {rep.eps_grid:.2e}, "
+            f"c={c} (snapped {rep.snapped_c:.6f}): "
+            f"lower {rep.lower_bound_violation:.2e} <= eps {rep.eps_grid:.2e}, "
             f"upper slack {rep.upper_bound_slack:.2e}"
         )
     report(3, ok, "; ".join(details))

@@ -318,18 +318,16 @@ class TestP2Numeric:
             p2_numeric(-1.0, BAND)
 
     def test_sandwich_location(self):
-        # w(1, 0) sits within [2p1 - bound, 2p1] of the snapped threshold,
-        # up to the measured discretization tolerance
+        # the scheme's own triple at the origin: 2 u_h(1, 0) - w_h(1, 0) lies
+        # in [0, bound] at the snapped threshold, up to rounding
         c = norm_quantile(0.975)
-        gaps = {}
-        for nx in (2401, 4801):
-            grid = default_two_sided_grid(c, BAND, nx=nx)
-            sol = solve(indicator_abs_above(c), BAND, grid, max_levels=2)
-            gaps[nx] = 2 * p1(sol.snapped_c, BAND) - sol.value_at_final(0.0)
-            bound = two_sided_error_bound(sol.snapped_c, 1.0, BAND)
-        eps = 3 * abs(gaps[4801] - gaps[2401])
-        assert gaps[4801] >= -eps
-        assert gaps[4801] <= bound + eps
+        grid = default_two_sided_grid(c, BAND, nx=2401)
+        u = solve(indicator_above(c), BAND, grid, max_levels=2)
+        w = solve(indicator_abs_above(c), BAND, grid, max_levels=2)
+        assert u.snapped_c == w.snapped_c
+        gap = 2 * u.value_at_final(0.0) - w.value_at_final(0.0)
+        bound = two_sided_error_bound(w.snapped_c, 1.0, BAND)
+        assert -gheat._SANDWICH_TOL <= gap <= bound + gheat._SANDWICH_TOL
 
     def test_capacity_sandwich_invariant(self):
         # 2 p1(c) - p2_numeric(c) in [0, bound] strictly, at thresholds where
@@ -444,10 +442,15 @@ class TestThresholdLocus:
 
 class TestVerifySandwich:
     def test_holds_at_moderate_threshold(self):
-        report = verify_sandwich(1.5, BAND, default_two_sided_grid(1.5, BAND, nx=801))
+        grid = default_two_sided_grid(1.5, BAND, nx=801)
+        report = verify_sandwich(1.5, BAND, grid)
         assert report.passed
+        assert report.eps_grid == 64 * np.finfo(float).eps
         assert report.lower_bound_violation <= report.eps_grid
         assert report.upper_bound_slack >= -report.eps_grid
+        sol = solve(indicator_abs_above(1.5), BAND, grid, max_levels=2)
+        assert report.snapped_c == sol.snapped_c
+        assert report.nodes_checked == 200 * 801
 
     def test_classical_band_gap_is_zero(self):
         band = VolatilityBand(1.0, 1.0)
@@ -457,6 +460,44 @@ class TestVerifySandwich:
     def test_precondition(self):
         with pytest.raises(DomainError):
             verify_sandwich(0.3, BAND)
+
+    def test_asymmetric_grid_rejected(self):
+        with pytest.raises(ConfigurationError, match="symmetric"):
+            verify_sandwich(1.5, BAND, GridSpec(-11.0, 12.0, 401, 1.0))
+
+    @pytest.mark.parametrize("shift, side", [(1e-12, "lower"), (-1e-12, "upper")])
+    def test_shifted_two_sided_solve_fails(self, monkeypatch, shift, side):
+        # w_h moved by 1e-12 breaks the lower side (where u_h + v_h = w_h)
+        # or the upper side (tight at early t, where the bound is ~0)
+        real_solve = gheat.solve
+
+        def shifted(ic, *args, **kwargs):
+            sol = real_solve(ic, *args, **kwargs)
+            if isinstance(ic, gheat.IndicatorAbsAbove):
+                sol.values += shift
+            return sol
+
+        monkeypatch.setattr(gheat, "solve", shifted)
+        report = verify_sandwich(1.5, BAND, default_two_sided_grid(1.5, BAND, nx=401))
+        assert not report.passed
+        assert report.lower_ok == (side != "lower")
+        assert report.upper_ok == (side != "upper")
+
+    def test_two_solves_on_the_requested_grid(self, monkeypatch):
+        calls = []
+        real_solve = gheat.solve
+
+        def spy(ic, band, grid, **kwargs):
+            calls.append((type(ic), ic.c, grid))
+            return real_solve(ic, band, grid, **kwargs)
+
+        monkeypatch.setattr(gheat, "solve", spy)
+        grid = default_two_sided_grid(1.5, BAND, nx=401)
+        verify_sandwich(1.5, BAND, grid)
+        assert sorted(calls, key=lambda call: call[0].__name__) == [
+            (gheat.IndicatorAbove, 1.5, grid),
+            (gheat.IndicatorAbsAbove, 1.5, grid),
+        ]
 
     def test_snapped_threshold_checked_before_solving(self, monkeypatch):
         # c = 0.5001 lies inside the regime c > sigma_hi*sqrt(t)/2 = 0.5, but
@@ -471,7 +512,7 @@ class TestVerifySandwich:
 
         monkeypatch.setattr(gheat, "solve", spy)
         with pytest.raises(DomainError, match=r"c = 0\.49.*c = 0\.5001"):
-            verify_sandwich(0.5001, BAND, GridSpec(-3.06, 3.14, 63, 1.0), max_levels=5)
+            verify_sandwich(0.5001, BAND, GridSpec(-3.06, 3.14, 63, 1.0))
         assert calls == []
 
     def test_final_time_never_exceeds_by_more_than_tolerance(self):
