@@ -29,12 +29,13 @@ Numerical conventions that matter to the contracts:
   -0.0 that h_lo d2 is when s_lo = 0 or it underflows into the sum's +0.0;
   without it a -0.0 node of table data could stay -0.0 where the sum
   form makes it +0.0.
-* Overflow surfaces once, as NumericalError naming the step: after every
-  step a probe of the nodes 1, 1 + nx//8, ... raises on a non-finite value
-  (the final state is checked at every node).  ``solve`` and
-  ``two_sided_threshold`` run the whole march under one np.errstate that
-  ignores overflow and invalid operations; not per step (about 2 us each)
-  and not inside the generator, where it would span the yields.
+* Overflow surfaces once, as NumericalError naming the step whose
+  arithmetic failed.  Every datum starts finite, and finite arithmetic
+  turns non-finite only by an overflow or invalid operation, so ``solve``
+  and ``two_sided_threshold`` run the whole march under one
+  np.errstate(over="raise", invalid="raise") (not per step, about 2 us
+  each, nor across the generator's yields) and no per-step check runs.
+  The final state is checked at every node, for callers without it.
 * Time levels are retained on a uniform subsample (every ``stride`` steps,
   endpoints included); the step count is rounded up so retained times land
   on exact multiples of t_end/(levels-1) at every spatial resolution,
@@ -80,7 +81,6 @@ __all__ = [
     "solve",
     "p2_numeric",
     "two_sided_threshold",
-    "exact_values",
     "verify_sandwich",
 ]
 
@@ -124,6 +124,8 @@ class LipschitzTable:
     def __post_init__(self) -> None:
         if len(self.x) != len(self.y) or len(self.x) < 2:
             raise DomainError("lipschitz table needs >= 2 matched (x, y) pairs")
+        if not all(map(math.isfinite, (*self.x, *self.y))):
+            raise DomainError("lipschitz table values must be finite")
         if any(b <= a for a, b in zip(self.x, self.x[1:])):
             raise DomainError("lipschitz table abscissae must be strictly increasing")
 
@@ -367,40 +369,40 @@ def _march(
     bc_left, bc_right = boundary.T.tolist()
 
     def states():
-        half_hi = 0.5 * band.sigma_hi * band.sigma_hi
-        half_lo = 0.5 * band.sigma_lo * band.sigma_lo
-        inv_dx2 = 1.0 / (dx * dx)
-        u = u0.copy()
-        west, mid, east = u[:-2], u[1:-1], u[2:]
-        d2, g, work = np.empty((3, grid.nx - 2))
-        probe = u[1 :: max(grid.nx // 8, 1)]
-        finite = np.empty(probe.size, dtype=bool)
+        k = 0  # a trapped flag in set-up counts as step 1; see the module notes
+        try:
+            half_hi = 0.5 * band.sigma_hi * band.sigma_hi
+            half_lo = 0.5 * band.sigma_lo * band.sigma_lo
+            inv_dx2 = 1.0 / (dx * dx)
+            u = u0.copy()
+            west, mid, east = u[:-2], u[1:-1], u[2:]
+            d2, g, work = np.empty((3, grid.nx - 2))
 
-        def second_difference():
-            # (u[j-1] + u[j+1]) - 2 u[j], then / dx^2: mirror-stable order.
-            np.add(west, east, out=d2)
-            np.multiply(mid, 2.0, out=work)
-            np.subtract(d2, work, out=d2)
-            np.multiply(d2, inv_dx2, out=d2)
+            def second_difference():
+                # (u[j-1] + u[j+1]) - 2 u[j], then / dx^2: mirror-stable order.
+                np.add(west, east, out=d2)
+                np.multiply(mid, 2.0, out=work)
+                np.subtract(d2, work, out=d2)
+                np.multiply(d2, inv_dx2, out=d2)
 
-        for k in range(n_steps):
+            for k in range(n_steps):
+                second_difference()
+                yield k, u, d2
+                # G(d2) = max(s_hi^2 d2, s_lo^2 d2)/2 + 0.0; see the module notes.
+                np.multiply(d2, half_hi, out=g)
+                np.multiply(d2, half_lo, out=work)
+                np.maximum(g, work, out=g)
+                np.add(g, 0.0, out=g)
+                np.multiply(g, dt, out=g)
+                np.add(mid, g, out=mid)
+                u[0] = bc_left[k]
+                u[-1] = bc_right[k]
             second_difference()
-            yield k, u, d2
-            # G(d2) = max(s_hi^2 d2, s_lo^2 d2) / 2 + 0.0; see the module notes.
-            np.multiply(d2, half_hi, out=g)
-            np.multiply(d2, half_lo, out=work)
-            np.maximum(g, work, out=g)
-            np.add(g, 0.0, out=g)
-            np.multiply(g, dt, out=g)
-            np.add(mid, g, out=mid)
-            u[0] = bc_left[k]
-            u[-1] = bc_right[k]
-            np.isfinite(probe, out=finite)
-            if not finite.all():
-                raise NumericalError(f"non-finite values detected at step {k + 1}")
+        except FloatingPointError:
+            raise NumericalError(f"non-finite values detected at step {k + 1}") from None
+        # Backstop for a consumer that runs the march without that errstate.
         if not np.isfinite(u).all():
             raise NumericalError(f"non-finite values detected at step {n_steps}")
-        second_difference()
         yield n_steps, u, d2
 
     return _March(x, snapped_c, dt, times, stride, states())
@@ -422,7 +424,7 @@ def solve(
     march = _march(ic, band, grid, max_levels)
     times = march.times[:: march.stride]
     values = np.empty((times.size, grid.nx))
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="raise", invalid="raise"):
         for k, u, _ in march.states:
             if k % march.stride == 0:
                 values[k // march.stride] = u
@@ -453,7 +455,9 @@ def _d2_sign_change_root(x, d2, pos_from, ref_c, noise_floor):
     idx = np.nonzero(flip)[0]
     if idx.size == 0:
         return ref_c, True, False
-    roots = xs[idx] - left[idx] * (xs[idx + 1] - xs[idx]) / (right[idx] - left[idx])
+    # right - left can overflow near the float range (s_hi ~ 1e-155): keep the node.
+    with np.errstate(over="ignore"):
+        roots = xs[idx] - left[idx] * (xs[idx + 1] - xs[idx]) / (right[idx] - left[idx])
     pick = int(np.argmin(np.abs(roots - ref_c)))
     return float(roots[pick]), False, idx.size > 1
 
@@ -510,24 +514,13 @@ def two_sided_threshold(
     wanted = set(picks)
     pos_from = int(np.searchsorted(march.x[1:-1], 0.0))
     noise_floor = _D2_NOISE_MULT * np.finfo(float).eps * (1.0 / (grid.dx * grid.dx))
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="raise", invalid="raise"):
         roots = {
             k: _d2_sign_change_root(march.x, d2, pos_from, march.snapped_c, noise_floor)
             for k, _, d2 in march.states
             if k in wanted
         }
     return [ThresholdLevel(float(march.times[k]), *roots[k]) for k in picks]
-
-
-def exact_values(sol: GridSolution, t: float) -> np.ndarray:
-    """Closed-form solution on the solution's grid at time t, using the
-    solver's snapped threshold: u for 1{x > c} data, u + v for 1{|x| > c}.
-    At t = 0 this is the sampled indicator."""
-    if sol.snapped_c is None:
-        raise DomainError("exact values are defined for indicator data only")
-    if t == 0.0:
-        return sol.values[0].copy()
-    return _closed_form(sol.ic, sol.snapped_c, sol.x, t, sol.band)
 
 
 def verify_sandwich(

@@ -8,13 +8,17 @@ adaptive quadrature of its defining integral.
 
 The bitwise references at the end keep the first, allocating spelling of
 the explicit PDE step and of the profile's erfc map; the package's
-buffered forms must reproduce them byte for byte.
+buffered forms must reproduce them byte for byte.  ``exact_values`` is the
+closed-form reference the PDE tests compare solutions with.
 """
 
 import math
 
 import mpmath as mp
 import numpy as np
+
+from gnormal.errors import DomainError
+from gnormal.gheat import _closed_form
 
 mp.mp.dps = 40
 
@@ -108,3 +112,14 @@ def profile_f_object_erfc(y, sigma_lo, sigma_hi):
     cdf = 0.5 * np.asarray(_erfc_object(-z / math.sqrt(2.0)), dtype=float)
     out = np.where(left, 2.0 * sigma_hi / s * cdf, 1.0 - 2.0 * sigma_lo / s * cdf)
     return float(out) if out.ndim == 0 else out
+
+
+def exact_values(sol, t):
+    """Closed-form solution on the solution's grid at time t, using the
+    solver's snapped threshold: u for 1{x > c} data, u + v for 1{|x| > c}.
+    At t = 0 this is the sampled indicator."""
+    if sol.snapped_c is None:
+        raise DomainError("exact values are defined for indicator data only")
+    if t == 0.0:
+        return sol.values[0].copy()
+    return _closed_form(sol.ic, sol.snapped_c, sol.x, t, sol.band)

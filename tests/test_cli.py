@@ -150,6 +150,16 @@ class TestSolveCommand:
         )
         assert proc.returncode == 0, proc.stderr
 
+    def test_non_finite_table_exit_2(self, tmp_path):
+        table = tmp_path / "nan.csv"
+        table.write_text("0 0\n1 nan\n2 1\n")
+        proc = run_cli(
+            "solve", "--ic", f"table:{table}", "--sigma-lo", "0.8",
+            "--sigma-hi", "1", "--nx", "21", "--out", str(tmp_path / "n.csv"),
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == ["error: lipschitz table values must be finite"]
+
     def test_two_sided_solve_agrees_with_capacity_pde(self, tmp_path):
         # same grid defaults: the dumped w(1, 0) must equal the --pde value
         out_path = str(tmp_path / "w.csv")

@@ -38,10 +38,10 @@ from gnormal.gheat import (
     _d2_sign_change_root,
     _march,
     default_two_sided_grid,
-    exact_values,
 )
 
 import oracles
+from oracles import exact_values
 
 BAND = VolatilityBand(0.8, 1.0)
 STEP_BANDS = [(0.8, 1.0), (0.0, 1.0), (1.0, 1.0), (0.5, 2.0)]
@@ -76,6 +76,11 @@ class TestInitialConditions:
             lipschitz_sampled([0.0, 0.0], [1.0, 2.0])
         with pytest.raises(DomainError):
             lipschitz_sampled([0.0], [1.0])
+        # a NaN abscissa passes every b <= a comparison; a table must be finite
+        with pytest.raises(DomainError, match="finite"):
+            gheat.LipschitzTable((0.0, float("nan"), 2.0), (0.0, 1.0, 2.0))
+        with pytest.raises(DomainError, match="finite"):
+            lipschitz_sampled([0.0, 1.0, 2.0], [0.0, float("inf"), 2.0])
 
     def test_indicator_outside_grid(self):
         with pytest.raises(ConfigurationError):
@@ -237,6 +242,18 @@ class TestOneStepMap:
         assert gap.min() >= -tol
 
     @_property
+    @given(_tables, st.data(), _bands, _safety)
+    def test_subadditive_up_to_rounding(self, a, data, bounds, safety):
+        # G is sublinear, so one step of a + b lies below the two steps
+        # summed; rounding adds up to about 2 eps of max |a|, |b| (1.7 and
+        # 2.3 eps were the worst of two runs over 3,000 random tables).
+        b = np.array(data.draw(st.lists(_value, min_size=len(a), max_size=len(a))))
+        a = np.array(a)
+        tol = 4.0 * np.finfo(float).eps * max(np.abs(a).max(), np.abs(b).max())
+        split = one_step(a, bounds, safety) + one_step(b, bounds, safety)
+        assert (one_step(a + b, bounds, safety) - split).max() <= tol
+
+    @_property
     @given(st.integers(3, 33), _value, _bands, _safety)
     def test_constants_are_fixed_points(self, nx, c, bounds, safety):
         assert one_step([c] * nx, bounds, safety).tobytes() == np.full(nx, c).tobytes()
@@ -266,6 +283,17 @@ class TestNumericalFailure:
             warnings.simplefilter("error")
             with pytest.raises(NumericalError, match="at step 1$"):
                 solve(lipschitz_sampled(self.X, self.Y), BAND, GridSpec(0, 4, 5, 1.0))
+        assert np.geterr() == before
+
+    def test_spike_is_reported_at_the_step_that_overflows(self):
+        # 2 * 1.7e308 overflows in step 1 at node 3; the error must name that
+        # step, not a later one by which the blow-up has spread.
+        x = np.linspace(-1.0, 1.0, 41)
+        y = np.zeros(41)
+        y[3] = 1.7e308
+        before = np.geterr()
+        with pytest.raises(NumericalError, match="at step 1$"):
+            solve(lipschitz_sampled(x, y), BAND, GridSpec(-1.0, 1.0, 41, 1.0))
         assert np.geterr() == before
 
 
@@ -416,6 +444,32 @@ class TestThresholdLocus:
             assert root == pytest.approx(near, abs=0.01)
             assert (degenerate, multiple) == (False, True)
             assert ThresholdLevel(1.0, root, degenerate, multiple).flag == "multiple"
+
+    def test_noise_floor_is_64_eps_over_dx2(self):
+        # two_sided_threshold's floor, against a literal 64 eps/dx^2: a sign
+        # change 100x above it is a root, one at half of it is noise.
+        dx = self.X[1] - self.X[0]
+        eps = np.finfo(float).eps
+        floor = gheat._D2_NOISE_MULT * eps / dx**2
+        step = np.where(self.X[1:-1] < 1.05, 1.0, -1.0) * (64.0 * eps / dx**2)
+        root, degenerate, multiple = _d2_sign_change_root(
+            self.X, 100.0 * step, self.POS_FROM, 1.7, floor
+        )
+        assert root == pytest.approx(1.05, abs=1e-12)
+        assert (degenerate, multiple) == (False, False)
+        got = _d2_sign_change_root(self.X, 0.5 * step, self.POS_FROM, 1.7, floor)
+        assert got == (1.7, True, False)
+
+    def test_root_interpolation_overflow_keeps_the_bracketing_node(self):
+        # At s_hi ~ 1e-155 the first step's d2 jump nears the float range,
+        # so right - left overflows; every row is then the node x = 0 below
+        # the jump, with no FloatingPointError and no warning.
+        hi = 1.7714224633510961e-155
+        band = VolatilityBand(0.5 * hi, hi)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = two_sided_threshold(band, 0.05, 8, nx=5)
+        assert [row.threshold for row in rows] == [0.0] * 8
 
     def test_more_levels_than_steps_share_nearest_steps(self):
         # nx=41 takes 4 steps of 1/4; 8 rows must reuse them, each reading
