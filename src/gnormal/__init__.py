@@ -24,8 +24,6 @@ from .errors import (
     DomainError,
     GNormalError,
     NumericalError,
-    StateError,
-    UndefinedStatisticError,
 )
 from .gheat import (
     GridSolution,
@@ -42,12 +40,9 @@ from .gheat import (
 )
 from .policy import (
     PolicySpec,
-    PolicyState,
     constant_policy,
     heuristic_t_policy,
-    next_sigma,
     one_sided_optimal_policy,
-    pde_policy_equiv_check,
     two_sided_threshold_policy,
 )
 from .simulate import (
@@ -56,7 +51,6 @@ from .simulate import (
     SimulationReport,
     TestSpec,
     run,
-    t_statistic,
     wilson_interval,
 )
 from .special import norm_cdf, norm_pdf, norm_quantile, t_cdf, t_pdf, t_quantile
@@ -76,13 +70,11 @@ __all__ = [
     "indicator_above", "indicator_abs_above", "lipschitz_sampled",
     "solve", "p2_numeric", "two_sided_threshold", "verify_sandwich",
     # policy
-    "PolicySpec", "PolicyState", "constant_policy",
-    "one_sided_optimal_policy", "two_sided_threshold_policy",
-    "heuristic_t_policy", "next_sigma", "pde_policy_equiv_check",
+    "PolicySpec", "constant_policy", "one_sided_optimal_policy",
+    "two_sided_threshold_policy", "heuristic_t_policy",
     # simulate
     "TestSpec", "SimulationConfig", "SimulationReport", "Histogram",
-    "t_statistic", "wilson_interval", "run",
+    "wilson_interval", "run",
     # errors
     "GNormalError", "DomainError", "ConfigurationError", "NumericalError",
-    "UndefinedStatisticError", "StateError",
 ]

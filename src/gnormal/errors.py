@@ -16,10 +16,3 @@ class ConfigurationError(GNormalError, ValueError):
 class NumericalError(GNormalError, ArithmeticError):
     """A solve produced NaN or otherwise failed numerically."""
 
-
-class UndefinedStatisticError(GNormalError, ValueError):
-    """A sample statistic is undefined (zero sample variance)."""
-
-
-class StateError(GNormalError, RuntimeError):
-    """A policy state is inconsistent with its policy specification."""

@@ -513,10 +513,14 @@ def two_sided_threshold(
     ]
     wanted = set(picks)
     pos_from = int(np.searchsorted(march.x[1:-1], 0.0))
-    noise_floor = _D2_NOISE_MULT * np.finfo(float).eps * (1.0 / (grid.dx * grid.dx))
     with np.errstate(over="raise", invalid="raise"):
+        # The floor is evaluated after the march's set-up, which traps an
+        # overflowing 1/dx^2 as NumericalError before it can reach here.
         roots = {
-            k: _d2_sign_change_root(march.x, d2, pos_from, march.snapped_c, noise_floor)
+            k: _d2_sign_change_root(
+                march.x, d2, pos_from, march.snapped_c,
+                _D2_NOISE_MULT * np.finfo(float).eps * (1.0 / (grid.dx * grid.dx)),
+            )
             for k, _, d2 in march.states
             if k in wanted
         }

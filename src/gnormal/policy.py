@@ -1,11 +1,12 @@
 """Variance-control rules available to the adversarial experimenter.
 
 Every rule is predictable: the volatility for step i depends only on the
-observations X_1 .. X_{i-1} carried in the policy state, and the output
-always lies inside the volatility band.  All rules except ``constant`` are
-bang-bang: sigma_hi while their comparison holds, sigma_lo otherwise, so
-ties resolve toward sigma_hi.  With S and Q the sum and the sum of squares
-of the first m = i-1 observations, the comparisons are
+observations X_1 .. X_{i-1}, through their sum and sum of squares, and
+the output always lies inside the volatility band.  All rules except
+``constant`` are bang-bang: sigma_hi while their comparison holds,
+sigma_lo otherwise, so ties resolve toward sigma_hi.  With S and Q the
+sum and the sum of squares of the first m = i-1 observations, the
+comparisons are
 
     one-sided optimal:   S <= sigma_hi * Phi^-1(1-alpha) * sqrt(n)
     two-sided threshold: |S| <= thr * sqrt(n), thr from the table row with
@@ -14,9 +15,9 @@ of the first m = i-1 observations, the comparisons are
                          s2 = max((Q - S*S/m) / (m - 1), 0),
 
 the last being |S| / sqrt(n * s2) <= crit_i, scaled by the full horizon n
-rather than i-1.  Each is written once, in ``PolicySpec.sigma``, which
-both ``next_sigma`` and the Monte Carlo engine evaluate.  Conventions left
-open by the construction are configuration:
+rather than i-1.  Each is written once, in ``PolicySpec.sigma``, the
+kernel the Monte Carlo engine evaluates.  Conventions left open by the
+construction are configuration:
 
 * critical value: a fixed normal quantile Phi^-1(1-alpha/2) (default), the
   per-step Student-t quantile with i-2 degrees of freedom, or an explicit
@@ -32,20 +33,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .capacity import VolatilityBand, profile_f_yy, tail_threshold
-from .errors import ConfigurationError, StateError
+from .capacity import VolatilityBand, tail_threshold
+from .errors import ConfigurationError
 from .gheat import ThresholdLevel
 from .special import norm_quantile, t_quantile
 
 __all__ = [
     "PolicySpec",
-    "PolicyState",
     "constant_policy",
     "one_sided_optimal_policy",
     "two_sided_threshold_policy",
     "heuristic_t_policy",
-    "next_sigma",
-    "pde_policy_equiv_check",
 ]
 
 
@@ -55,12 +53,14 @@ class PolicySpec:
 
     ``kind`` is one of "constant", "one_sided_optimal",
     "two_sided_threshold", "heuristic_t"; the remaining fields apply per
-    kind and are validated on construction, which also computes ``bound``,
-    the right-hand side of the rule's comparison: a float for the one-sided
-    rule, a read-only array indexed by step i for the two-sided and
-    heuristic rules, None for the constant rule.  ``table`` holds the
-    ``gheat.two_sided_threshold`` rows; the rule uses the row with the
-    nearest ``time_remaining``, no interpolation.
+    kind and are validated on construction.  A field the rule never reads
+    (``c_alpha`` is read only under ``crit_rule="fixed"``) must keep its
+    default, so the config echo records only what the rule uses.
+    Construction also computes ``bound``, the right-hand side of the rule's
+    comparison: a float for the one-sided rule, a read-only array indexed
+    by step i for the two-sided and heuristic rules, None for the constant
+    rule.  ``table`` holds the ``gheat.two_sided_threshold`` rows; the rule
+    uses the row with the nearest ``time_remaining``, no interpolation.
     """
 
     kind: str
@@ -77,6 +77,17 @@ class PolicySpec:
         n = self.n
         if n < 1:
             raise ConfigurationError(f"horizon n must be >= 1, got {n!r}")
+        for name, default, read in (
+            ("sigma_const", None, self.kind == "constant"),
+            ("table", None, self.kind == "two_sided_threshold"),
+            ("crit_rule", "normal", self.kind == "heuristic_t"),
+            ("c_alpha", None, self.kind == "heuristic_t" and self.crit_rule == "fixed"),
+        ):
+            if not read and getattr(self, name) != default:
+                raise ConfigurationError(
+                    f"{self.kind!r} policy with crit_rule={self.crit_rule!r} "
+                    f"does not read {name}"
+                )
         root_n = math.sqrt(n)
         if self.kind == "constant":
             if self.sigma_const is None or not (
@@ -171,81 +182,14 @@ def heuristic_t_policy(
     n: int,
     alpha: float | None = None,
     *,
-    crit_rule: str = "normal",
+    crit_rule: str | None = None,
     c_alpha: float | None = None,
 ) -> PolicySpec:
-    if c_alpha is not None:
-        crit_rule = "fixed"
+    """Heuristic rule; ``crit_rule`` defaults to "fixed" when ``c_alpha`` is
+    given and to "normal" otherwise."""
+    if crit_rule is None:
+        crit_rule = "normal" if c_alpha is None else "fixed"
     return PolicySpec(
         kind="heuristic_t", band=band, n=n, alpha=alpha,
         crit_rule=crit_rule, c_alpha=c_alpha,
     )
-
-
-@dataclass
-class PolicyState:
-    """Running summaries of the observations seen so far.
-
-    ``i`` is the 1-based index of the upcoming step; ``count`` must equal
-    i - 1 (predictability: the state holds X_1 .. X_{i-1} only).
-    """
-
-    i: int = 1
-    running_sum: float = 0.0
-    running_sum_sq: float = 0.0
-    count: int = 0
-
-    def observe(self, x: float) -> None:
-        """Advance the state past observation X_i = x."""
-        self.running_sum += x
-        self.running_sum_sq += x * x
-        self.count += 1
-        self.i += 1
-
-
-def next_sigma(spec: PolicySpec, state: PolicyState) -> float:
-    """Volatility for step ``state.i`` under ``spec``; always in the band.
-
-    A width-1 evaluation of the kernel the Monte Carlo engine runs.
-    """
-    if state.count != state.i - 1:
-        raise StateError(
-            f"state count {state.count} inconsistent with step index {state.i}"
-        )
-    if state.i > spec.n:
-        raise StateError(f"step index {state.i} beyond horizon n={spec.n}")
-    sig = spec.sigma(
-        state.i, np.array([state.running_sum]), np.array([state.running_sum_sq])
-    )
-    return float(np.reshape(sig, -1)[0])
-
-
-def pde_policy_equiv_check(
-    band: VolatilityBand,
-    alpha: float,
-    n: int,
-    *,
-    s_points: int = 2001,
-) -> bool:
-    """Verify the one-sided threshold rule against the curvature-sign rule.
-
-    Rule A takes sigma_hi exactly when the closed-form second derivative of
-    the one-sided solution is >= 0 at (1-(i-1)/n, S/sqrt(n)); rule B is the
-    printed inequality S/sqrt(n) <= sigma_hi * Phi^-1(1-alpha).  Checked on
-    a grid of S spanning +-5 sqrt(n) plus the exact threshold point, for
-    every step i.  Returns True iff the rules agree everywhere.
-    """
-    c = tail_threshold(alpha, band, "one")
-    # x = S/sqrt(n); the tie point x = c must take the sigma_hi branch.
-    xs = np.append(np.linspace(-5.0, 5.0, s_points), c)
-    rule_b = xs <= c
-    for i in range(1, n + 1):
-        tau = 1.0 - (i - 1) / n
-        y = (xs - c) / math.sqrt(tau)
-        v = profile_f_yy(y, band)
-        # The Gaussian factor is strictly positive but underflows for huge
-        # |y|; v == 0.0 then resolves by the analytic sign, sign(-y).
-        rule_a = (v > 0.0) | ((v == 0.0) & (y <= 0.0))
-        if not np.array_equal(rule_a, rule_b):
-            return False
-    return True

@@ -20,15 +20,15 @@ Replications are processed in blocks of up to ``_BLOCK_MAX`` replications
 (whole tiles side by side), vectorized across the block: at step i the
 policy maps the running sums S_{i-1} (and sum of squares, for the
 heuristic rule) to sigma_i for every replication at once, then
-X_i = sigma_i * eps_i is absorbed.  The map is ``PolicySpec.sigma``, the
-kernel that ``policy.next_sigma`` evaluates at width 1; the heuristic rule
-takes sigma_lo exactly when s^2 > 0 and S^2 > crit_i * crit_i * n * s^2, so
-ties and s^2 = 0 give sigma_hi.  Noise is drawn in chunks of steps that continue
-each tile's generator, about ``_CHUNK_DOUBLES`` normals per block whatever
-n is, so that a block's sums and its chunk stay in a core's L2 cache.  The
-kernel is replication-local and chunking does not change the stream, so
-neither block nor chunk size can change any value.  Workers own disjoint
-tile ranges and their integer tallies merge by summation.
+X_i = sigma_i * eps_i is absorbed.  The map is ``PolicySpec.sigma``; the
+heuristic rule takes sigma_lo exactly when s^2 > 0 and
+S^2 > crit_i * crit_i * n * s^2, so ties and s^2 = 0 give sigma_hi.
+Noise is drawn in chunks of steps that continue each tile's generator,
+about ``_CHUNK_DOUBLES`` normals per block whatever n is, so that a
+block's sums and its chunk stay in a core's L2 cache.  The kernel is
+replication-local and chunking does not change the stream, so neither
+block nor chunk size can change any value.  Workers own disjoint tile
+ranges and their integer tallies merge by summation.
 
 Degenerate replications (zero sample variance, probability zero under
 continuous noise) are tallied separately and excluded from the rejection
@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import SFC64, Generator, SeedSequence
 
-from .errors import ConfigurationError, DomainError, UndefinedStatisticError
+from .errors import ConfigurationError, DomainError
 from .policy import PolicySpec
 from .special import norm_quantile, t_quantile
 
@@ -54,7 +54,6 @@ __all__ = [
     "SimulationConfig",
     "Histogram",
     "SimulationReport",
-    "t_statistic",
     "wilson_interval",
     "run",
 ]
@@ -240,19 +239,6 @@ def _config_echo(config: SimulationConfig) -> dict:
         },
     }
     return echo
-
-
-def t_statistic(xs) -> float:
-    """Student statistic sqrt(n) * mean / s with the n-1 variance divisor."""
-    xs = np.asarray(xs, dtype=float)
-    n = xs.size
-    if n < 2:
-        raise DomainError(f"t statistic needs >= 2 observations, got {n}")
-    mean = float(xs.mean())
-    s2 = float(((xs - mean) ** 2).sum()) / (n - 1)
-    if s2 <= 0.0:
-        raise UndefinedStatisticError("zero sample variance")
-    return math.sqrt(n) * mean / math.sqrt(s2)
 
 
 def wilson_interval(successes: int, trials: int, z: float) -> tuple[float, float]:

@@ -10,6 +10,11 @@ The bitwise references at the end keep the first, allocating spelling of
 the explicit PDE step and of the profile's erfc map; the package's
 buffered forms must reproduce them byte for byte.  ``exact_values`` is the
 closed-form reference the PDE tests compare solutions with.
+
+The scalar references last: ``scalar_sigma`` evaluates a policy at width 1
+for step-by-step re-simulation, ``t_statistic`` is the textbook Student
+statistic, and ``pde_policy_equiv_check`` checks the one-sided rule against
+the curvature sign of the closed-form solution.
 """
 
 import math
@@ -17,6 +22,7 @@ import math
 import mpmath as mp
 import numpy as np
 
+from gnormal.capacity import profile_f_yy, tail_threshold
 from gnormal.errors import DomainError
 from gnormal.gheat import _closed_form
 
@@ -123,3 +129,47 @@ def exact_values(sol, t):
     if t == 0.0:
         return sol.values[0].copy()
     return _closed_form(sol.ic, sol.snapped_c, sol.x, t, sol.band)
+
+
+def scalar_sigma(spec, i, s, ss=0.0):
+    """Volatility for step i from the float sum ``s`` and sum of squares
+    ``ss`` of the first i-1 observations: the engine's kernel at width 1."""
+    return float(np.reshape(spec.sigma(i, np.array([s]), np.array([ss])), -1)[0])
+
+
+def t_statistic(xs):
+    """Student statistic sqrt(n) * mean / s with the n-1 variance divisor."""
+    xs = np.asarray(xs, dtype=float)
+    n = xs.size
+    if n < 2:
+        raise DomainError(f"t statistic needs >= 2 observations, got {n}")
+    mean = float(xs.mean())
+    s2 = float(((xs - mean) ** 2).sum()) / (n - 1)
+    if s2 <= 0.0:
+        raise ZeroDivisionError("zero sample variance")
+    return math.sqrt(n) * mean / math.sqrt(s2)
+
+
+def pde_policy_equiv_check(band, alpha, n, *, s_points=2001):
+    """Verify the one-sided threshold rule against the curvature-sign rule.
+
+    Rule A takes sigma_hi exactly when the closed-form second derivative of
+    the one-sided solution is >= 0 at (1-(i-1)/n, S/sqrt(n)); rule B is the
+    printed inequality S/sqrt(n) <= sigma_hi * Phi^-1(1-alpha).  Checked on
+    a grid of S spanning +-5 sqrt(n) plus the exact threshold point, for
+    every step i.  Returns True iff the rules agree everywhere.
+    """
+    c = tail_threshold(alpha, band, "one")
+    # x = S/sqrt(n); the tie point x = c must take the sigma_hi branch.
+    xs = np.append(np.linspace(-5.0, 5.0, s_points), c)
+    rule_b = xs <= c
+    for i in range(1, n + 1):
+        tau = 1.0 - (i - 1) / n
+        y = (xs - c) / math.sqrt(tau)
+        v = profile_f_yy(y, band)
+        # The Gaussian factor is strictly positive but underflows for huge
+        # |y|; v == 0.0 then resolves by the analytic sign, sign(-y).
+        rule_a = (v > 0.0) | ((v == 0.0) & (y <= 0.0))
+        if not np.array_equal(rule_a, rule_b):
+            return False
+    return True

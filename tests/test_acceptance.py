@@ -27,7 +27,6 @@ from gnormal import (
     norm_quantile,
     one_sided_optimal_policy,
     p2_approx,
-    pde_policy_equiv_check,
     profile_f,
     run,
     solve,
@@ -50,6 +49,8 @@ from gnormal.cli import (
     capacity_point_met,
     hetero_tolerance,
 )
+
+from oracles import pde_policy_equiv_check
 
 BAND = REPRO_BAND
 ACCEPT_REPS = int(os.environ.get("GNORMAL_ACCEPT_REPS", "1000000"))

@@ -296,6 +296,14 @@ class TestNumericalFailure:
             solve(lipschitz_sampled(x, y), BAND, GridSpec(-1.0, 1.0, 41, 1.0))
         assert np.geterr() == before
 
+    @pytest.mark.parametrize("edge", [float, np.float64])
+    def test_threshold_table_overflow_raises_numerical_error(self, edge):
+        # Band edges near 1e-156 make 1/dx^2 overflow; numpy-scalar edges
+        # must fail as Python floats do, not with a RuntimeWarning.
+        band = VolatilityBand(edge(5e-157), edge(1e-156))
+        with pytest.raises(NumericalError, match="at step 1$"):
+            two_sided_threshold(band, 0.05, 8, nx=41)
+
 
 class TestDiagnostics:
     def test_cfl_fraction_and_rate(self):

@@ -9,40 +9,43 @@ import pytest
 from gnormal import (
     ConfigurationError,
     PolicySpec,
-    PolicyState,
-    StateError,
     ThresholdLevel,
     VolatilityBand,
     constant_policy,
     heuristic_t_policy,
-    next_sigma,
     norm_pdf,
     norm_quantile,
     one_sided_optimal_policy,
-    pde_policy_equiv_check,
     profile_f_yy,
     t_quantile,
     two_sided_threshold,
     two_sided_threshold_policy,
 )
 
+from oracles import pde_policy_equiv_check, scalar_sigma
+
 BAND = VolatilityBand(0.8, 1.0)
 
 
 def state_after(xs):
-    st = PolicyState()
+    """(i, S, Q) before step i = len(xs) + 1: the running sum and sum of
+    squares of the observations xs."""
+    s = ss = 0.0
     for x in xs:
-        st.observe(x)
-    return st
+        s += x
+        ss += x * x
+    return len(xs) + 1, s, ss
 
 
 def sample_variance(st):
     """Unbiased sample variance (divisor count - 1) from the running sums;
     0.0 while fewer than two observations exist."""
-    if st.count < 2:
+    i, s, ss = st
+    count = i - 1
+    if count < 2:
         return 0.0
-    mean_sq = st.running_sum * st.running_sum / st.count
-    return max((st.running_sum_sq - mean_sq) / (st.count - 1), 0.0)
+    mean_sq = s * s / count
+    return max((ss - mean_sq) / (count - 1), 0.0)
 
 
 class TestSpecValidation:
@@ -75,26 +78,44 @@ class TestSpecValidation:
         with pytest.raises(ConfigurationError):
             constant_policy(BAND, 0, 0.9)
 
+    @pytest.mark.parametrize("make", [
+        lambda: PolicySpec(kind="heuristic_t", band=BAND, n=20, alpha=0.05,
+                           crit_rule="normal", c_alpha=2.5),
+        lambda: heuristic_t_policy(BAND, 20, 0.05, crit_rule="t_step", c_alpha=2.5),
+        lambda: PolicySpec(kind="one_sided_optimal", band=BAND, n=20, alpha=0.05,
+                           sigma_const=0.9),
+        lambda: PolicySpec(kind="one_sided_optimal", band=BAND, n=20, alpha=0.05,
+                           c_alpha=3.0),
+        lambda: PolicySpec(kind="one_sided_optimal", band=BAND, n=20, alpha=0.05,
+                           crit_rule="fixed", c_alpha=3.0),
+        lambda: PolicySpec(kind="constant", band=BAND, n=20, sigma_const=0.9,
+                           table=(ThresholdLevel(1.0, 1.9),)),
+    ], ids=["c_alpha-normal", "c_alpha-t_step", "sigma_const", "c_alpha",
+            "crit_rule", "table"])
+    def test_unread_field_rejected(self, make):
+        # A field the rule ignores would still be recorded in the config echo.
+        with pytest.raises(ConfigurationError, match="does not read"):
+            make()
+
 
 class TestConstant:
     def test_always_sigma(self):
         spec = constant_policy(BAND, 5, 0.85)
-        st = PolicyState()
-        for x in (0.4, -1.2, 3.0, 0.0):
-            assert next_sigma(spec, st) == 0.85
-            st.observe(x)
+        xs = (0.4, -1.2, 3.0, 0.0)
+        for m in range(len(xs)):
+            assert scalar_sigma(spec, *state_after(xs[:m])) == 0.85
 
 
 class TestOneSidedOptimal:
     def test_below_threshold_takes_high(self):
         # S = 0 is below sigma_hi * Phi^-1(0.95) = 1.645
         spec = one_sided_optimal_policy(BAND, 100, 0.05)
-        assert next_sigma(spec, PolicyState()) == BAND.sigma_hi
+        assert scalar_sigma(spec, 1, 0.0) == BAND.sigma_hi
 
     def test_above_threshold_takes_low(self):
         spec = one_sided_optimal_policy(BAND, 100, 0.05)
         st = state_after([20.0])  # S/sqrt(n) = 2 > 1.645
-        assert next_sigma(spec, st) == BAND.sigma_lo
+        assert scalar_sigma(spec, *st) == BAND.sigma_lo
 
     def test_tie_is_inclusive(self):
         # sqrt(16) = 4 is a power of two, so S/sqrt(n) recovers the
@@ -102,15 +123,14 @@ class TestOneSidedOptimal:
         spec = one_sided_optimal_policy(BAND, 16, 0.05)
         s_star = BAND.sigma_hi * norm_quantile(0.95) * 4.0
         st = state_after([s_star])
-        assert st.running_sum / 4.0 == BAND.sigma_hi * norm_quantile(0.95)
-        assert next_sigma(spec, st) == BAND.sigma_hi
+        assert st[1] / 4.0 == BAND.sigma_hi * norm_quantile(0.95)
+        assert scalar_sigma(spec, *st) == BAND.sigma_hi
 
     def test_single_crossing_in_s(self):
         spec = one_sided_optimal_policy(BAND, 50, 0.05)
         values = []
         for s in np.linspace(-30, 30, 301):
-            st = PolicyState(i=2, running_sum=float(s), running_sum_sq=1.0, count=1)
-            values.append(next_sigma(spec, st))
+            values.append(scalar_sigma(spec, 2, float(s), 1.0))
         switches = sum(a != b for a, b in zip(values, values[1:]))
         assert switches == 1
         assert values[0] == BAND.sigma_hi and values[-1] == BAND.sigma_lo
@@ -125,15 +145,12 @@ class TestTwoSidedThresholdPolicy:
 
     def test_nearest_lookup(self, table):
         spec = two_sided_threshold_policy(BAND, 10, table)
-        st = PolicyState()
-        assert next_sigma(spec, st) == BAND.sigma_hi  # S = 0 inside
+        assert scalar_sigma(spec, 1, 0.0) == BAND.sigma_hi  # S = 0 inside
 
     def test_symmetric_in_s(self, table):
         spec = two_sided_threshold_policy(BAND, 100, table)
         for s in (5.0, 25.0):
-            st_pos = PolicyState(i=4, running_sum=s, running_sum_sq=9.0, count=3)
-            st_neg = PolicyState(i=4, running_sum=-s, running_sum_sq=9.0, count=3)
-            assert next_sigma(spec, st_pos) == next_sigma(spec, st_neg)
+            assert scalar_sigma(spec, 4, s, 9.0) == scalar_sigma(spec, 4, -s, 9.0)
 
     def test_effective_threshold_near_constant(self, table):
         # for alpha = 0.05 and time_remaining >= 0.5 the threshold is within
@@ -149,74 +166,61 @@ class TestTwoSidedThresholdPolicy:
         spec = two_sided_threshold_policy(
             BAND, 4, [ThresholdLevel(0.5, 1.0), ThresholdLevel(1.0, 3.0)]
         )
-        assert next_sigma(spec, state_after([4.0])) == BAND.sigma_lo
+        assert scalar_sigma(spec, *state_after([4.0])) == BAND.sigma_lo
 
 
 class TestHeuristicT:
     def test_first_two_steps_take_high(self):
         spec = heuristic_t_policy(BAND, 20, 0.05)
-        assert next_sigma(spec, PolicyState()) == BAND.sigma_hi
-        st = state_after([5.0])
-        assert next_sigma(spec, st) == BAND.sigma_hi
+        assert scalar_sigma(spec, 1, 0.0) == BAND.sigma_hi
+        assert scalar_sigma(spec, *state_after([5.0])) == BAND.sigma_hi
 
     def test_zero_variance_takes_high(self):
         spec = heuristic_t_policy(BAND, 20, 0.05)
         st = state_after([2.0, 2.0, 2.0])  # equal observations, s2 = 0
         assert sample_variance(st) == 0.0
-        assert next_sigma(spec, st) == BAND.sigma_hi
+        assert scalar_sigma(spec, *st) == BAND.sigma_hi
 
     def test_significant_path_takes_low(self):
         spec = heuristic_t_policy(BAND, 4, 0.05)
         st = state_after([3.0, 3.1, 3.2])
-        stat = abs(st.running_sum) / math.sqrt(4 * sample_variance(st))
+        stat = abs(st[1]) / math.sqrt(4 * sample_variance(st))
         assert stat > norm_quantile(0.975)
-        assert next_sigma(spec, st) == BAND.sigma_lo
+        assert scalar_sigma(spec, *st) == BAND.sigma_lo
 
     def test_statistic_uses_full_horizon(self):
         # same observations, larger n: statistic shrinks, branch can flip
         st = state_after([3.0, 3.1, 3.2])
         small_n = heuristic_t_policy(BAND, 4, 0.05)
         large_n = heuristic_t_policy(BAND, 4000, 0.05)
-        assert next_sigma(small_n, st) == BAND.sigma_lo
-        assert next_sigma(large_n, st) == BAND.sigma_hi
+        assert scalar_sigma(small_n, *st) == BAND.sigma_lo
+        assert scalar_sigma(large_n, *st) == BAND.sigma_hi
 
     def test_t_step_convention(self):
         spec = heuristic_t_policy(BAND, 20, 0.05, crit_rule="t_step")
         crit = t_quantile(0.975, 3)
         assert spec.bound[5] == crit * crit * 20
         st = state_after([1.0, 1.5, 0.5, 1.2])
-        stat = abs(st.running_sum) / math.sqrt(20 * sample_variance(st))
+        stat = abs(st[1]) / math.sqrt(20 * sample_variance(st))
         expected = BAND.sigma_hi if stat <= crit else BAND.sigma_lo
-        assert next_sigma(spec, st) == expected
+        assert scalar_sigma(spec, *st) == expected
 
     def test_fixed_c_alpha(self):
         spec = heuristic_t_policy(BAND, 20, c_alpha=2.5)
         assert spec.crit_rule == "fixed"
         st = state_after([3.0, 3.1, 3.2])
-        stat = abs(st.running_sum) / math.sqrt(20 * sample_variance(st))
-        assert next_sigma(spec, st) == (BAND.sigma_hi if stat <= 2.5 else BAND.sigma_lo)
+        stat = abs(st[1]) / math.sqrt(20 * sample_variance(st))
+        assert scalar_sigma(spec, *st) == (BAND.sigma_hi if stat <= 2.5 else BAND.sigma_lo)
 
 
 class TestStateContracts:
-    def test_count_mismatch(self):
-        spec = constant_policy(BAND, 10, 0.9)
-        st = PolicyState(i=3, running_sum=0.0, running_sum_sq=0.0, count=1)
-        with pytest.raises(StateError):
-            next_sigma(spec, st)
-
-    def test_beyond_horizon(self):
-        spec = constant_policy(BAND, 2, 0.9)
-        st = state_after([0.1, 0.2])
-        with pytest.raises(StateError):
-            next_sigma(spec, st)
-
     def test_predictability(self):
         # states built from identical prefixes give identical outputs,
         # whatever would come next
         spec = heuristic_t_policy(BAND, 50, 0.05)
         a = state_after([0.3, -1.1, 0.7])
         b = state_after([0.3, -1.1, 0.7])
-        assert next_sigma(spec, a) == next_sigma(spec, b)
+        assert scalar_sigma(spec, *a) == scalar_sigma(spec, *b)
 
     def test_range_property(self):
         rng = np.random.default_rng(7)
@@ -229,11 +233,13 @@ class TestStateContracts:
             heuristic_t_policy(BAND, 30, 0.05, crit_rule="t_step"),
         ]
         for spec in specs:
-            st = PolicyState()
-            for i in range(30):
-                sig = next_sigma(spec, st)
+            s = ss = 0.0
+            for i in range(1, 31):
+                sig = scalar_sigma(spec, i, s, ss)
                 assert BAND.sigma_lo <= sig <= BAND.sigma_hi
-                st.observe(sig * rng.standard_normal())
+                x = sig * rng.standard_normal()
+                s += x
+                ss += x * x
 
 
 def near(x, ulps=4):
@@ -247,54 +253,53 @@ def near(x, ulps=4):
 
 
 class TestScalarMatchesKernel:
-    """``next_sigma`` must give exactly what the simulator's kernel gives for
-    the same state, at ties and within a few ulps of them.  Both paths once
+    """The kernel at width 1 must give exactly what it gives for the same
+    state inside a wider array, at ties and within a few ulps of them.  Both paths once
     wrote each rule separately, with different rounding, and disagreed on
     about 2.5% of near-tie heuristic states."""
 
     @staticmethod
     def kernel(spec, states):
-        # The simulator's per-step call, on one array holding every state.
+        # The simulator's per-step call, on one array holding every (i, S, Q).
         sig = spec.sigma(
-            states[0].i,
-            np.array([st.running_sum for st in states]),
-            np.array([st.running_sum_sq for st in states]),
+            states[0][0],
+            np.array([s for _, s, _ in states]),
+            np.array([ss for _, _, ss in states]),
         )
         return np.broadcast_to(sig, (len(states),)).tolist()
 
     def check(self, spec, states):
-        scalar = [next_sigma(spec, st) for st in states]
+        scalar = [scalar_sigma(spec, *st) for st in states]
         assert scalar == self.kernel(spec, states)
         assert all(self.kernel(spec, [st]) == [sig] for st, sig in zip(states, scalar))
         return scalar
 
     def test_reported_disagreements(self):
         one_sided = one_sided_optimal_policy(BAND, 10_000, 0.05)
-        st = PolicyState(i=2, running_sum=164.4853626951472, count=1)
+        st = (2, 164.4853626951472, 0.0)
         assert self.check(one_sided, [st]) == [BAND.sigma_hi]
         heuristic = heuristic_t_policy(BAND, 20, 0.05)
-        st = PolicyState(i=10, running_sum=9.144849381033172, running_sum_sq=18.0, count=9)
+        st = (10, 9.144849381033172, 18.0)
         assert self.check(heuristic, [st]) == [BAND.sigma_lo]
 
     def test_exact_ties_take_high(self, table):
         hi, lo = BAND.sigma_hi, BAND.sigma_lo
         one_sided = one_sided_optimal_policy(BAND, 10_000, 0.05)
         s_tie = one_sided.bound
-        states = [PolicyState(i=7, running_sum=s, count=6) for s in near(s_tie, 1)]
+        states = [(7, s, 0.0) for s in near(s_tie, 1)]
         assert self.check(one_sided, states) == [hi, hi, lo]
 
         two_sided = two_sided_threshold_policy(BAND, 100, table)
         s_tie = two_sided.bound[40]
         for sign in (1.0, -1.0):
-            states = [PolicyState(i=40, running_sum=sign * s, count=39) for s in near(s_tie, 1)]
+            states = [(40, sign * s, 0.0) for s in near(s_tie, 1)]
             assert self.check(two_sided, states) == [hi, hi, lo]
 
         # c = 1, n = 4, i = 3: S = 2, Q = 3 gives s^2 = 1 and S^2 = c^2 n s^2.
         fixed = heuristic_t_policy(BAND, 4, c_alpha=1.0)
-        states = [PolicyState(i=3, running_sum=s, running_sum_sq=3.0, count=2)
-                  for s in near(2.0, 1)]
+        states = [(3, s, 3.0) for s in near(2.0, 1)]
         assert self.check(fixed, states) == [hi, hi, lo]
-        zero_variance = PolicyState(i=3, running_sum=2.0, running_sum_sq=2.0, count=2)
+        zero_variance = (3, 2.0, 2.0)
         assert self.check(fixed, [zero_variance]) == [hi]
 
     @pytest.mark.parametrize("rule", ["normal", "t_step"])
@@ -306,13 +311,12 @@ class TestScalarMatchesKernel:
             k = spec.bound[i]
             m = i - 1
             s_tie = math.sqrt(k * q / ((m - 1) + k / m))
-            states = [PolicyState(i=i, running_sum=sign * s, running_sum_sq=q, count=m)
-                      for s in near(s_tie) for sign in (1.0, -1.0)]
+            states = [(i, sign * s, q) for s in near(s_tie) for sign in (1.0, -1.0)]
             assert set(self.check(spec, states)) == {BAND.sigma_lo, BAND.sigma_hi}
 
     def test_constant(self):
         spec = constant_policy(BAND, 5, 0.85)
-        states = [PolicyState(i=3, running_sum=s, running_sum_sq=9.0, count=2) for s in (-3.0, 3.0)]
+        states = [(3, s, 9.0) for s in (-3.0, 3.0)]
         assert self.check(spec, states) == [0.85, 0.85]
 
 

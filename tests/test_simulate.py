@@ -11,19 +11,15 @@ from numpy.random import SFC64, Generator, SeedSequence
 from gnormal import (
     ConfigurationError,
     DomainError,
-    PolicyState,
     SimulationConfig,
     TestSpec,
-    UndefinedStatisticError,
     VolatilityBand,
     constant_policy,
     heuristic_t_policy,
-    next_sigma,
     norm_quantile,
     one_sided_optimal_policy,
     p1,
     run,
-    t_statistic,
     two_sided_threshold,
     two_sided_threshold_policy,
     wilson_interval,
@@ -31,6 +27,8 @@ from gnormal import (
 from gnormal import simulate
 from gnormal.capacity import tail_threshold
 from gnormal.simulate import HIST_BINS, RNG_SCHEME
+
+from oracles import scalar_sigma, t_statistic
 
 BAND = VolatilityBand(0.8, 1.0)
 
@@ -55,6 +53,19 @@ def replication_noise(seed: int, rep: int, n: int) -> np.ndarray:
     return _reference_tile(seed, rep // TILE, n)[:, rep % TILE]
 
 
+def resimulate(spec, eps):
+    """Observations X_i = sigma_i * eps_i of one replication, stepped one
+    at a time through the policy kernel at width 1."""
+    s = ss = 0.0
+    xs = []
+    for i, e in enumerate(eps, start=1):
+        x = scalar_sigma(spec, i, s, ss) * e
+        xs.append(x)
+        s += x
+        ss += x * x
+    return xs
+
+
 class TestTStatistic:
     def test_zero_mean(self):
         assert t_statistic([1.0, -1.0]) == 0.0
@@ -70,7 +81,7 @@ class TestTStatistic:
             assert t_statistic(k * xs) == pytest.approx(t_statistic(xs), rel=1e-10)
 
     def test_zero_variance(self):
-        with pytest.raises(UndefinedStatisticError):
+        with pytest.raises(ZeroDivisionError, match="zero sample variance"):
             t_statistic([2.0, 2.0, 2.0])
 
     def test_too_short(self):
@@ -258,11 +269,12 @@ class TestDeterminism:
         manual = 0
         for rep in range(64):
             eps = replication_noise(seed, rep, n)
-            st = PolicyState()
+            s = ss = 0.0
             for i in range(n):
-                sig = next_sigma(spec, st)
-                st.observe(sig * eps[i])
-            z = st.running_sum / math.sqrt(n)
+                x = scalar_sigma(spec, i + 1, s, ss) * eps[i]
+                s += x
+                ss += x * x
+            z = s / math.sqrt(n)
             manual += z > crit
         assert manual == report.rejections
 
@@ -276,14 +288,7 @@ class TestDeterminism:
             crit = test.critical_value(n)
             manual = 0
             for rep in range(reps):
-                eps = replication_noise(seed, rep, n)
-                st = PolicyState()
-                xs = []
-                for i in range(n):
-                    sig = next_sigma(spec, st)
-                    x = sig * eps[i]
-                    xs.append(x)
-                    st.observe(x)
+                xs = resimulate(spec, replication_noise(seed, rep, n))
                 manual += abs(t_statistic(xs)) > crit
             assert manual == report.rejections
 
@@ -332,14 +337,7 @@ class TestHistogram:
         crit = test.critical_value(30)
         manual = 0
         for rep in range(4000):
-            eps = replication_noise(8, rep, 30)
-            st = PolicyState()
-            xs = []
-            for i in range(30):
-                sig = next_sigma(spec, st)
-                x = sig * eps[i]
-                xs.append(x)
-                st.observe(x)
+            xs = resimulate(spec, replication_noise(8, rep, 30))
             manual += abs(t_statistic(xs)) > crit
         assert manual == report.rejections
 
