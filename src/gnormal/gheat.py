@@ -26,9 +26,14 @@ Numerical conventions that matter to the contracts:
   bitwise mirror-symmetric for symmetric data on a symmetric grid.  g
   equals h_hi max(d2, 0) + h_lo min(d2, 0) bit for bit: as h_hi >= h_lo
   >= 0 the max picks the product the sum keeps, and the + 0.0 turns the
-  -0.0 that h_lo d2 is when s_lo = 0 or it underflows into the sum's +0.0;
-  without it a -0.0 node of table data could stay -0.0 where the sum
-  form makes it +0.0.
+  -0.0 that h_lo d2 is when s_lo = 0 or it underflows into the sum's +0.0.
+  That sign changes u[j] + dt g only where u[j] is -0.0, and a float sum
+  is -0.0 only if both terms are, so a march whose datum and boundary
+  values hold no -0.0 never makes one and skips the + 0.0.
+* 1{|x| > c} on a grid with x_min = -x_max marches the right half only,
+  behind a ghost node nx//2 - 1 that copies its mirror after the step's
+  right boundary value.  Datum and ends are mirror images, so by the
+  symmetry above every kept node holds the full march's bits.
 * Overflow surfaces once, as NumericalError naming the step whose
   arithmetic failed.  Every datum starts finite, and finite arithmetic
   turns non-finite only by an overflow or invalid operation, so ``solve``
@@ -203,10 +208,11 @@ class GridSolution:
     ``values[k, j]`` is u(times[k], x[j]).  ``snapped_c`` is the
     cell-midpoint threshold actually used for indicator data.
     ``diagnostics`` holds the march's wall seconds (``march_s``, set-up
-    included), ``steps_per_s`` and ``cfl``, the CFL fraction actually used,
-    dt s_hi^2 / dx^2 (at most ``safety``, up to one rounding of dt); it is
-    volatile, so it takes no part in equality, ``write_csv`` or any
-    checksum.
+    included), ``steps_per_s``, ``cfl``, the CFL fraction actually used,
+    dt s_hi^2 / dx^2 (at most ``safety``, up to one rounding of dt), and
+    ``nodes_per_step``, the interior nodes each step updates (fewer in a
+    half march); it is volatile, so it takes no part in equality,
+    ``write_csv`` or any checksum.
     """
 
     grid: GridSpec
@@ -327,7 +333,8 @@ class _March:
     its second difference divided by dx^2.  Both are buffers allocated once
     per march: u is advanced in place after the yield and d2 is overwritten
     by the next step, so a consumer that keeps either must copy it.
-    Retained levels are the steps divisible by ``stride``."""
+    Retained levels are the steps divisible by ``stride``.  In a half march
+    ``x``, u and d2 cover only the ghost node and the right half."""
 
     x: np.ndarray
     snapped_c: float | None
@@ -359,14 +366,19 @@ def _march(
     times = np.arange(n_steps + 1) * dt
     times[-1] = grid.t_end
 
+    mirror = 0  # u[mirror] is the ghost's mirror in a half march; see the module notes
+    if isinstance(ic, IndicatorAbsAbove) and grid.x_min == -grid.x_max:
+        x, u0, mirror = x[grid.nx // 2 - 1 :], u0[grid.nx // 2 - 1 :], 1 + grid.nx % 2
+    ends = [-1] if mirror else [0, -1]
     # Boundary values of every step at once, as Python floats for cheap
     # indexing in the step loop; t_next = (k + 1) * dt.
     if snapped_c is not None and band.sigma_lo > 0.0:
         t_next = np.arange(1, n_steps + 1)[:, None] * dt
-        boundary = _closed_form(ic, snapped_c, x[[0, -1]], t_next, band)
+        boundary = _closed_form(ic, snapped_c, x[ends], t_next, band)
     else:
-        boundary = np.broadcast_to(u0[[0, -1]], (n_steps, 2))
-    bc_left, bc_right = boundary.T.tolist()
+        boundary = np.broadcast_to(u0[ends], (n_steps, len(ends)))
+    bc_left, bc_right = boundary.T[[0, -1]].tolist()
+    signed_zero = any(np.signbit(a[a == 0.0]).any() for a in (u0, boundary))
 
     def states():
         k = 0  # a trapped flag in set-up counts as step 1; see the module notes
@@ -376,7 +388,7 @@ def _march(
             inv_dx2 = 1.0 / (dx * dx)
             u = u0.copy()
             west, mid, east = u[:-2], u[1:-1], u[2:]
-            d2, g, work = np.empty((3, grid.nx - 2))
+            d2, g, work = np.empty((3, x.size - 2))
 
             def second_difference():
                 # (u[j-1] + u[j+1]) - 2 u[j], then / dx^2: mirror-stable order.
@@ -392,11 +404,13 @@ def _march(
                 np.multiply(d2, half_hi, out=g)
                 np.multiply(d2, half_lo, out=work)
                 np.maximum(g, work, out=g)
-                np.add(g, 0.0, out=g)
+                if signed_zero:
+                    np.add(g, 0.0, out=g)
                 np.multiply(g, dt, out=g)
                 np.add(mid, g, out=mid)
-                u[0] = bc_left[k]
+                # The ghost goes last: at nx = 3 its mirror is the right end.
                 u[-1] = bc_right[k]
+                u[0] = u[mirror] if mirror else bc_left[k]
             second_difference()
         except FloatingPointError:
             raise NumericalError(f"non-finite values detected at step {k + 1}") from None
@@ -424,19 +438,25 @@ def solve(
     march = _march(ic, band, grid, max_levels)
     times = march.times[:: march.stride]
     values = np.empty((times.size, grid.nx))
+    # A half march leaves the nodes left of its ghost to their mirrors.
+    mirrored = grid.nx - march.x.size
     with np.errstate(over="raise", invalid="raise"):
         for k, u, _ in march.states:
             if k % march.stride == 0:
-                values[k // march.stride] = u
+                row = values[k // march.stride]
+                row[mirrored:] = u
+                row[:mirrored] = u[::-1][:mirrored]
     march_s = time.perf_counter() - start
     n_steps = march.times.size - 1
     return GridSolution(
-        grid=grid, band=band, ic=ic, x=march.x, times=times, values=values,
-        dt=march.dt, n_steps=n_steps, snapped_c=march.snapped_c,
+        grid=grid, band=band, ic=ic, x=np.linspace(grid.x_min, grid.x_max, grid.nx),
+        times=times, values=values, dt=march.dt, n_steps=n_steps,
+        snapped_c=march.snapped_c,
         diagnostics={
             "march_s": march_s,
             "steps_per_s": n_steps / march_s,
             "cfl": march.dt * band.sigma_hi * band.sigma_hi / (grid.dx * grid.dx),
+            "nodes_per_step": march.x.size - 2,
         },
     )
 

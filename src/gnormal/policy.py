@@ -54,7 +54,8 @@ class PolicySpec:
     ``kind`` is one of "constant", "one_sided_optimal",
     "two_sided_threshold", "heuristic_t"; the remaining fields apply per
     kind and are validated on construction.  A field the rule never reads
-    (``c_alpha`` is read only under ``crit_rule="fixed"``) must keep its
+    (``c_alpha`` is read only under ``crit_rule="fixed"``, ``alpha`` only by
+    the one-sided rule and the other heuristic rules) must keep its
     default, so the config echo records only what the rule uses.
     Construction also computes ``bound``, the right-hand side of the rule's
     comparison: a float for the one-sided rule, a read-only array indexed
@@ -78,6 +79,8 @@ class PolicySpec:
         if n < 1:
             raise ConfigurationError(f"horizon n must be >= 1, got {n!r}")
         for name, default, read in (
+            ("alpha", None, self.kind == "one_sided_optimal"
+             or self.kind == "heuristic_t" and self.crit_rule != "fixed"),
             ("sigma_const", None, self.kind == "constant"),
             ("table", None, self.kind == "two_sided_threshold"),
             ("crit_rule", "normal", self.kind == "heuristic_t"),

@@ -8,8 +8,10 @@ adaptive quadrature of its defining integral.
 
 The bitwise references at the end keep the first, allocating spelling of
 the explicit PDE step and of the profile's erfc map; the package's
-buffered forms must reproduce them byte for byte.  ``exact_values`` is the
-closed-form reference the PDE tests compare solutions with.
+buffered forms must reproduce them byte for byte.  ``reference_solve``
+always marches the whole grid, so it also pins the solver's half march of
+mirror-symmetric data.  ``exact_values`` is the closed-form reference the
+PDE tests compare solutions with.
 
 The scalar references last: ``scalar_sigma`` evaluates a policy at width 1
 for step-by-step re-simulation, ``t_statistic`` is the textbook Student
@@ -24,7 +26,7 @@ import numpy as np
 
 from gnormal.capacity import profile_f_yy, tail_threshold
 from gnormal.errors import DomainError
-from gnormal.gheat import _closed_form
+from gnormal.gheat import _closed_form, _sample_ic
 
 mp.mp.dps = 40
 
@@ -103,6 +105,20 @@ def reference_march(u0, boundary, dt, dx, sigma_lo, sigma_hi):
         u[1:-1] += dt * g
         u[0], u[-1] = left, right
     yield len(boundary), u.copy(), ((u[:-2] + u[2:]) - 2.0 * u[1:-1]) * inv_dx2
+
+
+def reference_solve(ic, band, grid, dt, n_steps):
+    """``reference_march`` over the whole grid, from the datum sampled on
+    every node, with both ends set by the boundary rule: the closed form
+    for indicator data when sigma_lo > 0, the initial end values otherwise."""
+    x = np.linspace(grid.x_min, grid.x_max, grid.nx)
+    u0, c = _sample_ic(ic, x, grid.dx)
+    if c is not None and band.sigma_lo > 0.0:
+        t_next = np.arange(1, n_steps + 1)[:, None] * dt
+        ends = _closed_form(ic, c, x[[0, -1]], t_next, band)
+    else:
+        ends = np.broadcast_to(u0[[0, -1]], (n_steps, 2))
+    return reference_march(u0, ends.tolist(), dt, grid.dx, band.sigma_lo, band.sigma_hi)
 
 
 _erfc_object = np.frompyfunc(math.erfc, 1, 1)

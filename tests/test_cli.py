@@ -188,7 +188,8 @@ class TestSolveCommand:
         assert proc.returncode == 0, proc.stderr
         line = [l for l in proc.stderr.splitlines() if l.startswith("diagnostics: ")]
         diag = json.loads(line[0].split(": ", 1)[1])
-        assert set(diag) == {"march_s", "steps_per_s", "cfl"}
+        assert set(diag) == {"march_s", "steps_per_s", "cfl", "nodes_per_step"}
+        assert diag["nodes_per_step"] == 201 - 100 - 1  # the half march ran
         assert 0.0 < diag["cfl"] <= 0.5
         manifest = (tmp_path / "d.csv.manifest.json").read_text()
         assert "march_s" not in manifest and "cfl" not in manifest

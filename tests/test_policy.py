@@ -90,8 +90,15 @@ class TestSpecValidation:
                            crit_rule="fixed", c_alpha=3.0),
         lambda: PolicySpec(kind="constant", band=BAND, n=20, sigma_const=0.9,
                            table=(ThresholdLevel(1.0, 1.9),)),
+        lambda: PolicySpec(kind="constant", band=BAND, n=20, alpha=0.05, sigma_const=0.9),
+        lambda: PolicySpec(kind="two_sided_threshold", band=BAND, n=20, alpha=0.05,
+                           table=(ThresholdLevel(1.0, 1.9),)),
+        lambda: PolicySpec(kind="heuristic_t", band=BAND, n=20, alpha=0.05,
+                           crit_rule="fixed", c_alpha=2.5),
+        lambda: heuristic_t_policy(BAND, 20, 0.05, c_alpha=2.5),
     ], ids=["c_alpha-normal", "c_alpha-t_step", "sigma_const", "c_alpha",
-            "crit_rule", "table"])
+            "crit_rule", "table", "alpha-constant", "alpha-two_sided_threshold",
+            "alpha-fixed", "alpha-fixed-helper"])
     def test_unread_field_rejected(self, make):
         # A field the rule ignores would still be recorded in the config echo.
         with pytest.raises(ConfigurationError, match="does not read"):
