@@ -16,7 +16,6 @@ from .capacity import (
     profile_f,
     profile_f_yy,
     relative_error_bound,
-    relative_error_bound_closed_form,
     two_sided_error_bound,
 )
 from .errors import (
@@ -64,7 +63,6 @@ __all__ = [
     # capacity
     "VolatilityBand", "TwoSidedApprox", "profile_f", "profile_f_yy", "p1",
     "p2_approx", "two_sided_error_bound", "relative_error_bound",
-    "relative_error_bound_closed_form",
     # gheat
     "GridSpec", "GridSolution", "SandwichReport", "ThresholdLevel",
     "indicator_above", "indicator_abs_above", "lipschitz_sampled",

@@ -17,8 +17,7 @@ is the comparison-theorem sandwich
     0 <= u + v - w <= 2 (s_hi - s_lo)/s_hi * Phi(-2c / (s_hi sqrt(t))),
 
 and the relative bound divides it by the exact minimum of u + v (attained
-at x = 0).  ``relative_error_bound_closed_form`` keeps the looser printed
-expression that avoids a second normal-CDF evaluation.
+at x = 0).
 """
 
 from __future__ import annotations
@@ -41,7 +40,6 @@ __all__ = [
     "p2_approx",
     "two_sided_error_bound",
     "relative_error_bound",
-    "relative_error_bound_closed_form",
 ]
 
 
@@ -168,8 +166,8 @@ def relative_error_bound(c: float, t: float, band: VolatilityBand) -> float:
 
     The numerator is the absolute sandwich bound; the denominator is the
     exact minimum of u + v over x, attained at x = 0.  This is the sharp
-    form behind the reported relative errors; the looser printed expression
-    is available as ``relative_error_bound_closed_form``.
+    form behind the reported relative errors; it never exceeds the paper's
+    looser printed expression, which needs no second normal-CDF evaluation.
     """
     _require_relative_regime(c, t, band)
     if t == 0.0:
@@ -179,26 +177,6 @@ def relative_error_bound(c: float, t: float, band: VolatilityBand) -> float:
         return 0.0
     den = 2.0 * profile_f(-c / math.sqrt(t), band)
     return num / den
-
-
-def relative_error_bound_closed_form(c: float, t: float, band: VolatilityBand) -> float:
-    """Gaussian-free upper bound on the relative error:
-
-        (s_hi^2 - s_lo^2)(c^2/s_hi^2 + t)/(4 c^2) * exp(-3 c^2/(2 s_hi^2 t)).
-
-    At t = 1 this dominates the asymptotic form
-    (1 - s_lo^2/s_hi^2)/4 * exp(-3 c^2/(2 s_hi^2)).
-    """
-    _require_relative_regime(c, t, band)
-    lo, hi = band.sigma_lo, band.sigma_hi
-    if t == 0.0:
-        return 0.0
-    return (
-        (hi * hi - lo * lo)
-        * (c * c / (hi * hi) + t)
-        / (4.0 * c * c)
-        * math.exp(-1.5 * c * c / (hi * hi * t))
-    )
 
 
 def p2_approx(c: float, band: VolatilityBand) -> TwoSidedApprox:

@@ -20,16 +20,17 @@ Numerical conventions that matter to the contracts:
   values.  Default domains put the boundary 10 s_hi beyond the threshold,
   where either choice is accurate to well below discretization error.
 * One step, in this order, with every numpy result written into buffers
-  made once per march: d2 = ((u[j-1] + u[j+1]) - 2 u[j]) * (1/dx^2);
-  g = max(h_hi d2, h_lo d2) + 0.0 with h = s^2/2; u[j] += dt g on the
-  interior; then the two boundary values.  This d2 order makes every step
-  bitwise mirror-symmetric for symmetric data on a symmetric grid.  g
-  equals h_hi max(d2, 0) + h_lo min(d2, 0) bit for bit: as h_hi >= h_lo
-  >= 0 the max picks the product the sum keeps, and the + 0.0 turns the
-  -0.0 that h_lo d2 is when s_lo = 0 or it underflows into the sum's +0.0.
-  That sign changes u[j] + dt g only where u[j] is -0.0, and a float sum
-  is -0.0 only if both terms are, so a march whose datum and boundary
-  values hold no -0.0 never makes one and skips the + 0.0.
+  made once per march: D = (u[j-1] + u[j+1]) - 2 u[j], the undivided
+  second difference; g = max(a_hi D, a_lo D) + 0.0 with the coefficients
+  a = (dt/dx^2) s^2/2 computed once per march; u[j] += g on the interior;
+  then the two boundary values.  This D order makes every step bitwise
+  mirror-symmetric for symmetric data on a symmetric grid.  g equals
+  a_hi max(D, 0) + a_lo min(D, 0) bit for bit: as a_hi >= a_lo >= 0 the
+  max picks the product the sum keeps, and the + 0.0 turns the -0.0 that
+  a_lo D is when s_lo = 0 or it underflows into the sum's +0.0.  That
+  sign changes u[j] + g only where u[j] is -0.0, and a float sum is -0.0
+  only if both terms are, so a march whose datum and boundary values hold
+  no -0.0 never makes one and skips the + 0.0.
 * 1{|x| > c} on a grid with x_min = -x_max marches the right half only,
   behind a ghost node nx//2 - 1 that copies its mirror after the step's
   right boundary value.  Datum and ends are mirror images, so by the
@@ -45,8 +46,10 @@ Numerical conventions that matter to the contracts:
   endpoints included); the step count is rounded up so retained times land
   on exact multiples of t_end/(levels-1) at every spatial resolution,
   which lets refinement studies compare matching levels.
-* The threshold table reads the same march, locating the sign change of the
-  second difference only at the step nearest each reported time.
+* The threshold table reads the same march, locating the sign change of D
+  only at the step nearest each reported time.  D of data in [0, 1] lies
+  in [-2, 2], so the root interpolation cannot overflow, and the noise
+  floor is a fixed multiple of eps.
 
 Within one solve, the update is a data-parallel map over space with one
 synchronization per step; results are independent of how the space loop is
@@ -89,9 +92,9 @@ __all__ = [
     "verify_sandwich",
 ]
 
-# Sign changes of the discrete second derivative are ignored where both
-# endpoint magnitudes sit below this multiple of the rounding noise floor
-# eps/dx^2 (cancellation noise in flat regions has exactly that scale).
+# Sign changes of the undivided second difference D are ignored where both
+# endpoint magnitudes sit below this multiple of eps (cancellation noise of
+# data in [0, 1] in flat regions has exactly that scale).
 _D2_NOISE_MULT = 64.0
 
 _DEFAULT_MAX_LEVELS = 201
@@ -329,12 +332,13 @@ def _closed_form(ic, c, x, t, band):
 class _March:
     """One explicit march to t_end.  ``times[k]`` is the time of step k
     (k * dt, and exactly t_end at k = n_steps); ``states`` yields
-    (k, u, d2) for k = 0..n_steps, where u is the state at times[k] and d2
-    its second difference divided by dx^2.  Both are buffers allocated once
-    per march: u is advanced in place after the yield and d2 is overwritten
-    by the next step, so a consumer that keeps either must copy it.
-    Retained levels are the steps divisible by ``stride``.  In a half march
-    ``x``, u and d2 cover only the ghost node and the right half."""
+    (k, u, D) for k = 0..n_steps, where u is the state at times[k] and D
+    its undivided second difference (u[j-1] + u[j+1]) - 2 u[j] on the
+    interior.  Both are buffers allocated once per march: u is advanced in
+    place after the yield and D is overwritten by the next step, so a
+    consumer that keeps either must copy it.  Retained levels are the steps
+    divisible by ``stride``.  In a half march ``x``, u and D cover only the
+    ghost node and the right half."""
 
     x: np.ndarray
     snapped_c: float | None
@@ -383,30 +387,28 @@ def _march(
     def states():
         k = 0  # a trapped flag in set-up counts as step 1; see the module notes
         try:
-            half_hi = 0.5 * band.sigma_hi * band.sigma_hi
-            half_lo = 0.5 * band.sigma_lo * band.sigma_lo
-            inv_dx2 = 1.0 / (dx * dx)
+            mesh_ratio = dt / (dx * dx)
+            a_hi = mesh_ratio * (0.5 * band.sigma_hi * band.sigma_hi)
+            a_lo = mesh_ratio * (0.5 * band.sigma_lo * band.sigma_lo)
             u = u0.copy()
             west, mid, east = u[:-2], u[1:-1], u[2:]
             d2, g, work = np.empty((3, x.size - 2))
 
             def second_difference():
-                # (u[j-1] + u[j+1]) - 2 u[j], then / dx^2: mirror-stable order.
+                # (u[j-1] + u[j+1]) - 2 u[j]: mirror-stable order.
                 np.add(west, east, out=d2)
                 np.multiply(mid, 2.0, out=work)
                 np.subtract(d2, work, out=d2)
-                np.multiply(d2, inv_dx2, out=d2)
 
             for k in range(n_steps):
                 second_difference()
                 yield k, u, d2
-                # G(d2) = max(s_hi^2 d2, s_lo^2 d2)/2 + 0.0; see the module notes.
-                np.multiply(d2, half_hi, out=g)
-                np.multiply(d2, half_lo, out=work)
+                # dt G(D/dx^2) = max(a_hi D, a_lo D) + 0.0; see the module notes.
+                np.multiply(d2, a_hi, out=g)
+                np.multiply(d2, a_lo, out=work)
                 np.maximum(g, work, out=g)
                 if signed_zero:
                     np.add(g, 0.0, out=g)
-                np.multiply(g, dt, out=g)
                 np.add(mid, g, out=mid)
                 # The ghost goes last: at nx = 3 its mirror is the right end.
                 u[-1] = bc_right[k]
@@ -475,9 +477,7 @@ def _d2_sign_change_root(x, d2, pos_from, ref_c, noise_floor):
     idx = np.nonzero(flip)[0]
     if idx.size == 0:
         return ref_c, True, False
-    # right - left can overflow near the float range (s_hi ~ 1e-155): keep the node.
-    with np.errstate(over="ignore"):
-        roots = xs[idx] - left[idx] * (xs[idx + 1] - xs[idx]) / (right[idx] - left[idx])
+    roots = xs[idx] - left[idx] * (xs[idx + 1] - xs[idx]) / (right[idx] - left[idx])
     pick = int(np.argmin(np.abs(roots - ref_c)))
     return float(roots[pick]), False, idx.size > 1
 
@@ -533,14 +533,10 @@ def two_sided_threshold(
     ]
     wanted = set(picks)
     pos_from = int(np.searchsorted(march.x[1:-1], 0.0))
+    noise_floor = _D2_NOISE_MULT * np.finfo(float).eps
     with np.errstate(over="raise", invalid="raise"):
-        # The floor is evaluated after the march's set-up, which traps an
-        # overflowing 1/dx^2 as NumericalError before it can reach here.
         roots = {
-            k: _d2_sign_change_root(
-                march.x, d2, pos_from, march.snapped_c,
-                _D2_NOISE_MULT * np.finfo(float).eps * (1.0 / (grid.dx * grid.dx)),
-            )
+            k: _d2_sign_change_root(march.x, d2, pos_from, march.snapped_c, noise_floor)
             for k, _, d2 in march.states
             if k in wanted
         }

@@ -6,12 +6,17 @@ never touch the package's own code paths: normal quantities via erf/erfc,
 Student-t via the regularized incomplete beta, and the capacity profile via
 adaptive quadrature of its defining integral.
 
+``relative_error_bound_closed_form`` is the paper's printed relative
+error bound, the reference the package's sharp bound is compared with.
+
 The bitwise references at the end keep the first, allocating spelling of
 the explicit PDE step and of the profile's erfc map; the package's
 buffered forms must reproduce them byte for byte.  ``reference_solve``
 always marches the whole grid, so it also pins the solver's half march of
-mirror-symmetric data.  ``exact_values`` is the closed-form reference the
-PDE tests compare solutions with.
+mirror-symmetric data.  ``unfolded_march`` keeps the step that scaled by
+1/dx^2 and by dt separately; the folded step must stay within a few eps of
+it.  ``exact_values`` is the closed-form reference the PDE tests compare
+solutions with.
 
 The scalar references last: ``scalar_sigma`` evaluates a policy at width 1
 for step-by-step re-simulation, ``t_statistic`` is the textbook Student
@@ -87,13 +92,47 @@ def p1_quad(c, sigma_lo, sigma_hi):
     return profile_f_quad(-mp.mpf(c), sigma_lo, sigma_hi)
 
 
+def relative_error_bound_closed_form(c, t, band):
+    """The paper's Gaussian-free bound on the relative error, for
+    c > sigma_hi/2 and t > 0:
+
+        (s_hi^2 - s_lo^2)(c^2/s_hi^2 + t)/(4 c^2) * exp(-3 c^2/(2 s_hi^2 t)).
+
+    At t = 1 this dominates the asymptotic form
+    (1 - s_lo^2/s_hi^2)/4 * exp(-3 c^2/(2 s_hi^2)).
+    """
+    lo, hi = band.sigma_lo, band.sigma_hi
+    return (
+        (hi * hi - lo * lo)
+        * (c * c / (hi * hi) + t)
+        / (4.0 * c * c)
+        * math.exp(-1.5 * c * c / (hi * hi * t))
+    )
+
+
 def reference_march(u0, boundary, dt, dx, sigma_lo, sigma_hi):
     """The explicit monotone step, one allocating expression per line.
 
-    Yields (k, u, d2) for k = 0..len(boundary) like ``gheat._march``'s
-    states, with fresh arrays; ``boundary[k]`` holds the (left, right) end
-    values set after step k + 1.
+    Yields (k, u, D) for k = 0..len(boundary) like ``gheat._march``'s
+    states, with fresh arrays, D being the undivided second difference;
+    ``boundary[k]`` holds the (left, right) end values set after step k + 1.
     """
+    mesh_ratio = dt / (dx * dx)
+    a_hi = mesh_ratio * (0.5 * sigma_hi * sigma_hi)
+    a_lo = mesh_ratio * (0.5 * sigma_lo * sigma_lo)
+    u = np.array(u0, dtype=float)
+    for k, (left, right) in enumerate(boundary):
+        d = (u[:-2] + u[2:]) - 2.0 * u[1:-1]
+        yield k, u.copy(), d
+        u[1:-1] += a_hi * np.maximum(d, 0.0) + a_lo * np.minimum(d, 0.0)
+        u[0], u[-1] = left, right
+    yield len(boundary), u.copy(), (u[:-2] + u[2:]) - 2.0 * u[1:-1]
+
+
+def unfolded_march(u0, boundary, dt, dx, sigma_lo, sigma_hi):
+    """``reference_march`` with the step that divided the second difference
+    by dx^2 and scaled G by dt as two more passes: the same scheme rounded
+    differently.  Yields (k, u, d2) with d2 = D/dx^2."""
     half_hi = 0.5 * sigma_hi * sigma_hi
     half_lo = 0.5 * sigma_lo * sigma_lo
     inv_dx2 = 1.0 / (dx * dx)
@@ -107,10 +146,11 @@ def reference_march(u0, boundary, dt, dx, sigma_lo, sigma_hi):
     yield len(boundary), u.copy(), ((u[:-2] + u[2:]) - 2.0 * u[1:-1]) * inv_dx2
 
 
-def reference_solve(ic, band, grid, dt, n_steps):
-    """``reference_march`` over the whole grid, from the datum sampled on
-    every node, with both ends set by the boundary rule: the closed form
-    for indicator data when sigma_lo > 0, the initial end values otherwise."""
+def reference_solve(ic, band, grid, dt, n_steps, march=reference_march):
+    """``march`` (by default ``reference_march``) over the whole grid, from
+    the datum sampled on every node, with both ends set by the boundary
+    rule: the closed form for indicator data when sigma_lo > 0, the initial
+    end values otherwise."""
     x = np.linspace(grid.x_min, grid.x_max, grid.nx)
     u0, c = _sample_ic(ic, x, grid.dx)
     if c is not None and band.sigma_lo > 0.0:
@@ -118,7 +158,7 @@ def reference_solve(ic, band, grid, dt, n_steps):
         ends = _closed_form(ic, c, x[[0, -1]], t_next, band)
     else:
         ends = np.broadcast_to(u0[[0, -1]], (n_steps, 2))
-    return reference_march(u0, ends.tolist(), dt, grid.dx, band.sigma_lo, band.sigma_hi)
+    return march(u0, ends.tolist(), dt, grid.dx, band.sigma_lo, band.sigma_hi)
 
 
 _erfc_object = np.frompyfunc(math.erfc, 1, 1)

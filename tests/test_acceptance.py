@@ -5,6 +5,7 @@ per criterion.  The two-sided simulation reproduction defaults to the full
 one-million-replication scale; set GNORMAL_ACCEPT_REPS=100000 for the
 desk-scale fallback with its wider tolerance.  Criteria 1, 4 and 5 take
 their targets, tolerances and sizes from the table ``gnormal repro`` uses.
+The long simulations run on GNORMAL_WORKERS workers, by default up to two.
 """
 
 import json
@@ -56,6 +57,9 @@ BAND = REPRO_BAND
 ACCEPT_REPS = int(os.environ.get("GNORMAL_ACCEPT_REPS", "1000000"))
 SIM_TOL = hetero_tolerance(ACCEPT_REPS)
 SEED = 1
+# Tallies are bit-identical for every worker count (criterion 9), so the
+# long runs take both cores of a typical machine.
+WORKERS = int(os.environ.get("GNORMAL_WORKERS", min(2, os.cpu_count() or 1)))
 
 
 def report(criterion: int, ok: bool, detail: str) -> None:
@@ -75,6 +79,7 @@ def heuristic_reports():
                 policy=heuristic_t_policy(BAND, n, REPRO_ALPHA, crit_rule=rule),
                 test=TestSpec(sided="two", alpha=REPRO_ALPHA, statistic="t"),
                 seed=SEED,
+                workers=WORKERS,
             )
             out[(n, rule)] = run(config)
     return out
@@ -129,6 +134,7 @@ def test_criterion_4_one_sided_limit():
         policy=one_sided_optimal_policy(BAND, LIMIT_N, REPRO_ALPHA),
         test=TestSpec(sided="one", alpha=REPRO_ALPHA, statistic="z", sigma_ref=BAND.sigma_hi),
         seed=SEED,
+        workers=WORKERS,
     )
     rate = run(config).rate
     ok = abs(rate - LIMIT_TARGET) <= LIMIT_TOL

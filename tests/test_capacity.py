@@ -16,7 +16,6 @@ from gnormal import (
     profile_f,
     profile_f_yy,
     relative_error_bound,
-    relative_error_bound_closed_form,
     two_sided_error_bound,
 )
 
@@ -304,7 +303,7 @@ class TestErrorBounds:
         band = VolatilityBand(0.9, 0.9)
         assert two_sided_error_bound(1.0, 1.0, band) == 0.0
         assert relative_error_bound(1.0, 1.0, band) == 0.0
-        assert relative_error_bound_closed_form(1.0, 1.0, band) == 0.0
+        assert oracles.relative_error_bound_closed_form(1.0, 1.0, band) == 0.0
 
     def test_frozen_value(self):
         # 0.4 * Phi(-3.92), derived by direct formula evaluation
@@ -344,12 +343,13 @@ class TestErrorBounds:
         lo, hi = BAND.sigma_lo, BAND.sigma_hi
         for c in np.linspace(0.6, 5.0, 45):
             asymptotic = (1 - lo**2 / hi**2) / 4 * math.exp(-1.5 * c * c / hi**2)
-            assert relative_error_bound_closed_form(float(c), 1.0, BAND) >= asymptotic
+            loose = oracles.relative_error_bound_closed_form(float(c), 1.0, BAND)
+            assert loose >= asymptotic
 
     def test_sharp_bound_is_rigorous_and_tighter_than_closed_form(self):
         for c in np.linspace(0.6, 4.0, 35):
             sharp = relative_error_bound(float(c), 1.0, BAND)
-            loose = relative_error_bound_closed_form(float(c), 1.0, BAND)
+            loose = oracles.relative_error_bound_closed_form(float(c), 1.0, BAND)
             assert 0.0 < sharp <= loose * 1.0000001
 
 

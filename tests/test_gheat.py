@@ -221,6 +221,21 @@ class TestBufferedStep:
                         want = reference[level * stride][1]
                         assert row.tobytes() == want.tobytes(), (lo, hi, x_max, c, level)
 
+    @pytest.mark.parametrize("c", [1.0, 1.96])
+    def test_folded_step_stays_within_4_eps_of_the_unfolded_step(self, c):
+        # Folding dt/dx^2 into the coefficients rounds the same scheme
+        # differently; over a full 1601-node march of 1{|x| > c} no value
+        # moved by more than 1 eps (2.2e-16) when the fold was made.
+        for lo, hi in STEP_BANDS:
+            band = VolatilityBand(lo, hi)
+            grid = default_two_sided_grid(c, band, nx=1601)
+            sol = solve(indicator_abs_above(c), band, grid, max_levels=2)
+            *_, (_, unfolded, _) = oracles.reference_solve(
+                sol.ic, band, grid, sol.dt, sol.n_steps, march=oracles.unfolded_march
+            )
+            gap = np.abs(sol.final_values - unfolded).max()
+            assert gap <= 4.0 * np.finfo(float).eps, (lo, hi, gap)
+
     def test_d2_is_one_buffer_reused_by_every_step(self):
         march = _march(indicator_above(0.3), BAND, GridSpec(-3, 3, 61, 0.1), 2)
         (_, _, first), (_, _, second) = next(march.states), next(march.states)
@@ -489,13 +504,22 @@ class TestThresholdLocus:
             assert (degenerate, multiple) == (False, True)
             assert ThresholdLevel(1.0, root, degenerate, multiple).flag == "multiple"
 
-    def test_noise_floor_is_64_eps_over_dx2(self):
-        # two_sided_threshold's floor, against a literal 64 eps/dx^2: a sign
-        # change 100x above it is a root, one at half of it is noise.
-        dx = self.X[1] - self.X[0]
+    def test_noise_floor_is_64_eps_over_dx2(self, monkeypatch):
+        # two_sided_threshold's floor on the undivided D, which is 64 eps/dx^2
+        # on D/dx^2, against a literal 64 eps: a sign change 100x above it is
+        # a root, one at half of it is noise.
+        floors = set()
+
+        def spy(x, d2, pos_from, ref_c, noise_floor):
+            floors.add(noise_floor)
+            return _d2_sign_change_root(x, d2, pos_from, ref_c, noise_floor)
+
+        monkeypatch.setattr(gheat, "_d2_sign_change_root", spy)
+        two_sided_threshold(BAND, 0.05, 4, nx=41)
         eps = np.finfo(float).eps
-        floor = gheat._D2_NOISE_MULT * eps / dx**2
-        step = np.where(self.X[1:-1] < 1.05, 1.0, -1.0) * (64.0 * eps / dx**2)
+        (floor,) = floors
+        assert floor == 64.0 * eps
+        step = np.where(self.X[1:-1] < 1.05, 1.0, -1.0) * (64.0 * eps)
         root, degenerate, multiple = _d2_sign_change_root(
             self.X, 100.0 * step, self.POS_FROM, 1.7, floor
         )
@@ -504,16 +528,19 @@ class TestThresholdLocus:
         got = _d2_sign_change_root(self.X, 0.5 * step, self.POS_FROM, 1.7, floor)
         assert got == (1.7, True, False)
 
-    def test_root_interpolation_overflow_keeps_the_bracketing_node(self):
-        # At s_hi ~ 1e-155 the first step's d2 jump nears the float range,
-        # so right - left overflows; every row is then the node x = 0 below
-        # the jump, with no FloatingPointError and no warning.
-        hi = 1.7714224633510961e-155
-        band = VolatilityBand(0.5 * hi, hi)
+    @pytest.mark.parametrize("m", [-500, -200, 300, 500])
+    def test_rows_scale_exactly_with_the_band(self, m):
+        # Scaling the band by 2^m scales c, the grid and the roots by 2^m
+        # and leaves dt, the data and D alone, so every row is the unit
+        # band's with its threshold times 2^m, bit for bit and with no
+        # warning, from near the bottom of the float range to near the top.
+        scale = 2.0**m
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rows = two_sided_threshold(band, 0.05, 8, nx=5)
-        assert [row.threshold for row in rows] == [0.0] * 8
+            unit = two_sided_threshold(VolatilityBand(0.5, 1.0), 0.05, 8, nx=41)
+            scaled = two_sided_threshold(VolatilityBand(0.5 * scale, scale), 0.05, 8, nx=41)
+        # Every threshold is positive, so == on the rows is bitwise.
+        assert scaled == [dataclasses.replace(r, threshold=r.threshold * scale) for r in unit]
 
     def test_more_levels_than_steps_share_nearest_steps(self):
         # nx=41 takes 4 steps of 1/4; 8 rows must reuse them, each reading

@@ -9,8 +9,9 @@ versions, but gives no such guarantee for ``Generator.standard_normal``),
 and every policy kind; ``threshold`` and ``solve`` cover the PDE solver and
 both boundary rules (closed-form values for indicator data with
 sigma_lo > 0, held end values otherwise).  A change meant to alter the
-Monte Carlo streams must update the simulate values and say so; any other
-change must leave all of them alone.
+Monte Carlo streams must update the simulate values, and one meant to
+alter the PDE step's rounding the threshold and solve values, and say so;
+any other change must leave all of them alone.
 """
 
 import json
@@ -52,19 +53,19 @@ SIMULATE = {
 SOLVE = {
     "one-sided": (
         [*BAND, "--ic", "one-sided", "--c", "1"],
-        "f477d47968c645770bffa758dd942b6151dbf82a8c77303eebdfbe67b81cecfd",
+        "ed4838672673b4d1928b53e4fb0b8b161d318678ddf435d2d9991facb71e46bd",
     ),
     "two-sided": (
         [*BAND, "--ic", "two-sided", "--c", "1"],
-        "d23f77c60a51b3dd13bcfb33756425403b87b4fd8017fd0777c9aad744c7e9fd",
+        "4a11ca283566b8a1974608b18abc3c9e4a2751bf1a8381ebde431d88202a484a",
     ),
     "two-sided sigma_lo=0": (
         ["--sigma-lo", "0", "--sigma-hi", "1", "--ic", "two-sided", "--c", "1"],
-        "79ba8e79e8db0ba14e3c70139b99d2afa290daf6dcb58a175e7aab878ff4a56c",
+        "fcfa1e62020788c38144da0d983fb2c6d1290119b6be76e96de8577ce38ada21",
     ),
     "table": (
         [*BAND, "--ic", "table:{table}"],
-        "c619a59c4dad702043967525314528239952500f09c6730d4726922d2f49e394",
+        "28ce204bd93bf22508cb30868c371961f5611aae86f61a37d15647d9c3614e9b",
     ),
 }
 
@@ -83,7 +84,7 @@ def test_threshold(capsys):
     assert main(["threshold", *BAND, "--alpha", "0.05", "--levels", "20"]) == 0
     manifest = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert manifest["output_sha256"] == (
-        "8bf03987ee3418c3c4206fc65f198599e700532f9e66e65c0c57dd280a274f63"
+        "c5c96c2a6aa0e6ca493b55b2ecced4b30e98dcc52fd9afb70c66628d73a30195"
     )
 
 
