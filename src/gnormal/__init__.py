@@ -27,11 +27,11 @@ from .errors import (
 from .gheat import (
     GridSolution,
     GridSpec,
+    IndicatorAbove,
+    IndicatorAbsAbove,
+    LipschitzTable,
     SandwichReport,
     ThresholdLevel,
-    indicator_above,
-    indicator_abs_above,
-    lipschitz_sampled,
     p2_numeric,
     solve,
     two_sided_threshold,
@@ -65,7 +65,7 @@ __all__ = [
     "p2_approx", "two_sided_error_bound", "relative_error_bound",
     # gheat
     "GridSpec", "GridSolution", "SandwichReport", "ThresholdLevel",
-    "indicator_above", "indicator_abs_above", "lipschitz_sampled",
+    "IndicatorAbove", "IndicatorAbsAbove", "LipschitzTable",
     "solve", "p2_numeric", "two_sided_threshold", "verify_sandwich",
     # policy
     "PolicySpec", "constant_policy", "one_sided_optimal_policy",

@@ -3,13 +3,17 @@
 JSON goes to stdout, diagnostics to stderr.  Exit codes: 0 success,
 2 usage/domain error, 3 numerical failure, 4 property-check failure.
 
-Every subcommand echoes a run manifest (inside the JSON payload, next to
-file outputs, or on stderr for CSV-emitting commands) holding the resolved
-parameters, tool and numpy versions, seed and a SHA-256 checksum of the
-deterministic output content.  Wall-clock runtime is excluded from the
-checksum; re-runs with the same manifest parameters reproduce all
-checksummed bytes.  ``simulate`` also prints its per-phase seconds on
-stderr, and ``solve`` its march seconds, steps/s and CFL fraction.
+Every subcommand echoes a run manifest holding its parameters, tool and
+numpy versions, seed and a SHA-256 checksum of the deterministic output
+content.  ``parameters`` is every parsed option except ``--workers`` (which
+changes no output byte), with the values a command resolves from defaults
+filled in.  ``capacity`` and ``simulate`` put the manifest inside their JSON
+payload, ``solve`` writes it next to its CSV, and ``threshold`` and
+``repro`` print it on stderr as one JSON line after their text on stdout.
+Wall-clock runtime is excluded from the checksum; re-runs with the same
+manifest parameters reproduce all checksummed bytes.  ``simulate`` also
+prints its per-phase seconds on stderr, and ``solve`` its march seconds,
+steps/s and CFL fraction.
 """
 
 from __future__ import annotations
@@ -34,10 +38,10 @@ from .capacity import (
 from .errors import ConfigurationError, DomainError, GNormalError, NumericalError
 from .gheat import (
     GridSpec,
+    IndicatorAbove,
+    IndicatorAbsAbove,
+    LipschitzTable,
     default_two_sided_grid,
-    indicator_above,
-    indicator_abs_above,
-    lipschitz_sampled,
     solve,
     two_sided_threshold,
 )
@@ -64,13 +68,18 @@ def _canonical_checksum(payload: dict) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-def _manifest(subcommand: str, parameters: dict, *, seed=None) -> dict:
+def _manifest(args, **resolved) -> dict:
+    """The run manifest: every parsed option but the worker count, with
+    ``resolved`` replacing the options a command resolved from defaults."""
+    parameters = {
+        k: v for k, v in vars(args).items() if k not in ("command", "func", "workers")
+    }
     return {
-        "subcommand": subcommand,
-        "parameters": parameters,
+        "subcommand": args.command,
+        "parameters": {**parameters, **resolved},
         "version": __version__,
         "numpy": numpy.__version__,
-        "seed": seed,
+        "seed": getattr(args, "seed", None),
         "output_sha256": None,
     }
 
@@ -78,6 +87,13 @@ def _manifest(subcommand: str, parameters: dict, *, seed=None) -> dict:
 def _emit_json(payload: dict, manifest: dict) -> None:
     manifest["output_sha256"] = _canonical_checksum(payload)
     print(json.dumps({**payload, "manifest": manifest}, indent=2))
+
+
+def _emit_text(body: str, manifest: dict) -> None:
+    """Body on stdout; the manifest, with the body's SHA-256, on stderr."""
+    sys.stdout.write(body)
+    manifest["output_sha256"] = hashlib.sha256(body.encode("utf-8")).hexdigest()
+    print(json.dumps(manifest), file=sys.stderr)
 
 
 def _file_sha256(path: str) -> str:
@@ -129,7 +145,7 @@ def cmd_capacity(args) -> int:
 
     if args.pde:
         grid = default_two_sided_grid(c, band, nx=args.nx)
-        sol = solve(indicator_abs_above(c), band, grid, max_levels=2)
+        sol = solve(IndicatorAbsAbove(c), band, grid, max_levels=2)
         payload["p2_numeric"] = sol.value_at_final(0.0)
         payload["pde_grid"] = {
             "nx": grid.nx,
@@ -143,12 +159,7 @@ def cmd_capacity(args) -> int:
             "snapped_c": sol.snapped_c,
         }
 
-    params = {
-        "sigma_lo": args.sigma_lo, "sigma_hi": args.sigma_hi, "c": args.c,
-        "alpha": args.alpha, "sided": args.sided, "t": args.t,
-        "bounds": args.bounds, "pde": args.pde, "nx": args.nx,
-    }
-    _emit_json(payload, _manifest("capacity", params))
+    _emit_json(payload, _manifest(args))
     return 0
 
 
@@ -173,7 +184,7 @@ def _load_table(path: str):
                 if xs:
                     raise ConfigurationError(f"bad table row {line!r}") from exc
                 continue  # tolerate one header line
-    return lipschitz_sampled(xs, ys)
+    return LipschitzTable(xs, ys)
 
 
 def cmd_solve(args) -> int:
@@ -181,7 +192,7 @@ def cmd_solve(args) -> int:
     if args.ic in ("one-sided", "two-sided"):
         if args.c is None:
             raise DomainError(f"--ic {args.ic} requires --c")
-        ic = indicator_above(args.c) if args.ic == "one-sided" else indicator_abs_above(args.c)
+        ic = IndicatorAbove(args.c) if args.ic == "one-sided" else IndicatorAbsAbove(args.c)
         if args.x_min is None or args.x_max is None:
             default = default_two_sided_grid(args.c, band)
             x_min = args.x_min if args.x_min is not None else default.x_min
@@ -201,13 +212,7 @@ def cmd_solve(args) -> int:
     sol = solve(ic, band, grid, max_levels=args.levels)
     sol.write_csv(args.out)
 
-    params = {
-        "ic": args.ic, "c": args.c, "sigma_lo": args.sigma_lo,
-        "sigma_hi": args.sigma_hi, "x_min": x_min, "x_max": x_max,
-        "nx": args.nx, "t_end": args.t_end, "safety": args.safety,
-        "levels": args.levels, "out": args.out,
-    }
-    manifest = _manifest("solve", params)
+    manifest = _manifest(args, x_min=x_min, x_max=x_max)
     manifest["output_sha256"] = {args.out: _file_sha256(args.out)}
     manifest["solution"] = {
         "n_steps": sol.n_steps,
@@ -239,16 +244,7 @@ def cmd_threshold(args) -> int:
         if constant_band:
             flags.append("constant-band")
         lines.append(f"{row.time_remaining!r},{row.threshold!r},{'+'.join(flags)}")
-    body = "\n".join(lines) + "\n"
-    sys.stdout.write(body)
-
-    params = {
-        "alpha": args.alpha, "sigma_lo": args.sigma_lo,
-        "sigma_hi": args.sigma_hi, "levels": args.levels, "nx": args.nx,
-    }
-    manifest = _manifest("threshold", params)
-    manifest["output_sha256"] = hashlib.sha256(body.encode("utf-8")).hexdigest()
-    print(json.dumps(manifest), file=sys.stderr)
+    _emit_text("\n".join(lines) + "\n", _manifest(args))
     return 0
 
 
@@ -292,15 +288,7 @@ def cmd_simulate(args) -> int:
 
     print(f"workers: {config.workers}", file=sys.stderr)
     print(f"diagnostics: {json.dumps(report.diagnostics)}", file=sys.stderr)
-    params = {
-        "n": args.n, "reps": args.reps, "policy": args.policy,
-        "sigma_lo": args.sigma_lo, "sigma_hi": args.sigma_hi,
-        "sigma": args.sigma, "alpha": args.alpha, "sided": args.sided,
-        "stat": args.stat, "sigma_ref": sigma_ref, "crit": args.crit,
-        "table_levels": args.table_levels, "seed": args.seed,
-        "hist": args.hist,
-    }
-    manifest = _manifest("simulate", params, seed=args.seed)
+    manifest = _manifest(args, sigma_ref=sigma_ref)
     if args.hist is not None:
         manifest["file_sha256"] = {args.hist: _file_sha256(args.hist)}
     _emit_json(payload, manifest)
@@ -397,11 +385,13 @@ def cmd_repro(args) -> int:
         )
 
     width = max(len(c[0]) for c in checks)
-    all_ok = True
-    for name, got, want, ok in checks:
-        all_ok &= ok
-        print(f"{'PASS' if ok else 'FAIL'}  {name:<{width}}  {got}  [{want}]")
-    print(f"{'all checks passed' if all_ok else 'SOME CHECKS FAILED'}")
+    all_ok = all(ok for *_, ok in checks)
+    lines = [
+        f"{'PASS' if ok else 'FAIL'}  {name:<{width}}  {got}  [{want}]"
+        for name, got, want, ok in checks
+    ]
+    lines.append("all checks passed" if all_ok else "SOME CHECKS FAILED")
+    _emit_text("\n".join(lines) + "\n", _manifest(args, reps=reps))
     return 0 if all_ok else PROPERTY_FAILURE
 
 
@@ -485,7 +475,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("repro", help="re-run the headline numbers and report PASS/FAIL")
     p.add_argument("--reps", type=int, default=1_000_000)
-    p.add_argument("--fast", action="store_true", help="desk scale: reps=1e5, wider bands")
+    p.add_argument("--fast", action="store_true", help="desk scale: reps=1e5, wider tolerances")
     p.add_argument("--crit", choices=tuple(CRIT_RULES), default="normal")
     p.add_argument("--seed", type=int, default=1)
     add_workers(p)

@@ -78,9 +78,7 @@ __all__ = [
     "IndicatorAbove",
     "IndicatorAbsAbove",
     "LipschitzTable",
-    "indicator_above",
     "indicator_abs_above",
-    "lipschitz_sampled",
     "GridSpec",
     "GridSolution",
     "ThresholdLevel",
@@ -124,12 +122,15 @@ class IndicatorAbsAbove:
 
 @dataclass(frozen=True)
 class LipschitzTable:
-    """Initial datum sampled at strictly increasing abscissae."""
+    """Initial datum sampled at strictly increasing abscissae.  Any
+    sequences (arrays too) are stored as tuples of floats."""
 
     x: tuple[float, ...]
     y: tuple[float, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "x", tuple(float(v) for v in self.x))
+        object.__setattr__(self, "y", tuple(float(v) for v in self.y))
         if len(self.x) != len(self.y) or len(self.x) < 2:
             raise DomainError("lipschitz table needs >= 2 matched (x, y) pairs")
         if not all(map(math.isfinite, (*self.x, *self.y))):
@@ -141,16 +142,11 @@ class LipschitzTable:
 InitialCondition = IndicatorAbove | IndicatorAbsAbove | LipschitzTable
 
 
-def indicator_above(c: float) -> IndicatorAbove:
-    return IndicatorAbove(c)
-
-
 def indicator_abs_above(c: float) -> IndicatorAbsAbove:
+    """``IndicatorAbsAbove(c)``.  Kept only because the benchmark's
+    ``pde_oracle`` workload (``bench/workloads.py``) builds its data
+    through it; new code calls the constructor."""
     return IndicatorAbsAbove(c)
-
-
-def lipschitz_sampled(x, y) -> LipschitzTable:
-    return LipschitzTable(tuple(float(v) for v in x), tuple(float(v) for v in y))
 
 
 @dataclass(frozen=True)
@@ -497,7 +493,7 @@ def p2_numeric(c: float, band: VolatilityBand, grid: GridSpec | None = None) -> 
         raise ConfigurationError(
             f"grid [{grid.x_min!r}, {grid.x_max!r}] does not cover +-{reach!r}"
         )
-    sol = solve(indicator_abs_above(c), band, grid, max_levels=2)
+    sol = solve(IndicatorAbsAbove(c), band, grid, max_levels=2)
     return sol.value_at_final(0.0)
 
 
@@ -526,7 +522,7 @@ def two_sided_threshold(
         raise DomainError("levels must be >= 1")
     c = tail_threshold(alpha, band, "two")
     grid = default_two_sided_grid(c, band, nx=nx)
-    march = _march(indicator_abs_above(c), band, grid, max_levels=2)
+    march = _march(IndicatorAbsAbove(c), band, grid, max_levels=2)
     picks = [
         int(np.argmin(np.abs(march.times - j * grid.t_end / levels)))
         for j in range(1, levels + 1)

@@ -18,12 +18,12 @@ import pytest
 
 from gnormal import (
     GridSpec,
+    IndicatorAbove,
     SimulationConfig,
     TestSpec,
     VolatilityBand,
     constant_policy,
     heuristic_t_policy,
-    indicator_above,
     norm_cdf,
     norm_quantile,
     one_sided_optimal_policy,
@@ -100,7 +100,7 @@ def test_criterion_2_pde_vs_closed_form():
     errors = []
     for nx in (501, 1001, 2001):
         grid = GridSpec(-10.0, 10.0, nx, 1.0)
-        sol = solve(indicator_above(c), BAND, grid, max_levels=2)
+        sol = solve(IndicatorAbove(c), BAND, grid, max_levels=2)
         exact = np.array([profile_f(x - c, BAND) for x in sol.x])
         errors.append(float(np.abs(sol.final_values - exact).max()))
     ratios = [errors[0] / errors[1], errors[1] / errors[2]]

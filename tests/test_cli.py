@@ -1,6 +1,7 @@
 """Command-line surface: flags, JSON/CSV shapes, manifests, exit codes."""
 
 import csv
+import hashlib
 import importlib
 import json
 import os
@@ -11,7 +12,7 @@ import sys
 import numpy
 import pytest
 
-from gnormal import norm_cdf, norm_quantile
+from gnormal import cli, norm_cdf, norm_quantile
 from gnormal.simulate import RNG_SCHEME
 
 
@@ -315,6 +316,36 @@ class TestSimulateCommand:
             assert "Traceback" not in proc.stderr
 
 
+# Every option of each command at a non-default value (--c and --alpha are
+# alternatives, so capacity takes --alpha alone).  --sigma, --crit and
+# --table-levels are each read by one policy only, hence three simulate runs.
+BAND = ["--sigma-lo", "0.7", "--sigma-hi", "1.1"]
+SIMULATE = [*BAND, "--n", "12", "--reps", "600", "--sigma", "0.9", "--alpha", "0.1",
+            "--sided", "one", "--stat", "z", "--sigma-ref", "0.95", "--crit", "t",
+            "--table-levels", "7", "--seed", "5", "--hist", "{tmp}/h.csv"]
+RERUN = {
+    "capacity": ["capacity", *BAND, "--alpha", "0.01", "--sided", "one", "--t", "0.5",
+                 "--bounds", "--pde", "--nx", "401"],
+    "threshold": ["threshold", *BAND, "--alpha", "0.02", "--levels", "4", "--nx", "301"],
+    **{
+        f"simulate-{policy}": ["simulate", *SIMULATE, "--policy", policy]
+        for policy in ("heuristic-t", "constant", "two-sided-thresh")
+    },
+    "solve": ["solve", *BAND, "--ic", "one-sided", "--c", "0.4", "--x-min", "-5",
+              "--x-max", "6", "--nx", "121", "--t-end", "0.5", "--safety", "0.6",
+              "--levels", "4", "--out", "{tmp}/u.csv"],
+}
+
+
+def read_manifest(command, captured, argv):
+    if command in ("capacity", "simulate"):
+        return json.loads(captured.out)["manifest"]
+    if command == "solve":
+        with open(argv[-1] + ".manifest.json", encoding="utf-8") as fh:
+            return json.load(fh)
+    return json.loads(captured.err.strip().splitlines()[-1])
+
+
 class TestTopLevel:
     def test_every_export_resolves(self):
         # Import does not read __all__; a stale name only breaks `import *`.
@@ -341,10 +372,45 @@ class TestTopLevel:
         assert proc.returncode == 0
         assert "--fast" in proc.stdout
 
-    def test_rerunning_manifest_parameters_reproduces_output(self):
-        args = (
-            "capacity", "--sigma-lo", "0.8", "--sigma-hi", "1",
-            "--alpha", "0.01", "--sided", "two",
-        )
-        first, second = run_cli(*args), run_cli(*args)
-        assert first.stdout == second.stdout
+    @pytest.mark.parametrize("case", RERUN)
+    def test_rerunning_manifest_parameters_reproduces_output(self, case, tmp_path, capsys):
+        argv = [arg.format(tmp=tmp_path) for arg in RERUN[case]]
+        command = argv[0]
+        assert cli.main(argv) == 0
+        first = capsys.readouterr()
+        manifest = read_manifest(command, first, argv)
+        rerun = [command]
+        for key, value in manifest["parameters"].items():
+            if value is not None and value is not False:
+                rerun.append("--" + key.replace("_", "-"))
+                if value is not True:
+                    rerun.append(str(value))
+        assert cli.main(rerun) == 0
+        second = capsys.readouterr()
+        again = read_manifest(command, second, argv)
+        # output_sha256 and parameters, and the rest too: simulate's
+        # histogram checksum, solve's step plan
+        assert again == manifest
+        if command == "capacity":
+            assert second.out == first.out
+
+
+class TestReproCommand:
+    def test_manifest_hashes_stdout_for_every_worker_count(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "LIMIT_N", 50)
+        monkeypatch.setattr(cli, "LIMIT_REPS", 3000)
+        monkeypatch.setattr(cli, "HETERO_TARGETS", ((20, 0.0565),))
+        runs = []
+        for workers in ("1", "2"):
+            argv = ["repro", "--reps", "3000", "--seed", "3", "--workers", workers]
+            # at these sizes a check may fail (exit 4); the manifest must not
+            assert cli.main(argv) in (0, cli.PROPERTY_FAILURE)
+            out, err = capsys.readouterr()
+            runs.append((out, json.loads(err.strip().splitlines()[-1])))
+        out, manifest = runs[0]
+        assert out.splitlines()[-1] in ("all checks passed", "SOME CHECKS FAILED")
+        assert manifest["subcommand"] == "repro"
+        assert manifest["parameters"] == {"reps": 3000, "fast": False, "crit": "normal", "seed": 3}
+        assert manifest["seed"] == 3
+        assert manifest["output_sha256"] == hashlib.sha256(out.encode("utf-8")).hexdigest()
+        assert runs[1] == runs[0]

@@ -15,11 +15,11 @@ from gnormal import (
     ConfigurationError,
     DomainError,
     GridSpec,
+    IndicatorAbove,
+    IndicatorAbsAbove,
+    LipschitzTable,
     NumericalError,
     VolatilityBand,
-    indicator_above,
-    indicator_abs_above,
-    lipschitz_sampled,
     norm_cdf,
     norm_quantile,
     p1,
@@ -73,21 +73,21 @@ class TestGridSpec:
 class TestInitialConditions:
     def test_table_validation(self):
         with pytest.raises(DomainError):
-            lipschitz_sampled([0.0, 0.0], [1.0, 2.0])
+            LipschitzTable([0.0, 0.0], [1.0, 2.0])
         with pytest.raises(DomainError):
-            lipschitz_sampled([0.0], [1.0])
+            LipschitzTable([0.0], [1.0])
         # a NaN abscissa passes every b <= a comparison; a table must be finite
         with pytest.raises(DomainError, match="finite"):
             gheat.LipschitzTable((0.0, float("nan"), 2.0), (0.0, 1.0, 2.0))
         with pytest.raises(DomainError, match="finite"):
-            lipschitz_sampled([0.0, 1.0, 2.0], [0.0, float("inf"), 2.0])
+            LipschitzTable([0.0, 1.0, 2.0], [0.0, float("inf"), 2.0])
 
     def test_indicator_outside_grid(self):
         with pytest.raises(ConfigurationError):
-            solve(indicator_above(20.0), BAND, GridSpec(-5, 5, 101, 1.0))
+            solve(IndicatorAbove(20.0), BAND, GridSpec(-5, 5, 101, 1.0))
 
     def test_level_zero_is_sampled_datum(self):
-        for make, fold in ((indicator_above, np.positive), (indicator_abs_above, np.abs)):
+        for make, fold in ((IndicatorAbove, np.positive), (IndicatorAbsAbove, np.abs)):
             sol = solve(make(0.3), BAND, GridSpec(-5, 5, 101, 0.25))
             assert sol.times[0] == 0.0
             expected = (fold(sol.x) > sol.snapped_c).astype(float)
@@ -101,13 +101,13 @@ class TestInitialConditions:
         xs = np.linspace(-3, 3, 13)
         ys = np.sin(xs) + 0.3 * xs
         held = [
-            (solve(indicator_above(0.4), VolatilityBand(0.0, 1.0), grid), [0.0, 1.0]),
-            (solve(indicator_abs_above(1.0), VolatilityBand(0.0, 1.0), grid), [1.0, 1.0]),
-            (solve(lipschitz_sampled(xs, ys), BAND, grid), [ys[0], ys[-1]]),
+            (solve(IndicatorAbove(0.4), VolatilityBand(0.0, 1.0), grid), [0.0, 1.0]),
+            (solve(IndicatorAbsAbove(1.0), VolatilityBand(0.0, 1.0), grid), [1.0, 1.0]),
+            (solve(LipschitzTable(xs, ys), BAND, grid), [ys[0], ys[-1]]),
         ]
         for sol, ends in held:
             assert (sol.values[:, [0, -1]] == ends).all()
-        for ic in (indicator_above(0.4), indicator_abs_above(1.0)):
+        for ic in (IndicatorAbove(0.4), IndicatorAbsAbove(1.0)):
             sol = solve(ic, BAND, grid, max_levels=6)
             for k in range(1, sol.times.size):
                 exact = exact_values(sol, float(sol.times[k]))
@@ -118,15 +118,15 @@ class TestPolynomialData:
     def test_linear_data_is_stationary(self):
         grid = GridSpec(-5, 5, 201, 1.0)
         xs = np.linspace(-5, 5, 21)
-        sol = solve(lipschitz_sampled(xs, xs), BAND, grid)
+        sol = solve(LipschitzTable(xs, xs), BAND, grid)
         assert np.abs(sol.final_values - sol.x).max() <= 1e-10
 
     def test_quadratic_moments(self):
         # convex data picks up sigma_hi^2 * t, concave data sigma_lo^2 * t
         grid = GridSpec(-10, 10, 401, 1.0)
         xs = np.linspace(-10, 10, 2001)
-        up = solve(lipschitz_sampled(xs, xs**2), BAND, grid)
-        down = solve(lipschitz_sampled(xs, -(xs**2)), BAND, grid)
+        up = solve(LipschitzTable(xs, xs**2), BAND, grid)
+        down = solve(LipschitzTable(xs, -(xs**2)), BAND, grid)
         assert up.value_at_final(0.0) == pytest.approx(BAND.sigma_hi**2, abs=1e-9)
         assert down.value_at_final(0.0) == pytest.approx(-BAND.sigma_lo**2, abs=1e-9)
 
@@ -135,7 +135,7 @@ class TestOneSidedOracle:
     def test_matches_closed_form(self):
         c = 1.96
         grid = GridSpec(-10, 10, 501, 1.0)
-        sol = solve(indicator_above(c), BAND, grid, max_levels=2)
+        sol = solve(IndicatorAbove(c), BAND, grid, max_levels=2)
         exact_snap = exact_values(sol, 1.0)
         assert np.abs(sol.final_values - exact_snap).max() <= 5e-4
         exact_req = np.array([profile_f(x - c, BAND) for x in sol.x])
@@ -145,19 +145,19 @@ class TestOneSidedOracle:
         band = VolatilityBand(1.0, 1.0)
         c = 0.0
         grid = GridSpec(-8, 8, 801, 1.0)
-        sol = solve(indicator_above(c), band, grid, max_levels=2)
+        sol = solve(IndicatorAbove(c), band, grid, max_levels=2)
         exact = np.array([norm_cdf(x - sol.snapped_c) for x in sol.x])
         assert np.abs(sol.final_values - exact).max() <= 2e-4
 
 
 class TestMaximumPrincipleAndSymmetry:
     def test_values_stay_in_range(self):
-        sol = solve(indicator_abs_above(1.0), BAND, default_two_sided_grid(1.0, BAND, nx=401))
+        sol = solve(IndicatorAbsAbove(1.0), BAND, default_two_sided_grid(1.0, BAND, nx=401))
         assert sol.values.min() >= -1e-15
         assert sol.values.max() <= 1.0 + 1e-15
 
     def test_two_sided_symmetry(self):
-        sol = solve(indicator_abs_above(1.2), BAND, default_two_sided_grid(1.2, BAND, nx=401))
+        sol = solve(IndicatorAbsAbove(1.2), BAND, default_two_sided_grid(1.2, BAND, nx=401))
         flipped = sol.values[:, ::-1]
         assert np.abs(sol.values - flipped).max() <= 1e-13
 
@@ -179,8 +179,8 @@ class TestBufferedStep:
                     rng.choice([1e-310, -1e-310, -0.0, 0.0, 5e-324, -5e-324], nx),
                     rng.standard_normal(nx) * (rng.random(nx) < 0.7),
                 ]
-                ics = [indicator_above(0.3), indicator_abs_above(1.1)]
-                ics += [lipschitz_sampled(x, y) for y in tables]
+                ics = [IndicatorAbove(0.3), IndicatorAbsAbove(1.1)]
+                ics += [LipschitzTable(x, y) for y in tables]
                 for ic in ics:
                     march = _march(ic, band, grid, 2)
                     states = [(k, u.copy(), d2.copy()) for k, u, d2 in march.states]
@@ -188,7 +188,7 @@ class TestBufferedStep:
                     # and ends; a half march (1{|x| > c} here) holds the ghost
                     # and the right half, the last `size` nodes of the grid.
                     size = march.x.size
-                    assert (size < nx) == (ic == indicator_abs_above(1.1))
+                    assert (size < nx) == (ic == IndicatorAbsAbove(1.1))
                     reference = oracles.reference_solve(
                         ic, band, grid, march.dt, len(states) - 1
                     )
@@ -210,7 +210,7 @@ class TestBufferedStep:
                 dx = (x_max + 4.0) / (nx - 1)
                 grid = GridSpec(-4.0, x_max, nx, 20.0 * dx * dx)
                 for c in sorted({0.0, min(1.5 * dx, 2.5), 2.5}):
-                    sol = solve(indicator_abs_above(c), band, grid, max_levels=5)
+                    sol = solve(IndicatorAbsAbove(c), band, grid, max_levels=5)
                     updated = nx - nx // 2 - 1 if x_max == 4.0 else nx - 2
                     assert sol.diagnostics["nodes_per_step"] == updated
                     reference = list(
@@ -229,7 +229,7 @@ class TestBufferedStep:
         for lo, hi in STEP_BANDS:
             band = VolatilityBand(lo, hi)
             grid = default_two_sided_grid(c, band, nx=1601)
-            sol = solve(indicator_abs_above(c), band, grid, max_levels=2)
+            sol = solve(IndicatorAbsAbove(c), band, grid, max_levels=2)
             *_, (_, unfolded, _) = oracles.reference_solve(
                 sol.ic, band, grid, sol.dt, sol.n_steps, march=oracles.unfolded_march
             )
@@ -237,7 +237,7 @@ class TestBufferedStep:
             assert gap <= 4.0 * np.finfo(float).eps, (lo, hi, gap)
 
     def test_d2_is_one_buffer_reused_by_every_step(self):
-        march = _march(indicator_above(0.3), BAND, GridSpec(-3, 3, 61, 0.1), 2)
+        march = _march(IndicatorAbove(0.3), BAND, GridSpec(-3, 3, 61, 0.1), 2)
         (_, _, first), (_, _, second) = next(march.states), next(march.states)
         assert first is second
 
@@ -258,7 +258,7 @@ def k_steps(y, bounds, safety, k):
     nx = len(y)
     x = np.linspace(-1.0, 1.0, nx)
     grid = GridSpec(-1.0, 1.0, nx, float(k), safety)
-    states = _march(lipschitz_sampled(x, y), VolatilityBand(*bounds), grid, 2).states
+    states = _march(LipschitzTable(x, y), VolatilityBand(*bounds), grid, 2).states
     _, u0, _ = next(states)
     assert u0.tolist() == list(y)
     for _ in range(k):
@@ -332,7 +332,7 @@ class TestNumericalFailure:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NumericalError, match="at step 1$"):
-                solve(lipschitz_sampled(self.X, self.Y), BAND, GridSpec(0, 4, 5, 1.0))
+                solve(LipschitzTable(self.X, self.Y), BAND, GridSpec(0, 4, 5, 1.0))
         assert np.geterr() == before
 
     def test_spike_is_reported_at_the_step_that_overflows(self):
@@ -343,7 +343,7 @@ class TestNumericalFailure:
         y[3] = 1.7e308
         before = np.geterr()
         with pytest.raises(NumericalError, match="at step 1$"):
-            solve(lipschitz_sampled(x, y), BAND, GridSpec(-1.0, 1.0, 41, 1.0))
+            solve(LipschitzTable(x, y), BAND, GridSpec(-1.0, 1.0, 41, 1.0))
         assert np.geterr() == before
 
     @pytest.mark.parametrize("edge", [float, np.float64])
@@ -359,7 +359,7 @@ class TestDiagnostics:
     def test_cfl_fraction_and_rate(self):
         for nx, safety in ((401, 0.8), (801, 1.0), (201, 0.3)):
             grid = GridSpec(-6.0, 6.0, nx, 1.0, safety)
-            sol = solve(indicator_abs_above(1.0), BAND, grid, max_levels=3)
+            sol = solve(IndicatorAbsAbove(1.0), BAND, grid, max_levels=3)
             diag = sol.diagnostics
             assert set(diag) == {"march_s", "steps_per_s", "cfl", "nodes_per_step"}
             assert diag["nodes_per_step"] == nx - nx // 2 - 1
@@ -371,7 +371,7 @@ class TestDiagnostics:
     def test_step_never_rounds_past_the_limit(self):
         # Here t_end / ceil(t_end / dt_max) rounds one ulp above dt_max.
         grid = GridSpec(-1.0, 1.0, 381, 0.01, safety=1.0)
-        sol = solve(indicator_above(0.3), BAND, grid, max_levels=2)
+        sol = solve(IndicatorAbove(0.3), BAND, grid, max_levels=2)
         dx = grid.dx
         assert sol.dt <= grid.safety * dx * dx / (BAND.sigma_hi * BAND.sigma_hi)
         assert sol.diagnostics["cfl"] <= grid.safety
@@ -379,7 +379,7 @@ class TestDiagnostics:
     def test_kept_out_of_equality_and_csv(self, tmp_path):
         fields = {f.name: f for f in dataclasses.fields(GridSolution)}
         assert fields["diagnostics"].compare is False
-        sol = solve(indicator_above(0.4), BAND, GridSpec(-3, 3, 61, 0.5), max_levels=5)
+        sol = solve(IndicatorAbove(0.4), BAND, GridSpec(-3, 3, 61, 0.5), max_levels=5)
         sol.write_csv(tmp_path / "a.csv")
         dataclasses.replace(sol, diagnostics={}).write_csv(tmp_path / "b.csv")
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
@@ -389,7 +389,7 @@ class TestP2Numeric:
     def test_classical_case(self):
         band = VolatilityBand(1.0, 1.0)
         grid = default_two_sided_grid(1.0, band, nx=1601)
-        sol = solve(indicator_abs_above(1.0), band, grid, max_levels=2)
+        sol = solve(IndicatorAbsAbove(1.0), band, grid, max_levels=2)
         expected = 2 * norm_cdf(-sol.snapped_c)
         assert sol.value_at_final(0.0) == pytest.approx(expected, abs=2e-4)
 
@@ -409,8 +409,8 @@ class TestP2Numeric:
         # in [0, bound] at the snapped threshold, up to rounding
         c = norm_quantile(0.975)
         grid = default_two_sided_grid(c, BAND, nx=2401)
-        u = solve(indicator_above(c), BAND, grid, max_levels=2)
-        w = solve(indicator_abs_above(c), BAND, grid, max_levels=2)
+        u = solve(IndicatorAbove(c), BAND, grid, max_levels=2)
+        w = solve(IndicatorAbsAbove(c), BAND, grid, max_levels=2)
         assert u.snapped_c == w.snapped_c
         gap = 2 * u.value_at_final(0.0) - w.value_at_final(0.0)
         bound = two_sided_error_bound(w.snapped_c, 1.0, BAND)
@@ -421,7 +421,7 @@ class TestP2Numeric:
         # the true gap dwarfs discretization error
         for c in (0.6, 0.8, 1.0):
             grid = default_two_sided_grid(c, BAND, nx=1601)
-            sol = solve(indicator_abs_above(c), BAND, grid, max_levels=2)
+            sol = solve(IndicatorAbsAbove(c), BAND, grid, max_levels=2)
             cs = sol.snapped_c
             gap = 2 * p1(cs, BAND) - sol.value_at_final(0.0)
             assert 0.0 <= gap <= two_sided_error_bound(cs, 1.0, BAND)
@@ -432,7 +432,7 @@ class TestP2Numeric:
         vals = []
         for nxm1 in (300, 600, 1200, 2400):
             grid = aligned_grid(1.0, nxm1)
-            sol = solve(indicator_abs_above(1.0), BAND, grid, max_levels=2)
+            sol = solve(IndicatorAbsAbove(1.0), BAND, grid, max_levels=2)
             vals.append(sol.value_at_final(0.0))
         p_star = vals[3] - (vals[3] - vals[2]) ** 2 / (
             (vals[3] - vals[2]) - (vals[2] - vals[1])
@@ -447,7 +447,7 @@ class TestP2Numeric:
         errs = []
         for nxm1 in (300, 600, 1200):
             grid = aligned_grid(1.0, nxm1)
-            sol = solve(indicator_abs_above(1.0), band, grid, max_levels=2)
+            sol = solve(IndicatorAbsAbove(1.0), band, grid, max_levels=2)
             errs.append(abs(sol.value_at_final(0.0) - exact))
         assert errs[0] / errs[1] >= 1.7
         assert errs[1] / errs[2] >= 1.7
@@ -549,9 +549,9 @@ class TestThresholdLocus:
         rows = two_sided_threshold(BAND, 0.05, levels, nx=41)
         c = tail_threshold(0.05, BAND, "two")
         grid = default_two_sided_grid(c, BAND, nx=41)
-        n_steps = solve(indicator_abs_above(c), BAND, grid, max_levels=2).n_steps
+        n_steps = solve(IndicatorAbsAbove(c), BAND, grid, max_levels=2).n_steps
         assert n_steps == 4
-        every = solve(indicator_abs_above(c), BAND, grid, max_levels=n_steps + 1)
+        every = solve(IndicatorAbsAbove(c), BAND, grid, max_levels=n_steps + 1)
         assert every.n_steps == n_steps
         times = every.times.tolist()
         assert len(rows) == levels
@@ -573,7 +573,7 @@ class TestVerifySandwich:
         assert report.eps_grid == 64 * np.finfo(float).eps
         assert report.lower_bound_violation <= report.eps_grid
         assert report.upper_bound_slack >= -report.eps_grid
-        sol = solve(indicator_abs_above(1.5), BAND, grid, max_levels=2)
+        sol = solve(IndicatorAbsAbove(1.5), BAND, grid, max_levels=2)
         assert report.snapped_c == sol.snapped_c
         assert report.nodes_checked == 200 * 801
 
@@ -643,7 +643,7 @@ class TestVerifySandwich:
     def test_final_time_never_exceeds_by_more_than_tolerance(self):
         # sublinearity echo: w <= u + v up to discretization tolerance
         grid = default_two_sided_grid(1.5, BAND, nx=1601)
-        sol = solve(indicator_abs_above(1.5), BAND, grid, max_levels=2)
+        sol = solve(IndicatorAbsAbove(1.5), BAND, grid, max_levels=2)
         uv = exact_values(sol, 1.0)
         assert float(np.max(sol.final_values - uv)) <= 5e-5
 
@@ -651,7 +651,7 @@ class TestVerifySandwich:
 class TestCsvDump:
     def test_round_trip(self, tmp_path):
         grid = GridSpec(-3, 3, 61, 0.5)
-        sol = solve(indicator_above(0.4), BAND, grid, max_levels=5)
+        sol = solve(IndicatorAbove(0.4), BAND, grid, max_levels=5)
         path = tmp_path / "sol.csv"
         sol.write_csv(path)
         with open(path) as fh:
@@ -672,7 +672,7 @@ class TestDegenerateBand:
         band = VolatilityBand(0.0, 1e-12)
         grid = GridSpec(-2, 2, 41, 1.0)
         xs = np.linspace(-2, 2, 41)
-        sol = solve(lipschitz_sampled(xs, np.sin(xs)), band, grid)
+        sol = solve(LipschitzTable(xs, np.sin(xs)), band, grid)
         assert np.abs(sol.final_values - np.sin(sol.x)).max() <= 1e-12
 
     def test_pde_accepts_degenerate_lower_edge(self):
