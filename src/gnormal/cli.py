@@ -7,9 +7,13 @@ Every subcommand echoes a run manifest holding its parameters, tool and
 numpy versions, seed and a SHA-256 checksum of the deterministic output
 content.  ``parameters`` is every parsed option except ``--workers`` (which
 changes no output byte), with the values a command resolves from defaults
-filled in.  ``capacity`` and ``simulate`` put the manifest inside their JSON
-payload, ``solve`` writes it next to its CSV, and ``threshold`` and
-``repro`` print it on stderr as one JSON line after their text on stdout.
+filled in.  Setting an option the run does not read (``simulate``'s
+``--sigma``, ``--crit`` and ``--table-levels`` outside their policy,
+``--sigma-ref`` without ``--stat z``, ``solve``'s ``--c`` with table data)
+is a usage error, so no manifest records a value that changed nothing.
+``capacity`` and ``simulate`` put the manifest inside their JSON payload,
+``solve`` writes it next to its CSV, and ``threshold`` and ``repro`` print
+it on stderr as one JSON line after their text on stdout.
 Wall-clock runtime is excluded from the checksum; re-runs with the same
 manifest parameters reproduce all checksummed bytes.  ``simulate`` also
 prints its per-phase seconds on stderr, and ``solve`` its march seconds,
@@ -108,6 +112,24 @@ def _band(args) -> VolatilityBand:
     return VolatilityBand(sigma_lo=args.sigma_lo, sigma_hi=args.sigma_hi)
 
 
+def _read_options(args, readers: dict) -> dict:
+    """Resolve the options a run reads and reject the others that are set.
+
+    ``readers`` maps an option's dest to (reader, read, default): a run
+    reads it when ``read`` holds, and an unset one takes ``default``.  An
+    unread option would change no output byte yet enter the manifest.
+    """
+    resolved = {}
+    for name, (reader, read, default) in readers.items():
+        value = getattr(args, name)
+        if read:
+            resolved[name] = default if value is None else value
+        elif value is not None:
+            flag = "--" + name.replace("_", "-")
+            raise ConfigurationError(f"{flag} is read only with {reader}")
+    return resolved
+
+
 def _resolve_c(args, band: VolatilityBand) -> float:
     if args.c is not None:
         return args.c
@@ -189,6 +211,8 @@ def _load_table(path: str):
 
 def cmd_solve(args) -> int:
     band = _band(args)
+    indicator = not args.ic.startswith("table:")
+    _read_options(args, {"c": ("--ic one-sided or two-sided", indicator, None)})
     if args.ic in ("one-sided", "two-sided"):
         if args.c is None:
             raise DomainError(f"--ic {args.ic} requires --c")
@@ -252,32 +276,35 @@ def cmd_threshold(args) -> int:
 # simulate
 
 
-def _build_policy(args, band: VolatilityBand):
+def _build_policy(args, band: VolatilityBand, opts: dict):
     if args.policy == "constant":
-        sigma = args.sigma if args.sigma is not None else band.sigma_hi
-        return constant_policy(band, args.n, sigma)
+        return constant_policy(band, args.n, opts["sigma"])
     if args.policy == "one-sided-opt":
         return one_sided_optimal_policy(band, args.n, args.alpha)
     if args.policy == "two-sided-thresh":
-        rows = two_sided_threshold(band, args.alpha, args.table_levels)
+        rows = two_sided_threshold(band, args.alpha, opts["table_levels"])
         return two_sided_threshold_policy(band, args.n, rows)
     if args.policy == "heuristic-t":
-        return heuristic_t_policy(band, args.n, args.alpha, crit_rule=CRIT_RULES[args.crit])
+        return heuristic_t_policy(band, args.n, args.alpha, crit_rule=CRIT_RULES[opts["crit"]])
     raise DomainError(f"unknown policy {args.policy!r}")
 
 
 def cmd_simulate(args) -> int:
     band = _band(args)
-    policy = _build_policy(args, band)
-    sigma_ref = args.sigma_ref if args.sigma_ref is not None else band.sigma_hi
+    opts = _read_options(args, {
+        "sigma": ("--policy constant", args.policy == "constant", band.sigma_hi),
+        "crit": ("--policy heuristic-t", args.policy == "heuristic-t", "normal"),
+        "table_levels": ("--policy two-sided-thresh", args.policy == "two-sided-thresh", 50),
+        "sigma_ref": ("--stat z", args.stat == "z", band.sigma_hi),
+    })
     test = TestSpec(
         sided=args.sided,
         alpha=args.alpha,
         statistic=args.stat,
-        sigma_ref=sigma_ref if args.stat == "z" else None,
+        sigma_ref=opts.get("sigma_ref"),
     )
     config = SimulationConfig(
-        n=args.n, reps=args.reps, policy=policy, test=test,
+        n=args.n, reps=args.reps, policy=_build_policy(args, band, opts), test=test,
         seed=args.seed, workers=args.workers,
     )
     report = run(config)
@@ -288,7 +315,7 @@ def cmd_simulate(args) -> int:
 
     print(f"workers: {config.workers}", file=sys.stderr)
     print(f"diagnostics: {json.dumps(report.diagnostics)}", file=sys.stderr)
-    manifest = _manifest(args, sigma_ref=sigma_ref)
+    manifest = _manifest(args, **opts)
     if args.hist is not None:
         manifest["file_sha256"] = {args.hist: _file_sha256(args.hist)}
     _emit_json(payload, manifest)
@@ -459,15 +486,17 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=("constant", "one-sided-opt", "two-sided-thresh", "heuristic-t"),
         required=True,
     )
-    p.add_argument("--sigma", type=float, default=None, help="constant policy value")
+    p.add_argument("--sigma", type=float, default=None,
+                   help="constant policy value (default sigma-hi)")
     p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--sided", choices=("one", "two"), required=True)
     p.add_argument("--stat", choices=("z", "t"), required=True)
-    p.add_argument("--sigma-ref", type=float, default=None, help="z scale (default sigma-hi)")
-    p.add_argument("--crit", choices=tuple(CRIT_RULES), default="normal",
-                   help="heuristic-t critical value rule")
-    p.add_argument("--table-levels", type=int, default=50,
-                   help="threshold table rows for two-sided-thresh")
+    p.add_argument("--sigma-ref", type=float, default=None,
+                   help="z scale (default sigma-hi); --stat z only")
+    p.add_argument("--crit", choices=tuple(CRIT_RULES), default=None,
+                   help="heuristic-t critical value rule (default normal)")
+    p.add_argument("--table-levels", type=int, default=None,
+                   help="threshold table rows for two-sided-thresh (default 50)")
     p.add_argument("--seed", type=int, default=0)
     add_workers(p)
     p.add_argument("--hist", default=None, help="write histogram CSV here")

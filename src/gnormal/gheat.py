@@ -24,7 +24,11 @@ Numerical conventions that matter to the contracts:
   second difference; g = max(a_hi D, a_lo D) + 0.0 with the coefficients
   a = (dt/dx^2) s^2/2 computed once per march; u[j] += g on the interior;
   then the two boundary values.  This D order makes every step bitwise
-  mirror-symmetric for symmetric data on a symmetric grid.  g equals
+  mirror-symmetric for symmetric data on a symmetric grid.  2 u[j] is
+  u[j] + u[j], the same float as 2 * u[j] for every input (subnormals
+  and -0.0 too) with the same overflow flag; a_hi, a_lo and the 0.0 are
+  0-d float64 arrays holding the Python floats' values, since numpy 2
+  (NEP 50) converts a Python float operand in every call.  g equals
   a_hi max(D, 0) + a_lo min(D, 0) bit for bit: as a_hi >= a_lo >= 0 the
   max picks the product the sum keeps, and the + 0.0 turns the -0.0 that
   a_lo D is when s_lo = 0 or it underflows into the sum's +0.0.  That
@@ -42,6 +46,10 @@ Numerical conventions that matter to the contracts:
   np.errstate(over="raise", invalid="raise") (not per step, about 2 us
   each, nor across the generator's yields) and no per-step check runs.
   The final state is checked at every node, for callers without it.
+* The march runs straight to the steps its consumer reads and computes D
+  of each just before handing it over; a flag in D of state k < n_steps
+  names step k + 1, the step that reads that D, and one in D of the final
+  state names n_steps, as when every step was handed over.
 * Time levels are retained on a uniform subsample (every ``stride`` steps,
   endpoints included); the step count is rounded up so retained times land
   on exact multiples of t_end/(levels-1) at every spatial resolution,
@@ -61,7 +69,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -327,21 +335,22 @@ def _closed_form(ic, c, x, t, band):
 @dataclass(frozen=True)
 class _March:
     """One explicit march to t_end.  ``times[k]`` is the time of step k
-    (k * dt, and exactly t_end at k = n_steps); ``states`` yields
-    (k, u, D) for k = 0..n_steps, where u is the state at times[k] and D
-    its undivided second difference (u[j-1] + u[j+1]) - 2 u[j] on the
-    interior.  Both are buffers allocated once per march: u is advanced in
-    place after the yield and D is overwritten by the next step, so a
-    consumer that keeps either must copy it.  Retained levels are the steps
-    divisible by ``stride``.  In a half march ``x``, u and D cover only the
-    ghost node and the right half."""
+    (k * dt, and exactly t_end at k = n_steps); ``states(report)`` marches
+    to each step k of the sorted indices ``report`` in turn and yields
+    (k, u, D), where u is the state at times[k] and D its undivided second
+    difference (u[j-1] + u[j+1]) - 2 u[j] on the interior, computed just
+    before the yield.  Both are buffers allocated once per march: u is
+    advanced in place after the yield and D is overwritten by the next
+    step, so a consumer that keeps either must copy it.  Retained levels
+    are the steps divisible by ``stride``.  In a half march ``x``, u and D
+    cover only the ghost node and the right half."""
 
     x: np.ndarray
     snapped_c: float | None
     dt: float
     times: np.ndarray
     stride: int
-    states: Iterator[tuple[int, np.ndarray, np.ndarray]]
+    states: Callable[[Iterable[int]], Iterator[tuple[int, np.ndarray, np.ndarray]]]
 
 
 def _march(
@@ -380,44 +389,51 @@ def _march(
     bc_left, bc_right = boundary.T[[0, -1]].tolist()
     signed_zero = any(np.signbit(a[a == 0.0]).any() for a in (u0, boundary))
 
-    def states():
+    def states(report):
         k = 0  # a trapped flag in set-up counts as step 1; see the module notes
         try:
             mesh_ratio = dt / (dx * dx)
-            a_hi = mesh_ratio * (0.5 * band.sigma_hi * band.sigma_hi)
-            a_lo = mesh_ratio * (0.5 * band.sigma_lo * band.sigma_lo)
+            # 0-d operands made once: a Python float is made into an array
+            # by every ufunc call that takes it.
+            a_hi = np.array(mesh_ratio * (0.5 * band.sigma_hi * band.sigma_hi))
+            a_lo = np.array(mesh_ratio * (0.5 * band.sigma_lo * band.sigma_lo))
+            zero = np.array(0.0)
             u = u0.copy()
             west, mid, east = u[:-2], u[1:-1], u[2:]
             d2, g, work = np.empty((3, x.size - 2))
+            add, subtract, multiply, maximum = np.add, np.subtract, np.multiply, np.maximum
 
             def second_difference():
-                # (u[j-1] + u[j+1]) - 2 u[j]: mirror-stable order.
-                np.add(west, east, out=d2)
-                np.multiply(mid, 2.0, out=work)
-                np.subtract(d2, work, out=d2)
+                # (u[j-1] + u[j+1]) - 2 u[j] in mirror-stable order, 2 u[j] as u[j] + u[j].
+                add(west, east, out=d2)
+                add(mid, mid, out=work)
+                subtract(d2, work, out=d2)
 
-            for k in range(n_steps):
+            for r in report:
+                for k in range(k, r):  # step k takes state k to state k + 1
+                    second_difference()
+                    # dt G(D/dx^2) = max(a_hi D, a_lo D) + 0.0; see the module notes.
+                    multiply(d2, a_hi, out=g)
+                    multiply(d2, a_lo, out=work)
+                    maximum(g, work, out=g)
+                    if signed_zero:
+                        add(g, zero, out=g)
+                    add(mid, g, out=mid)
+                    # The ghost goes last: at nx = 3 its mirror is the right end.
+                    u[-1] = bc_right[k]
+                    u[0] = u[mirror] if mirror else bc_left[k]
+                k = r
                 second_difference()
-                yield k, u, d2
-                # dt G(D/dx^2) = max(a_hi D, a_lo D) + 0.0; see the module notes.
-                np.multiply(d2, a_hi, out=g)
-                np.multiply(d2, a_lo, out=work)
-                np.maximum(g, work, out=g)
-                if signed_zero:
-                    np.add(g, 0.0, out=g)
-                np.add(mid, g, out=mid)
-                # The ghost goes last: at nx = 3 its mirror is the right end.
-                u[-1] = bc_right[k]
-                u[0] = u[mirror] if mirror else bc_left[k]
-            second_difference()
+                # Backstop for a consumer that runs the march without that errstate.
+                if r == n_steps and not np.isfinite(u).all():
+                    raise NumericalError(f"non-finite values detected at step {n_steps}")
+                yield r, u, d2
         except FloatingPointError:
-            raise NumericalError(f"non-finite values detected at step {k + 1}") from None
-        # Backstop for a consumer that runs the march without that errstate.
-        if not np.isfinite(u).all():
-            raise NumericalError(f"non-finite values detected at step {n_steps}")
-        yield n_steps, u, d2
+            # A flag in D of state k counts as step k + 1, or n_steps at the end.
+            step = min(k + 1, n_steps)
+            raise NumericalError(f"non-finite values detected at step {step}") from None
 
-    return _March(x, snapped_c, dt, times, stride, states())
+    return _March(x, snapped_c, dt, times, stride, states)
 
 
 def solve(
@@ -438,14 +454,13 @@ def solve(
     values = np.empty((times.size, grid.nx))
     # A half march leaves the nodes left of its ghost to their mirrors.
     mirrored = grid.nx - march.x.size
-    with np.errstate(over="raise", invalid="raise"):
-        for k, u, _ in march.states:
-            if k % march.stride == 0:
-                row = values[k // march.stride]
-                row[mirrored:] = u
-                row[:mirrored] = u[::-1][:mirrored]
-    march_s = time.perf_counter() - start
     n_steps = march.times.size - 1
+    with np.errstate(over="raise", invalid="raise"):
+        for k, u, _ in march.states(range(0, n_steps + 1, march.stride)):
+            row = values[k // march.stride]
+            row[mirrored:] = u
+            row[:mirrored] = u[::-1][:mirrored]
+    march_s = time.perf_counter() - start
     return GridSolution(
         grid=grid, band=band, ic=ic, x=np.linspace(grid.x_min, grid.x_max, grid.nx),
         times=times, values=values, dt=march.dt, n_steps=n_steps,
@@ -527,14 +542,12 @@ def two_sided_threshold(
         int(np.argmin(np.abs(march.times - j * grid.t_end / levels)))
         for j in range(1, levels + 1)
     ]
-    wanted = set(picks)
     pos_from = int(np.searchsorted(march.x[1:-1], 0.0))
     noise_floor = _D2_NOISE_MULT * np.finfo(float).eps
     with np.errstate(over="raise", invalid="raise"):
         roots = {
             k: _d2_sign_change_root(march.x, d2, pos_from, march.snapped_c, noise_floor)
-            for k, _, d2 in march.states
-            if k in wanted
+            for k, _, d2 in march.states(sorted(set(picks)))
         }
     return [ThresholdLevel(float(march.times[k]), *roots[k]) for k in picks]
 

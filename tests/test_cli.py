@@ -207,6 +207,18 @@ class TestSolveCommand:
             "numerical failure: non-finite values detected at step 1"
         ]
 
+    def test_c_with_table_data_is_usage_error(self, tmp_path, capsys):
+        # table data reads no threshold, so a --c would only enter the manifest
+        table = tmp_path / "ic.csv"
+        table.write_text("x,phi\n-2,0\n2,1\n")
+        out_path = tmp_path / "t.csv"
+        argv = ["solve", "--ic", f"table:{table}", "--c", "1", "--sigma-lo", "0.8",
+                "--sigma-hi", "1", "--nx", "21", "--out", str(out_path)]
+        assert cli.main(argv) == cli.USAGE_ERROR
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["error: --c is read only with --ic one-sided or two-sided"]
+        assert not out_path.exists()
+
     def test_cfl_violation_exit_2(self, tmp_path):
         proc = run_cli(
             "solve", "--ic", "one-sided", "--c", "0", "--sigma-lo", "1",
@@ -298,6 +310,23 @@ class TestSimulateCommand:
                        "--seed", "0")
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize("policy, stat, unread", [
+        ("heuristic-t", "t", ["--sigma", "0.9", "--table-levels", "7"]),
+        ("constant", "z", ["--crit", "normal"]),
+        ("one-sided-opt", "z", ["--table-levels", "50"]),
+        ("two-sided-thresh", "t", ["--sigma-ref", "1.0"]),
+    ])
+    def test_unread_option_is_usage_error(self, policy, stat, unread, capsys):
+        # An option the run does not read changes no output byte but would
+        # enter the manifest; it is refused even at its default value.
+        argv = ["simulate", "--sigma-lo", "0.8", "--sigma-hi", "1", "--n", "10",
+                "--reps", "64", "--policy", policy, "--sided", "two", "--stat", stat, *unread]
+        assert cli.main(argv) == cli.USAGE_ERROR
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"error: {unread[0]} is read only with --")
+
     def test_workers_env_default(self):
         proc = run_cli("simulate", "--n", "10", "--reps", "64", "--policy",
                        "constant", "--sigma-lo", "1", "--sigma-hi", "1",
@@ -318,18 +347,23 @@ class TestSimulateCommand:
 
 # Every option of each command at a non-default value (--c and --alpha are
 # alternatives, so capacity takes --alpha alone).  --sigma, --crit and
-# --table-levels are each read by one policy only, hence three simulate runs.
+# --table-levels are each read by one policy only, and any other policy
+# refuses them, hence three simulate runs with one each.
 BAND = ["--sigma-lo", "0.7", "--sigma-hi", "1.1"]
-SIMULATE = [*BAND, "--n", "12", "--reps", "600", "--sigma", "0.9", "--alpha", "0.1",
-            "--sided", "one", "--stat", "z", "--sigma-ref", "0.95", "--crit", "t",
-            "--table-levels", "7", "--seed", "5", "--hist", "{tmp}/h.csv"]
+SIMULATE = [*BAND, "--n", "12", "--reps", "600", "--alpha", "0.1", "--sided", "one",
+            "--stat", "z", "--sigma-ref", "0.95", "--seed", "5", "--hist", "{tmp}/h.csv"]
+POLICY_OPTIONS = {
+    "heuristic-t": ["--crit", "t"],
+    "constant": ["--sigma", "0.9"],
+    "two-sided-thresh": ["--table-levels", "7"],
+}
 RERUN = {
     "capacity": ["capacity", *BAND, "--alpha", "0.01", "--sided", "one", "--t", "0.5",
                  "--bounds", "--pde", "--nx", "401"],
     "threshold": ["threshold", *BAND, "--alpha", "0.02", "--levels", "4", "--nx", "301"],
     **{
-        f"simulate-{policy}": ["simulate", *SIMULATE, "--policy", policy]
-        for policy in ("heuristic-t", "constant", "two-sided-thresh")
+        f"simulate-{policy}": ["simulate", *SIMULATE, "--policy", policy, *options]
+        for policy, options in POLICY_OPTIONS.items()
     },
     "solve": ["solve", *BAND, "--ic", "one-sided", "--c", "0.4", "--x-min", "-5",
               "--x-max", "6", "--nx", "121", "--t-end", "0.5", "--safety", "0.6",

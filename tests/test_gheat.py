@@ -183,7 +183,8 @@ class TestBufferedStep:
                 ics += [LipschitzTable(x, y) for y in tables]
                 for ic in ics:
                     march = _march(ic, band, grid, 2)
-                    states = [(k, u.copy(), d2.copy()) for k, u, d2 in march.states]
+                    every_step = march.states(range(march.times.size))
+                    states = [(k, u.copy(), d2.copy()) for k, u, d2 in every_step]
                     # The reference marches the whole grid from its own datum
                     # and ends; a half march (1{|x| > c} here) holds the ghost
                     # and the right half, the last `size` nodes of the grid.
@@ -236,10 +237,41 @@ class TestBufferedStep:
             gap = np.abs(sol.final_values - unfolded).max()
             assert gap <= 4.0 * np.finfo(float).eps, (lo, hi, gap)
 
+    def test_sparse_report_matches_every_step_bitwise(self):
+        # Marching straight to the reported steps passes through the same
+        # states: (u, D) at each reported step is the every-step march's.
+        for band, grid, ic in _step_cases():
+            march = _march(ic, band, grid, 2)
+            n = march.times.size - 1
+            every = {k: (u.tobytes(), d2.tobytes()) for k, u, d2 in march.states(range(n + 1))}
+            report = sorted({0, min(3, n), n // 2, n})
+            sparse = [(k, u.tobytes(), d2.tobytes()) for k, u, d2 in march.states(report)]
+            assert [k for k, _, _ in sparse] == report
+            for k, u, d2 in sparse:
+                assert (u, d2) == every[k], (band, grid.nx, ic, k)
+
     def test_d2_is_one_buffer_reused_by_every_step(self):
         march = _march(IndicatorAbove(0.3), BAND, GridSpec(-3, 3, 61, 0.1), 2)
-        (_, _, first), (_, _, second) = next(march.states), next(march.states)
+        (_, _, first), (_, _, second) = march.states(range(2))
         assert first is second
+
+
+def _step_cases():
+    """(band, grid, datum) of test_every_step_matches_reference_bitwise:
+    1{x > c}, 1{|x| > c} (a half march) and three tables, -0.0 and
+    subnormal ones among them, over the step bands and three grids."""
+    rng = np.random.default_rng(8)
+    for lo, hi in STEP_BANDS:
+        for nx, t_end in ((41, 0.5), (161, 0.1), (1601, 0.002)):
+            x = np.linspace(-4.0, 4.0, nx)
+            tables = [
+                np.where(np.arange(nx) % 3 == 0, -0.0, -np.abs(np.sin(3.0 * x))),
+                rng.choice([1e-310, -1e-310, -0.0, 0.0, 5e-324, -5e-324], nx),
+                rng.standard_normal(nx) * (rng.random(nx) < 0.7),
+            ]
+            ics = [IndicatorAbove(0.3), IndicatorAbsAbove(1.1)]
+            for ic in ics + [LipschitzTable(x, y) for y in tables]:
+                yield VolatilityBand(lo, hi), GridSpec(-4.0, 4.0, nx, t_end), ic
 
 
 # One explicit step on table data whose abscissae are the grid nodes, so the
@@ -258,7 +290,7 @@ def k_steps(y, bounds, safety, k):
     nx = len(y)
     x = np.linspace(-1.0, 1.0, nx)
     grid = GridSpec(-1.0, 1.0, nx, float(k), safety)
-    states = _march(LipschitzTable(x, y), VolatilityBand(*bounds), grid, 2).states
+    states = _march(LipschitzTable(x, y), VolatilityBand(*bounds), grid, 2).states(range(k + 1))
     _, u0, _ = next(states)
     assert u0.tolist() == list(y)
     for _ in range(k):
@@ -345,6 +377,27 @@ class TestNumericalFailure:
         with pytest.raises(NumericalError, match="at step 1$"):
             solve(LipschitzTable(x, y), BAND, GridSpec(-1.0, 1.0, 41, 1.0))
         assert np.geterr() == before
+
+    @pytest.mark.parametrize("t_end, step", [(1.0, 3), (0.004, 2)])
+    def test_boundary_spike_is_reported_at_its_step_in_any_report(self, t_end, step):
+        # A held left end of 1.7e308 first overflows in D of state 2, where
+        # u[0] + u[2] exceeds the float range: step 3, or step 2 when state 2
+        # is the last (t_end = 0.004 takes two steps).  Marches that report
+        # every step, or skip the step that overflows, must name the same one.
+        x = np.linspace(-1.0, 1.0, 41)
+        y = np.zeros(41)
+        y[0] = 1.7e308
+        ic, grid = LipschitzTable(x, y), GridSpec(-1.0, 1.0, 41, t_end)
+        march = _march(ic, BAND, grid, 2)
+        n = march.times.size - 1
+        reports = [range(n + 1), [0, n], *([0, j, n] for j in (1, 2, 3) if j < n)]
+        for report in reports:
+            with np.errstate(over="raise", invalid="raise"):
+                with pytest.raises(NumericalError, match=f"at step {step}$"):
+                    for _ in march.states(report):
+                        pass
+        with pytest.raises(NumericalError, match=f"at step {step}$"):
+            solve(ic, BAND, grid, max_levels=2)
 
     @pytest.mark.parametrize("edge", [float, np.float64])
     def test_threshold_table_overflow_raises_numerical_error(self, edge):
