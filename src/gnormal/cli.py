@@ -7,10 +7,12 @@ Every subcommand echoes a run manifest holding its parameters, tool and
 numpy versions, seed and a SHA-256 checksum of the deterministic output
 content.  ``parameters`` is every parsed option except ``--workers`` (which
 changes no output byte), with the values a command resolves from defaults
-filled in.  Setting an option the run does not read (``simulate``'s
-``--sigma``, ``--crit`` and ``--table-levels`` outside their policy,
-``--sigma-ref`` without ``--stat z``, ``solve``'s ``--c`` with table data)
-is a usage error, so no manifest records a value that changed nothing.
+filled in.  Setting an option the run does not read (``capacity``'s
+``--alpha`` and ``--sided`` with ``--c`` and ``--nx`` without ``--pde``,
+``simulate``'s ``--sigma``, ``--crit`` and ``--table-levels`` outside their
+policy, ``--sigma-ref`` without ``--stat z``, ``solve``'s ``--c`` with
+table data) is a usage error, so no manifest records a value that changed
+nothing.
 ``capacity`` and ``simulate`` put the manifest inside their JSON payload,
 ``solve`` writes it next to its CSV, and ``threshold`` and ``repro`` print
 it on stderr as one JSON line after their text on stdout.
@@ -130,21 +132,23 @@ def _read_options(args, readers: dict) -> dict:
     return resolved
 
 
-def _resolve_c(args, band: VolatilityBand) -> float:
-    if args.c is not None:
-        return args.c
-    if args.alpha is None:
-        raise DomainError("provide --c, or --alpha with --sided")
-    return tail_threshold(args.alpha, band, args.sided)
-
-
 # --------------------------------------------------------------------------
 # capacity
 
 
 def cmd_capacity(args) -> int:
     band = _band(args)
-    c = _resolve_c(args, band)
+    opts = _read_options(args, {
+        "alpha": ("no --c", args.c is None, None),
+        "sided": ("no --c", args.c is None, "two"),
+        "nx": ("--pde", args.pde, 2401),
+    })
+    if args.c is not None:
+        c = args.c
+    elif opts["alpha"] is None:
+        raise DomainError("provide --c, or --alpha with --sided")
+    else:
+        c = tail_threshold(opts["alpha"], band, opts["sided"])
     t = args.t
     if not t >= 0.0:
         raise DomainError(f"time horizon must be >= 0, got {t!r}")
@@ -166,7 +170,7 @@ def cmd_capacity(args) -> int:
         payload.update(p2_approx=None, abs_error_bound=None, rel_error_bound=None)
 
     if args.pde:
-        grid = default_two_sided_grid(c, band, nx=args.nx)
+        grid = default_two_sided_grid(c, band, nx=opts["nx"])
         sol = solve(IndicatorAbsAbove(c), band, grid, max_levels=2)
         payload["p2_numeric"] = sol.value_at_final(0.0)
         payload["pde_grid"] = {
@@ -181,7 +185,7 @@ def cmd_capacity(args) -> int:
             "snapped_c": sol.snapped_c,
         }
 
-    _emit_json(payload, _manifest(args))
+    _emit_json(payload, _manifest(args, **opts))
     return 0
 
 
@@ -217,18 +221,15 @@ def cmd_solve(args) -> int:
         if args.c is None:
             raise DomainError(f"--ic {args.ic} requires --c")
         ic = IndicatorAbove(args.c) if args.ic == "one-sided" else IndicatorAbsAbove(args.c)
-        if args.x_min is None or args.x_max is None:
-            default = default_two_sided_grid(args.c, band)
-            x_min = args.x_min if args.x_min is not None else default.x_min
-            x_max = args.x_max if args.x_max is not None else default.x_max
-        else:
-            x_min, x_max = args.x_min, args.x_max
+        default = default_two_sided_grid(args.c, band, nx=args.nx, t_end=args.t_end)
+        ends = default.x_min, default.x_max
     elif args.ic.startswith("table:"):
         ic = _load_table(args.ic[len("table:"):])
-        x_min = args.x_min if args.x_min is not None else ic.x[0]
-        x_max = args.x_max if args.x_max is not None else ic.x[-1]
+        ends = ic.x[0], ic.x[-1]
     else:
         raise DomainError(f"--ic must be one-sided, two-sided or table:<path>, got {args.ic!r}")
+    x_min = ends[0] if args.x_min is None else args.x_min
+    x_max = ends[1] if args.x_max is None else args.x_max
 
     grid = GridSpec(
         x_min=x_min, x_max=x_max, nx=args.nx, t_end=args.t_end, safety=args.safety
@@ -450,11 +451,12 @@ def _build_parser() -> argparse.ArgumentParser:
     add_band(p)
     p.add_argument("--c", type=float, default=None, help="threshold")
     p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--sided", choices=("one", "two"), default="two")
+    p.add_argument("--sided", choices=("one", "two"), default=None,
+                   help="tail of --alpha (default two); without --c only")
     p.add_argument("--t", type=float, default=1.0, help="time horizon for the bounds")
     p.add_argument("--bounds", action="store_true", help="require the error bounds")
     p.add_argument("--pde", action="store_true", help="also solve p2 numerically")
-    p.add_argument("--nx", type=int, default=2401, help="space points for --pde")
+    p.add_argument("--nx", type=int, default=None, help="space points for --pde (default 2401)")
     p.set_defaults(func=cmd_capacity)
 
     p = sub.add_parser("solve", help="solve the nonlinear heat equation to CSV")

@@ -21,20 +21,19 @@ Numerical conventions that matter to the contracts:
   where either choice is accurate to well below discretization error.
 * One step, in this order, with every numpy result written into buffers
   made once per march: D = (u[j-1] + u[j+1]) - 2 u[j], the undivided
-  second difference; g = max(a_hi D, a_lo D) + 0.0 with the coefficients
+  second difference; g = max(a_hi D, a_lo D) with the coefficients
   a = (dt/dx^2) s^2/2 computed once per march; u[j] += g on the interior;
   then the two boundary values.  This D order makes every step bitwise
   mirror-symmetric for symmetric data on a symmetric grid.  2 u[j] is
   u[j] + u[j], the same float as 2 * u[j] for every input (subnormals
-  and -0.0 too) with the same overflow flag; a_hi, a_lo and the 0.0 are
-  0-d float64 arrays holding the Python floats' values, since numpy 2
-  (NEP 50) converts a Python float operand in every call.  g equals
-  a_hi max(D, 0) + a_lo min(D, 0) bit for bit: as a_hi >= a_lo >= 0 the
-  max picks the product the sum keeps, and the + 0.0 turns the -0.0 that
-  a_lo D is when s_lo = 0 or it underflows into the sum's +0.0.  That
-  sign changes u[j] + g only where u[j] is -0.0, and a float sum is -0.0
-  only if both terms are, so a march whose datum and boundary values hold
-  no -0.0 never makes one and skips the + 0.0.
+  and -0.0 too) with the same overflow flag; a_hi and a_lo are 0-d
+  float64 arrays holding the Python floats' values, since numpy 2
+  (NEP 50) converts a Python float operand in every call.  As
+  a_hi >= a_lo >= 0, g equals a_hi max(D, 0) + a_lo min(D, 0) up to the
+  sign of a zero, and that sign changes u[j] + g only where u[j] is -0.0.
+  No node ever holds -0.0: indicator data and the closed-form ends are
+  +0.0 or positive, a table's -0.0 is sampled as +0.0, and a float sum is
+  -0.0 only if both terms are.
 * 1{|x| > c} on a grid with x_min = -x_max marches the right half only,
   behind a ghost node nx//2 - 1 that copies its mirror after the step's
   right boundary value.  Datum and ends are mirror images, so by the
@@ -316,7 +315,8 @@ def _sample_ic(ic, x, dx):
         return (above > c).astype(float), c
 
     if isinstance(ic, LipschitzTable):
-        return np.interp(x, np.asarray(ic.x), np.asarray(ic.y)), None
+        # + 0.0 samples a -0.0 as +0.0; see the module notes.
+        return np.interp(x, np.asarray(ic.x), np.asarray(ic.y)) + 0.0, None
 
     raise ConfigurationError(f"unknown initial condition {ic!r}")
 
@@ -387,7 +387,6 @@ def _march(
     else:
         boundary = np.broadcast_to(u0[ends], (n_steps, len(ends)))
     bc_left, bc_right = boundary.T[[0, -1]].tolist()
-    signed_zero = any(np.signbit(a[a == 0.0]).any() for a in (u0, boundary))
 
     def states(report):
         k = 0  # a trapped flag in set-up counts as step 1; see the module notes
@@ -397,7 +396,6 @@ def _march(
             # by every ufunc call that takes it.
             a_hi = np.array(mesh_ratio * (0.5 * band.sigma_hi * band.sigma_hi))
             a_lo = np.array(mesh_ratio * (0.5 * band.sigma_lo * band.sigma_lo))
-            zero = np.array(0.0)
             u = u0.copy()
             west, mid, east = u[:-2], u[1:-1], u[2:]
             d2, g, work = np.empty((3, x.size - 2))
@@ -412,12 +410,10 @@ def _march(
             for r in report:
                 for k in range(k, r):  # step k takes state k to state k + 1
                     second_difference()
-                    # dt G(D/dx^2) = max(a_hi D, a_lo D) + 0.0; see the module notes.
+                    # dt G(D/dx^2) = max(a_hi D, a_lo D); see the module notes.
                     multiply(d2, a_hi, out=g)
                     multiply(d2, a_lo, out=work)
                     maximum(g, work, out=g)
-                    if signed_zero:
-                        add(g, zero, out=g)
                     add(mid, g, out=mid)
                     # The ghost goes last: at nx = 3 its mirror is the right end.
                     u[-1] = bc_right[k]

@@ -106,20 +106,15 @@ class PolicySpec:
         elif self.kind == "two_sided_threshold":
             if not self.table:
                 raise ConfigurationError("two_sided_threshold policy needs a non-empty table")
-            taus = [row.time_remaining for row in self.table]
-            if max(taus) < 1.0 - 1e-12 or min(taus) <= 0.0:
+            taus = np.array([row.time_remaining for row in self.table])
+            # NaN fails both comparisons, so a NaN row is rejected too.
+            if not (taus.max() >= 1.0 - 1e-12 and taus.min() > 0.0):
                 raise ConfigurationError("threshold table must cover time_remaining in (0, 1]")
-            # Nearest table row for time remaining 1 - (i-1)/n; a strict < keeps
+            # Nearest table row for time remaining 1 - (i-1)/n; argmin keeps
             # the first row among equally near ones.
             time_remaining = 1.0 - np.arange(-1, n) / n
-            best = np.full(n + 1, np.inf)
-            thr = np.empty(n + 1)
-            for row in self.table:
-                dist = np.abs(row.time_remaining - time_remaining)
-                nearer = dist < best
-                best[nearer] = dist[nearer]
-                thr[nearer] = row.threshold
-            bound = thr * root_n
+            nearest = np.argmin(np.abs(taus[:, None] - time_remaining), axis=0)
+            bound = np.array([row.threshold for row in self.table])[nearest] * root_n
         elif self.kind == "heuristic_t":
             if self.crit_rule not in ("normal", "t_step", "fixed"):
                 raise ConfigurationError(

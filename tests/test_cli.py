@@ -12,7 +12,8 @@ import sys
 import numpy
 import pytest
 
-from gnormal import cli, norm_cdf, norm_quantile
+from gnormal import VolatilityBand, cli, norm_cdf, norm_quantile
+from gnormal.gheat import default_two_sided_grid
 from gnormal.simulate import RNG_SCHEME
 
 
@@ -98,6 +99,20 @@ class TestCapacityCommand:
     def test_usage_error_exit_2(self):
         proc = run_cli("capacity", "--sigma-lo", "0.8")
         assert proc.returncode == 2
+
+    @pytest.mark.parametrize("unread, reader", [
+        (["--c", "1.5", "--alpha", "0.05"], "no --c"),
+        (["--c", "1.5", "--sided", "two"], "no --c"),
+        (["--alpha", "0.05", "--nx", "801"], "--pde"),
+    ])
+    def test_unread_option_is_usage_error(self, unread, reader, capsys):
+        # --alpha and --sided are read only without --c, --nx only with --pde,
+        # so each would enter the manifest without changing a byte.
+        argv = ["capacity", "--sigma-lo", "0.8", "--sigma-hi", "1", *unread]
+        assert cli.main(argv) == cli.USAGE_ERROR
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == [f"error: {unread[2]} is read only with {reader}"]
 
     def test_ignores_bad_workers_env(self):
         # capacity has no --workers, so GNORMAL_WORKERS is not its input
@@ -218,6 +233,23 @@ class TestSolveCommand:
         err = capsys.readouterr().err
         assert err.splitlines() == ["error: --c is read only with --ic one-sided or two-sided"]
         assert not out_path.exists()
+
+    def test_indicator_ends_default_to_the_two_sided_grid(self, tmp_path, capsys):
+        # One rule for both ends: each unset end comes from the default grid.
+        default = default_two_sided_grid(0.4, VolatilityBand(0.8, 1.0))
+        out_path = tmp_path / "u.csv"
+        argv = ["solve", "--ic", "one-sided", "--c", "0.4", "--sigma-lo", "0.8",
+                "--sigma-hi", "1", "--nx", "41", "--t-end", "0.1", "--levels", "2",
+                "--x-min", "-5", "--out", str(out_path)]
+        assert cli.main(argv) == 0
+        manifest = json.loads((tmp_path / "u.csv.manifest.json").read_text())
+        assert manifest["parameters"]["x_min"] == -5.0
+        assert manifest["parameters"]["x_max"] == default.x_max
+        # The default ends are built even when both are set, so a NaN
+        # threshold fails there, still as a usage error.
+        argv[argv.index("0.4")] = "nan"
+        assert cli.main([*argv, "--x-max", "5"]) == cli.USAGE_ERROR
+        assert capsys.readouterr().err.splitlines()[-1] == "error: grid endpoints must be finite"
 
     def test_cfl_violation_exit_2(self, tmp_path):
         proc = run_cli(

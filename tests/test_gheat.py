@@ -30,7 +30,7 @@ from gnormal import (
     two_sided_threshold,
     verify_sandwich,
 )
-from gnormal import gheat
+from gnormal import cli, gheat
 from gnormal.capacity import tail_threshold
 from gnormal.gheat import (
     GridSolution,
@@ -112,6 +112,51 @@ class TestInitialConditions:
             for k in range(1, sol.times.size):
                 exact = exact_values(sol, float(sol.times[k]))
                 assert np.array_equal(sol.values[k, [0, -1]], exact[[0, -1]])
+
+
+def _holds_negative_zero(a):
+    return bool(np.signbit(a[a == 0.0]).any())
+
+
+class TestNoNegativeZero:
+    """No node ever holds -0.0, so the step needs no + 0.0 on G."""
+
+    def test_negative_zero_table_is_sampled_as_positive_zero(self):
+        # -0.0 at both ends and inside, on the grid's own nodes, with
+        # negative values around it: sigma_lo = 0 makes every a_lo D with
+        # D < 0 a -0.0, and the ends are held at their initial values.
+        x = np.linspace(-1.0, 1.0, 41)
+        y = np.where(np.arange(41) % 4 == 0, -0.0, -np.abs(np.sin(3.0 * x)))
+        assert np.signbit(y[[0, 20, -1]]).all()
+        for band in (VolatilityBand(0.0, 1.0), BAND):
+            sol = solve(LipschitzTable(x, y), band, GridSpec(-1.0, 1.0, 41, 0.5))
+            assert not _holds_negative_zero(sol.values), band
+            assert (sol.values[0] == y).all()
+
+    @pytest.mark.parametrize("band", [BAND, VolatilityBand(1e-160, 1.0)])
+    def test_indicator_data_with_underflowing_ends(self, band):
+        # Far ends: the closed-form boundary values underflow to zero at
+        # every step, and with sigma_lo = 1e-160 so does every a_lo D.
+        grid = GridSpec(-60.0, 3.0, 64, 0.05)
+        for ic in (IndicatorAbove(0.3), IndicatorAbsAbove(0.3)):
+            sol = solve(ic, band, grid)
+            # 1{|x| > c} underflows only its mirror term: f(-60/sqrt(t)) + 1
+            assert (sol.values[1:, 0] == (ic == IndicatorAbsAbove(0.3))).all()
+            assert not _holds_negative_zero(sol.values), ic
+
+    def test_cli_csv_holds_no_negative_zero(self, tmp_path):
+        x = np.linspace(-1.0, 1.0, 9)
+        y = [-0.0, 0.5, -0.0, -0.25, -0.0, -1.0, 0.0, 0.75, -0.0]
+        table = tmp_path / "signed.csv"
+        table.write_text("".join(f"{a!r} {b!r}\n" for a, b in zip(x.tolist(), y)))
+        out_path = tmp_path / "u.csv"
+        argv = ["solve", "--ic", f"table:{table}", "--sigma-lo", "0", "--sigma-hi", "1",
+                "--nx", "9", "--t-end", "0.2", "--levels", "3", "--out", str(out_path)]
+        assert cli.main(argv) == 0
+        with open(out_path) as fh:
+            fields = {f for row in csv.reader(fh) for f in row}
+        assert "0.0" in fields
+        assert "-0.0" not in fields
 
 
 class TestPolynomialData:

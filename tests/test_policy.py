@@ -69,6 +69,10 @@ class TestSpecValidation:
             )
         with pytest.raises(ConfigurationError):
             two_sided_threshold_policy(BAND, 10, [])
+        # a NaN time is no time in (0, 1], wherever the row sits
+        for rows in ([(float("nan"), 1.9), (1.0, 1.9)], [(1.0, 1.9), (float("nan"), 1.9)]):
+            with pytest.raises(ConfigurationError, match="cover"):
+                two_sided_threshold_policy(BAND, 10, [ThresholdLevel(*r) for r in rows])
 
     def test_unknown_kind(self):
         with pytest.raises(ConfigurationError):
