@@ -19,7 +19,7 @@ it on stderr as one JSON line after their text on stdout.
 Wall-clock runtime is excluded from the checksum; re-runs with the same
 manifest parameters reproduce all checksummed bytes.  ``simulate`` also
 prints its per-phase seconds on stderr, and ``solve`` its march seconds,
-steps/s and CFL fraction.
+steps/s, CFL fraction and node counts.
 """
 
 from __future__ import annotations
@@ -440,11 +440,11 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--sigma-lo", type=float, required=True)
         p.add_argument("--sigma-hi", type=float, required=True)
 
-    def add_workers(p):
+    def add_workers(p, fallback):
         # A string default goes through type=int only when the flag is
         # absent, so a bad GNORMAL_WORKERS is a usage error of this command.
         p.add_argument(
-            "--workers", type=int, default=os.environ.get("GNORMAL_WORKERS", "1")
+            "--workers", type=int, default=os.environ.get("GNORMAL_WORKERS", str(fallback))
         )
 
     p = sub.add_parser("capacity", help="closed-form capacities and error bounds")
@@ -500,7 +500,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--table-levels", type=int, default=None,
                    help="threshold table rows for two-sided-thresh (default 50)")
     p.add_argument("--seed", type=int, default=0)
-    add_workers(p)
+    add_workers(p, 1)  # small runs would pay more for a pool than they gain
     p.add_argument("--hist", default=None, help="write histogram CSV here")
     p.set_defaults(func=cmd_simulate)
 
@@ -509,7 +509,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fast", action="store_true", help="desk scale: reps=1e5, wider tolerances")
     p.add_argument("--crit", choices=tuple(CRIT_RULES), default="normal")
     p.add_argument("--seed", type=int, default=1)
-    add_workers(p)
+    add_workers(p, min(2, os.cpu_count() or 1))
     p.set_defaults(func=cmd_repro)
 
     return parser

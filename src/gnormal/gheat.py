@@ -38,6 +38,14 @@ Numerical conventions that matter to the contracts:
   behind a ghost node nx//2 - 1 that copies its mirror after the step's
   right boundary value.  Datum and ends are mirror images, so by the
   symmetry above every kept node holds the full march's bits.
+* A step updates only a window of interior nodes.  The one set at state
+  s = jK, K = _SCAN_STEPS, is the hull of the nonzero D of state s - 1
+  widened by K (D's support grows by at most a node a step), and to each
+  end whose value moves (exact !=) in steps s - 1 .. s + K - 2.  D = +0.0
+  gives g = +0.0 and u + g = u (no node holds -0.0).  Outside the window
+  no stencil node has changed since D there was +0.0, so D is +0.0 again,
+  with no flag: the bits, the NumericalError step and the D buffer are the
+  full march's.  The ghost needs no rule: its neighbour reads its mirror.
 * Overflow surfaces once, as NumericalError naming the step whose
   arithmetic failed.  Every datum starts finite, and finite arithmetic
   turns non-finite only by an overflow or invalid operation, so ``solve``
@@ -103,6 +111,10 @@ __all__ = [
 _D2_NOISE_MULT = 64.0
 
 _DEFAULT_MAX_LEVELS = 201
+
+# Steps between two settings of the march's active window (K in the module
+# notes).  Rescans cost a scan of D; wider cones cost more nodes per step.
+_SCAN_STEPS = 32
 
 # Tolerance of verify_sandwich's discrete triple.  It cannot be zero: the
 # float one-step map is monotone only to about 1.6 eps.
@@ -215,10 +227,10 @@ class GridSolution:
     cell-midpoint threshold actually used for indicator data.
     ``diagnostics`` holds the march's wall seconds (``march_s``, set-up
     included), ``steps_per_s``, ``cfl``, the CFL fraction actually used,
-    dt s_hi^2 / dx^2 (at most ``safety``, up to one rounding of dt), and
-    ``nodes_per_step``, the interior nodes each step updates (fewer in a
-    half march); it is volatile, so it takes no part in equality,
-    ``write_csv`` or any checksum.
+    dt s_hi^2 / dx^2 (at most ``safety``, up to one rounding of dt),
+    ``nodes_per_step``, the interior nodes (fewer in a half march), and
+    ``active_nodes_per_step``, the mean over steps of those updated; it is
+    volatile, so it takes no part in equality, ``write_csv`` or checksums.
     """
 
     grid: GridSpec
@@ -343,7 +355,8 @@ class _March:
     advanced in place after the yield and D is overwritten by the next
     step, so a consumer that keeps either must copy it.  Retained levels
     are the steps divisible by ``stride``.  In a half march ``x``, u and D
-    cover only the ghost node and the right half."""
+    cover only the ghost node and the right half.  ``updates[0]`` counts
+    the node updates of the windows the latest ``states`` call has set."""
 
     x: np.ndarray
     snapped_c: float | None
@@ -351,6 +364,7 @@ class _March:
     times: np.ndarray
     stride: int
     states: Callable[[Iterable[int]], Iterator[tuple[int, np.ndarray, np.ndarray]]]
+    updates: list[int]
 
 
 def _march(
@@ -387,6 +401,12 @@ def _march(
     else:
         boundary = np.broadcast_to(u0[ends], (n_steps, len(ends)))
     bc_left, bc_right = boundary.T[[0, -1]].tolist()
+    # For the active window: the steps at which each end's value moves, and
+    # the interior index just past each end; see the module notes.
+    n, K = x.size - 2, _SCAN_STEPS
+    moves = boundary != np.vstack((u0[ends], boundary[:-1]))
+    beyond = [-1, n][-len(ends) :]
+    updates = [0]
 
     def states(report):
         k = 0  # a trapped flag in set-up counts as step 1; see the module notes
@@ -397,29 +417,47 @@ def _march(
             a_hi = np.array(mesh_ratio * (0.5 * band.sigma_hi * band.sigma_hi))
             a_lo = np.array(mesh_ratio * (0.5 * band.sigma_lo * band.sigma_lo))
             u = u0.copy()
-            west, mid, east = u[:-2], u[1:-1], u[2:]
-            d2, g, work = np.empty((3, x.size - 2))
+            d2, g, work = np.empty((3, n))
             add, subtract, multiply, maximum = np.add, np.subtract, np.multiply, np.maximum
-
-            def second_difference():
-                # (u[j-1] + u[j+1]) - 2 u[j] in mirror-stable order, 2 u[j] as u[j] + u[j].
-                add(west, east, out=d2)
-                add(mid, mid, out=work)
-                subtract(d2, work, out=d2)
+            # Views of the window [lo, hi) of interior nodes; state `scan` sets the next.
+            lo, hi, scan = 0, n, K
+            west, mid, east, d, gw, w = u[:-2], u[1:-1], u[2:], d2, g, work
+            updates[0] = n * min(K, n_steps)
 
             for r in report:
-                for k in range(k, r):  # step k takes state k to state k + 1
-                    second_difference()
+                # D of state k, then step k, which takes state k to k + 1.
+                for k in range(k, r + 1):
+                    if k == scan:
+                        # The ends that move in steps k - 1 .. k + K - 2 and the
+                        # nonzero D of state k - 1 (d still holds it), widened
+                        # by K: the light cone of states k .. k + K - 1.
+                        hull = [p for p, m in zip(beyond, moves[k - 1 : k - 1 + K].any(0)) if m]
+                        nonzero = d != 0.0
+                        if nonzero.any():
+                            last = d.size - 1 - int(nonzero[::-1].argmax())
+                            hull += [lo + int(nonzero.argmax()), lo + last]
+                        if hull:
+                            lo, hi = max(min(hull) - K, 0), min(max(hull) + K + 1, n)
+                        else:
+                            lo = hi = 0
+                        scan += K
+                        updates[0] += (hi - lo) * (min(scan, n_steps) - k)
+                        west, mid, east = u[lo:hi], u[lo + 1 : hi + 1], u[lo + 2 : hi + 2]
+                        d, gw, w = d2[lo:hi], g[lo:hi], work[lo:hi]
+                    # (u[j-1] + u[j+1]) - 2 u[j] in mirror-stable order, 2 u[j] as u[j] + u[j].
+                    add(west, east, out=d)
+                    add(mid, mid, out=w)
+                    subtract(d, w, out=d)
+                    if k == r:
+                        break
                     # dt G(D/dx^2) = max(a_hi D, a_lo D); see the module notes.
-                    multiply(d2, a_hi, out=g)
-                    multiply(d2, a_lo, out=work)
-                    maximum(g, work, out=g)
-                    add(mid, g, out=mid)
+                    multiply(d, a_hi, out=gw)
+                    multiply(d, a_lo, out=w)
+                    maximum(gw, w, out=gw)
+                    add(mid, gw, out=mid)
                     # The ghost goes last: at nx = 3 its mirror is the right end.
                     u[-1] = bc_right[k]
                     u[0] = u[mirror] if mirror else bc_left[k]
-                k = r
-                second_difference()
                 # Backstop for a consumer that runs the march without that errstate.
                 if r == n_steps and not np.isfinite(u).all():
                     raise NumericalError(f"non-finite values detected at step {n_steps}")
@@ -429,7 +467,7 @@ def _march(
             step = min(k + 1, n_steps)
             raise NumericalError(f"non-finite values detected at step {step}") from None
 
-    return _March(x, snapped_c, dt, times, stride, states)
+    return _March(x, snapped_c, dt, times, stride, states, updates)
 
 
 def solve(
@@ -466,6 +504,7 @@ def solve(
             "steps_per_s": n_steps / march_s,
             "cfl": march.dt * band.sigma_hi * band.sigma_hi / (grid.dx * grid.dx),
             "nodes_per_step": march.x.size - 2,
+            "active_nodes_per_step": march.updates[0] / n_steps,
         },
     )
 

@@ -204,8 +204,11 @@ class TestSolveCommand:
         assert proc.returncode == 0, proc.stderr
         line = [l for l in proc.stderr.splitlines() if l.startswith("diagnostics: ")]
         diag = json.loads(line[0].split(": ", 1)[1])
-        assert set(diag) == {"march_s", "steps_per_s", "cfl", "nodes_per_step"}
+        assert set(diag) == {
+            "march_s", "steps_per_s", "cfl", "nodes_per_step", "active_nodes_per_step"
+        }
         assert diag["nodes_per_step"] == 201 - 100 - 1  # the half march ran
+        assert 0.0 < diag["active_nodes_per_step"] <= diag["nodes_per_step"]
         assert 0.0 < diag["cfl"] <= 0.5
         manifest = (tmp_path / "d.csv.manifest.json").read_text()
         assert "march_s" not in manifest and "cfl" not in manifest
@@ -366,6 +369,20 @@ class TestSimulateCommand:
                        "--seed", "1", env_extra={"GNORMAL_WORKERS": "2"})
         assert proc.returncode == 0
         assert "workers: 2" in proc.stderr
+
+    def test_workers_default(self, monkeypatch):
+        # repro's long runs take up to two workers, simulate's small ones one;
+        # GNORMAL_WORKERS overrides both.
+        monkeypatch.delenv("GNORMAL_WORKERS", raising=False)
+        parser = cli._build_parser()
+        simulate = ["simulate", "--sigma-lo", "1", "--sigma-hi", "1", "--n", "10",
+                    "--reps", "64", "--policy", "constant", "--sided", "one", "--stat", "z"]
+        assert parser.parse_args(simulate).workers == 1
+        assert parser.parse_args(["repro"]).workers == min(2, os.cpu_count() or 1)
+        monkeypatch.setenv("GNORMAL_WORKERS", "3")
+        parser = cli._build_parser()
+        assert parser.parse_args(simulate).workers == 3
+        assert parser.parse_args(["repro"]).workers == 3
 
     def test_bad_workers_env_is_usage_error(self):
         simulate = ("simulate", "--n", "10", "--reps", "64", "--policy", "constant",

@@ -319,6 +319,108 @@ def _step_cases():
                 yield VolatilityBand(lo, hi), GridSpec(-4.0, 4.0, nx, t_end), ic
 
 
+def _window_cases():
+    """(rule, datum, band, grid) of TestActiveWindow: data whose march leans
+    on one rule of the active window.  dt = 0.8 dx^2 / s_hi^2, so each grid
+    takes the same number of steps in every band."""
+    x = np.linspace(-4.0, 4.0, 1601)
+
+    def grid(nx, steps, hi):
+        dx = 8.0 / (nx - 1)
+        return GridSpec(-4.0, 4.0, nx, steps * 0.8 * dx * dx / (hi * hi))
+
+    for lo, hi in STEP_BANDS:
+        # 1{|x| > c} from c = 2.5: the front moves one node a step through
+        # the zeros and meets the ghost about 500 steps on.
+        yield "ghost", IndicatorAbsAbove(2.5), VolatilityBand(lo, hi), grid(1601, 600, hi)
+    for lo, hi in ((0.8, 1.0), (1.0, 1.0), (0.5, 2.0)):
+        # The closed-form left end 3 from c moves from about step 320 on,
+        # while the front is still 280 nodes from it.
+        yield "left end", IndicatorAbove(-1.0), VolatilityBand(lo, hi), grid(1601, 500, hi)
+    for lo, hi in ((0.8, 1.0), (1.0, 1.0)):
+        # The closed-form right end, 1 - eps at first, moves 7 or 12 nodes
+        # ahead of the nonzero D: only a scan interval below that misses it.
+        yield "right end", IndicatorAbove(1.0), VolatilityBand(lo, hi), grid(801, 3750, hi)
+    for lo, hi in ((0.0, 1.0), (0.8, 1.0)):
+        # Held ends and a tent far from both: the window leaves both ends.
+        y = 0.25 + np.maximum(1.0 - np.abs(x), 0.0)
+        yield "held ends", LipschitzTable(x, y), VolatilityBand(lo, hi), grid(1601, 300, hi)
+    for lo, hi in ((0.8, 1.0), (1.0, 1.0)):
+        # One-unit subnormal spikes right of a tent die in the first step, so
+        # the nonzero D shrinks to the tent's.
+        y = np.maximum(1.0 - np.abs(x + 2.0), 0.0) + np.where(x > 1.0, 5e-324, 0.0) * (
+            np.arange(x.size) % 7 == 0
+        )
+        yield "shrinking D", LipschitzTable(x, y), VolatilityBand(lo, hi), grid(1601, 100, hi)
+
+
+class TestActiveWindow:
+    """Each step updates only the window of interior nodes where D can be
+    nonzero before the next scan; every step must still be the full-grid
+    march's, byte for byte, for every scan interval K."""
+
+    @staticmethod
+    def every_state(ic, band, grid):
+        """Copies of (k, u, D) of every state, each checked byte for byte
+        against the allocating full-grid march (a half march holds its last
+        ``x.size`` nodes)."""
+        march = _march(ic, band, grid, 2)
+        n = march.times.size - 1
+        reference = oracles.reference_solve(ic, band, grid, march.dt, n)
+        size = march.x.size
+        states = []
+        for (k, u, d2), want in zip(march.states(range(n + 1)), reference, strict=True):
+            assert k == want[0]
+            assert u.tobytes() == want[1][-size:].tobytes(), (ic, band, k)
+            assert d2.tobytes() == want[2][2 - size :].tobytes(), (ic, band, k)
+            states.append((k, u.copy(), d2.copy()))
+        return states
+
+    @pytest.mark.parametrize("scan_steps", [1, 2, 3])
+    def test_every_step_is_the_full_grid_march(self, monkeypatch, scan_steps):
+        # Windows this narrow put every rule at the edge of what it covers.
+        monkeypatch.setattr(gheat, "_SCAN_STEPS", scan_steps)
+        for _, ic, band, grid in _window_cases():
+            self.every_state(ic, band, grid)
+
+    def test_each_case_reaches_its_rule(self):
+        # Every step at the module's own K, and the situation each case is for.
+        K = gheat._SCAN_STEPS
+        for rule, ic, band, grid in _window_cases():
+            states = self.every_state(ic, band, grid)
+            d2s = [d2 for _, _, d2 in states]
+            if rule == "ghost":
+                # D next to the ghost turns nonzero only after four scans.
+                first = next(k for k, d2 in enumerate(d2s) if d2[0] != 0.0)
+                assert 4 * K < first < len(states) - 1, (band, first)
+            elif rule == "left end":
+                # When the end first moves, the nonzero D is over 2K nodes away.
+                moved = next(k for k, u, _ in states if u[0] != 0.0)
+                assert np.flatnonzero(d2s[moved - 1])[0] > 2 * K, band
+            elif rule == "right end":
+                # When the end first moves, the nonzero D is 4 nodes away or more.
+                moved = next(k for k, u, _ in states if u[-1] != 1.0)
+                assert np.flatnonzero(d2s[moved - 1])[-1] < d2s[0].size - 4, band
+            elif rule == "held ends":
+                # After the first scan no D within 2K nodes of an end is nonzero.
+                assert not any(d2[: 2 * K].any() or d2[-2 * K :].any() for d2 in d2s[K:])
+            elif rule == "shrinking D":
+                # The first scan sees D only around the tent.
+                assert np.flatnonzero(d2s[K - 1])[-1] + 2 * K < np.flatnonzero(d2s[0])[-1]
+
+    def test_active_nodes_per_step(self):
+        # Fewer than every interior node on the default grid; all of them
+        # where the interior is narrower than the scan interval, over a march
+        # whose step count is not a multiple of it.
+        grid = default_two_sided_grid(1.0, BAND, nx=1601)
+        for ic in (IndicatorAbove(1.0), IndicatorAbsAbove(1.0)):
+            diag = solve(ic, BAND, grid, max_levels=2).diagnostics
+            assert 0.0 < diag["active_nodes_per_step"] < diag["nodes_per_step"]
+        sol = solve(IndicatorAbove(0.3), BAND, GridSpec(-1.0, 1.0, 21, 1.0), max_levels=2)
+        assert sol.n_steps % gheat._SCAN_STEPS != 0
+        assert sol.diagnostics["active_nodes_per_step"] == sol.diagnostics["nodes_per_step"] == 19
+
+
 # One explicit step on table data whose abscissae are the grid nodes, so the
 # sampled datum is the table itself.  Magnitudes stay in [1e-3, 1e3] (or 0),
 # so scaling by 2^m with |m| <= 8 neither overflows nor reaches subnormals.
@@ -459,8 +561,11 @@ class TestDiagnostics:
             grid = GridSpec(-6.0, 6.0, nx, 1.0, safety)
             sol = solve(IndicatorAbsAbove(1.0), BAND, grid, max_levels=3)
             diag = sol.diagnostics
-            assert set(diag) == {"march_s", "steps_per_s", "cfl", "nodes_per_step"}
+            assert set(diag) == {
+                "march_s", "steps_per_s", "cfl", "nodes_per_step", "active_nodes_per_step"
+            }
             assert diag["nodes_per_step"] == nx - nx // 2 - 1
+            assert 0.0 < diag["active_nodes_per_step"] <= diag["nodes_per_step"]
             assert 0.0 < diag["cfl"] <= safety
             assert diag["cfl"] == pytest.approx(sol.dt * BAND.sigma_hi**2 / grid.dx**2)
             assert diag["march_s"] > 0.0
