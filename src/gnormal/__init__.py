@@ -14,7 +14,6 @@ from .capacity import (
     p1,
     p2_approx,
     profile_f,
-    profile_f_yy,
     relative_error_bound,
     two_sided_error_bound,
 )
@@ -32,7 +31,6 @@ from .gheat import (
     LipschitzTable,
     SandwichReport,
     ThresholdLevel,
-    p2_numeric,
     solve,
     two_sided_threshold,
     verify_sandwich,
@@ -61,12 +59,12 @@ __all__ = [
     # special
     "norm_pdf", "norm_cdf", "norm_quantile", "t_pdf", "t_cdf", "t_quantile",
     # capacity
-    "VolatilityBand", "TwoSidedApprox", "profile_f", "profile_f_yy", "p1",
-    "p2_approx", "two_sided_error_bound", "relative_error_bound",
+    "VolatilityBand", "TwoSidedApprox", "profile_f", "p1", "p2_approx",
+    "two_sided_error_bound", "relative_error_bound",
     # gheat
     "GridSpec", "GridSolution", "SandwichReport", "ThresholdLevel",
     "IndicatorAbove", "IndicatorAbsAbove", "LipschitzTable",
-    "solve", "p2_numeric", "two_sided_threshold", "verify_sandwich",
+    "solve", "two_sided_threshold", "verify_sandwich",
     # policy
     "PolicySpec", "constant_policy", "one_sided_optimal_policy",
     "two_sided_threshold_policy", "heuristic_t_policy",

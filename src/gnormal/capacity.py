@@ -8,7 +8,7 @@ self-similar profile
 where ``f`` splits into two Gaussian tail pieces weighted by the volatility
 band edges.  Everything here is evaluated through the normal CDF
 (``math.erfc``) in closed form; no quadrature appears outside the test
-oracles.  ``profile_f`` and ``profile_f_yy`` also take arrays.
+oracles.  ``profile_f`` also takes arrays.
 
 The two-sided capacity has no closed form.  ``p2_approx`` returns twice the
 one-sided capacity together with rigorous error bounds: the absolute bound
@@ -28,13 +28,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .special import _INV_SQRT_2PI, _SQRT2, norm_cdf, norm_quantile
+from .special import _SQRT2, norm_cdf, norm_quantile
 
 __all__ = [
     "VolatilityBand",
     "TwoSidedApprox",
     "profile_f",
-    "profile_f_yy",
     "p1",
     "tail_threshold",
     "p2_approx",
@@ -109,27 +108,6 @@ def profile_f(y, band: VolatilityBand):
     erfc = np.fromiter(map(math.erfc, w.ravel().tolist()), float, w.size)
     cdf = 0.5 * erfc.reshape(w.shape)
     out = np.where(left, 2.0 * hi / s * cdf, 1.0 - 2.0 * lo / s * cdf)
-    return float(out) if out.ndim == 0 else out
-
-
-def profile_f_yy(y, band: VolatilityBand):
-    """Second derivative of the profile; sign(f_yy(y)) = sign(-y).
-
-    |f_yy| over y < 0 is maximized at y = -sigma_hi.  ``y`` is a float
-    (giving a float) or an array.
-    """
-    _require_closed_form(band)
-    lo, hi = band.sigma_lo, band.sigma_hi
-    ys = np.asarray(y, dtype=float)
-    sig = np.where(ys <= 0.0, hi, lo)
-    # z * z overflows to inf for large |z|; exp(-inf) = 0 is the exact limit.
-    with np.errstate(over="ignore"):
-        z = ys / sig
-        density = _INV_SQRT_2PI * np.exp(-0.5 * z * z)
-    # Where the density is 0 the value is a zero signed like -y; a unit
-    # stand-in for y keeps -2y finite there (inf * 0 would give NaN).
-    ys = np.where(density == 0.0, np.sign(ys), ys)
-    out = -2.0 * ys / (hi + lo) * density / (sig * sig)
     return float(out) if out.ndim == 0 else out
 
 

@@ -9,10 +9,10 @@ content.  ``parameters`` is every parsed option except ``--workers`` (which
 changes no output byte), with the values a command resolves from defaults
 filled in.  Setting an option the run does not read (``capacity``'s
 ``--alpha`` and ``--sided`` with ``--c`` and ``--nx`` without ``--pde``,
-``simulate``'s ``--sigma``, ``--crit`` and ``--table-levels`` outside their
-policy, ``--sigma-ref`` without ``--stat z``, ``solve``'s ``--c`` with
-table data) is a usage error, so no manifest records a value that changed
-nothing.
+``simulate``'s ``--sigma`` and ``--table-levels`` outside their policy,
+``--sigma-ref`` without ``--stat z``, ``solve``'s ``--c`` with table data,
+``repro``'s ``--reps`` with ``--fast``) is a usage error, so no manifest
+records a value that changed nothing.
 ``capacity`` and ``simulate`` put the manifest inside their JSON payload,
 ``solve`` writes it next to its CSV, and ``threshold`` and ``repro`` print
 it on stderr as one JSON line after their text on stdout.
@@ -63,8 +63,6 @@ from .special import norm_quantile
 USAGE_ERROR = 2
 NUMERICAL_ERROR = 3
 PROPERTY_FAILURE = 4
-
-CRIT_RULES = {"normal": "normal", "t": "t_step"}
 
 
 def _canonical_checksum(payload: dict) -> str:
@@ -194,22 +192,22 @@ def cmd_capacity(args) -> int:
 
 
 def _load_table(path: str):
-    xs, ys = [], []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.replace(",", " ").split()
-            if len(parts) != 2:
-                raise ConfigurationError(f"table row needs two columns: {line!r}")
-            try:
-                xs.append(float(parts[0]))
-                ys.append(float(parts[1]))
-            except ValueError as exc:
-                if xs:
-                    raise ConfigurationError(f"bad table row {line!r}") from exc
-                continue  # tolerate one header line
+        lines = [line.strip() for line in fh]
+    rows = [line for line in lines if line and not line.startswith("#")]
+    xs, ys = [], []
+    for k, line in enumerate(rows):
+        parts = line.replace(",", " ").split()
+        if len(parts) != 2:
+            raise ConfigurationError(f"table row needs two columns: {line!r}")
+        try:
+            x, y = float(parts[0]), float(parts[1])
+        except ValueError as exc:
+            if k == 0:
+                continue  # the first line may be a header
+            raise ConfigurationError(f"bad table row {line!r}") from exc
+        xs.append(x)
+        ys.append(y)
     return LipschitzTable(xs, ys)
 
 
@@ -286,7 +284,7 @@ def _build_policy(args, band: VolatilityBand, opts: dict):
         rows = two_sided_threshold(band, args.alpha, opts["table_levels"])
         return two_sided_threshold_policy(band, args.n, rows)
     if args.policy == "heuristic-t":
-        return heuristic_t_policy(band, args.n, args.alpha, crit_rule=CRIT_RULES[opts["crit"]])
+        return heuristic_t_policy(band, args.n, args.alpha)
     raise DomainError(f"unknown policy {args.policy!r}")
 
 
@@ -294,7 +292,6 @@ def cmd_simulate(args) -> int:
     band = _band(args)
     opts = _read_options(args, {
         "sigma": ("--policy constant", args.policy == "constant", band.sigma_hi),
-        "crit": ("--policy heuristic-t", args.policy == "heuristic-t", "normal"),
         "table_levels": ("--policy two-sided-thresh", args.policy == "two-sided-thresh", 50),
         "sigma_ref": ("--stat z", args.stat == "z", band.sigma_hi),
     })
@@ -360,7 +357,8 @@ def above_nominal(report) -> bool:
 
 def cmd_repro(args) -> int:
     band = REPRO_BAND
-    reps = 100_000 if args.fast else args.reps
+    opts = _read_options(args, {"reps": ("no --fast", not args.fast, 1_000_000)})
+    reps = opts.get("reps", 100_000)
     sim_tol = hetero_tolerance(reps)
     checks = []
 
@@ -397,7 +395,7 @@ def cmd_repro(args) -> int:
         cfg = SimulationConfig(
             n=n,
             reps=reps,
-            policy=heuristic_t_policy(band, n, REPRO_ALPHA, crit_rule=CRIT_RULES[args.crit]),
+            policy=heuristic_t_policy(band, n, REPRO_ALPHA),
             test=TestSpec(sided="two", alpha=REPRO_ALPHA, statistic="t"),
             seed=args.seed,
             workers=args.workers,
@@ -495,8 +493,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stat", choices=("z", "t"), required=True)
     p.add_argument("--sigma-ref", type=float, default=None,
                    help="z scale (default sigma-hi); --stat z only")
-    p.add_argument("--crit", choices=tuple(CRIT_RULES), default=None,
-                   help="heuristic-t critical value rule (default normal)")
     p.add_argument("--table-levels", type=int, default=None,
                    help="threshold table rows for two-sided-thresh (default 50)")
     p.add_argument("--seed", type=int, default=0)
@@ -505,9 +501,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("repro", help="re-run the headline numbers and report PASS/FAIL")
-    p.add_argument("--reps", type=int, default=1_000_000)
+    p.add_argument("--reps", type=int, default=None, help="default 1e6; without --fast only")
     p.add_argument("--fast", action="store_true", help="desk scale: reps=1e5, wider tolerances")
-    p.add_argument("--crit", choices=tuple(CRIT_RULES), default="normal")
     p.add_argument("--seed", type=int, default=1)
     add_workers(p, min(2, os.cpu_count() or 1))
     p.set_defaults(func=cmd_repro)

@@ -100,7 +100,6 @@ __all__ = [
     "SandwichReport",
     "default_two_sided_grid",
     "solve",
-    "p2_numeric",
     "two_sided_threshold",
     "verify_sandwich",
 ]
@@ -526,25 +525,6 @@ def _d2_sign_change_root(x, d2, pos_from, ref_c, noise_floor):
     roots = xs[idx] - left[idx] * (xs[idx + 1] - xs[idx]) / (right[idx] - left[idx])
     pick = int(np.argmin(np.abs(roots - ref_c)))
     return float(roots[pick]), False, idx.size > 1
-
-
-def p2_numeric(c: float, band: VolatilityBand, grid: GridSpec | None = None) -> float:
-    """Two-sided tail capacity w(t_end, 0) solved from 1{|x| > c} data.
-
-    The grid must cover [-(c + 8 s_hi), c + 8 s_hi]; the default puts the
-    boundary at +-(c + 10 s_hi).
-    """
-    if not c >= 0.0:
-        raise DomainError(f"p2_numeric requires c >= 0, got {c!r}")
-    if grid is None:
-        grid = default_two_sided_grid(c, band)
-    reach = c + 8.0 * band.sigma_hi
-    if grid.x_min > -reach or grid.x_max < reach:
-        raise ConfigurationError(
-            f"grid [{grid.x_min!r}, {grid.x_max!r}] does not cover +-{reach!r}"
-        )
-    sol = solve(IndicatorAbsAbove(c), band, grid, max_levels=2)
-    return sol.value_at_final(0.0)
 
 
 def two_sided_threshold(

@@ -11,17 +11,16 @@ comparisons are
     one-sided optimal:   S <= sigma_hi * Phi^-1(1-alpha) * sqrt(n)
     two-sided threshold: |S| <= thr * sqrt(n), thr from the table row with
                          time_remaining nearest 1 - (i-1)/n (first on a tie)
-    heuristic:           not (s2 > 0 and S*S > crit_i * crit_i * n * s2),
+    heuristic:           not (s2 > 0 and S*S > crit * crit * n * s2),
                          s2 = max((Q - S*S/m) / (m - 1), 0),
 
-the last being |S| / sqrt(n * s2) <= crit_i, scaled by the full horizon n
+the last being |S| / sqrt(n * s2) <= crit, scaled by the full horizon n
 rather than i-1.  Each is written once, in ``PolicySpec.sigma``, the
 kernel the Monte Carlo engine evaluates.  Conventions left open by the
 construction are configuration:
 
-* critical value: a fixed normal quantile Phi^-1(1-alpha/2) (default), the
-  per-step Student-t quantile with i-2 degrees of freedom, or an explicit
-  constant;
+* critical value: the normal quantile Phi^-1(1-alpha/2) (default) or an
+  explicit constant;
 * steps i = 1, 2 (no variance estimate) and zero sample variance both take
   the sigma_hi branch, consistent with "not yet significant".
 """
@@ -36,7 +35,7 @@ import numpy as np
 from .capacity import VolatilityBand, tail_threshold
 from .errors import ConfigurationError
 from .gheat import ThresholdLevel
-from .special import norm_quantile, t_quantile
+from .special import norm_quantile
 
 __all__ = [
     "PolicySpec",
@@ -55,11 +54,11 @@ class PolicySpec:
     "two_sided_threshold", "heuristic_t"; the remaining fields apply per
     kind and are validated on construction.  A field the rule never reads
     (``c_alpha`` is read only under ``crit_rule="fixed"``, ``alpha`` only by
-    the one-sided rule and the other heuristic rules) must keep its
+    the one-sided rule and under ``crit_rule="normal"``) must keep its
     default, so the config echo records only what the rule uses.
     Construction also computes ``bound``, the right-hand side of the rule's
-    comparison: a float for the one-sided rule, a read-only array indexed
-    by step i for the two-sided and heuristic rules, None for the constant
+    comparison: a float for the one-sided and heuristic rules, a read-only
+    array indexed by step i for the two-sided rule, None for the constant
     rule.  ``table`` holds the ``gheat.two_sided_threshold`` rows; the rule
     uses the row with the nearest ``time_remaining``, no interpolation.
     """
@@ -116,21 +115,17 @@ class PolicySpec:
             nearest = np.argmin(np.abs(taus[:, None] - time_remaining), axis=0)
             bound = np.array([row.threshold for row in self.table])[nearest] * root_n
         elif self.kind == "heuristic_t":
-            if self.crit_rule not in ("normal", "t_step", "fixed"):
+            if self.crit_rule == "normal":
+                self._need_alpha()
+                crit = norm_quantile(1.0 - self.alpha / 2.0)
+            elif self.crit_rule == "fixed":
+                if self.c_alpha is None or not self.c_alpha > 0.0:
+                    raise ConfigurationError("fixed rule needs c_alpha > 0")
+                crit = self.c_alpha
+            else:
                 raise ConfigurationError(
                     f"unknown heuristic critical-value rule {self.crit_rule!r}"
                 )
-            if self.crit_rule == "fixed":
-                if self.c_alpha is None or not self.c_alpha > 0.0:
-                    raise ConfigurationError("fixed rule needs c_alpha > 0")
-                crit = np.full(n + 1, self.c_alpha)
-            else:
-                self._need_alpha()
-                p = 1.0 - self.alpha / 2.0
-                if self.crit_rule == "normal":
-                    crit = np.full(n + 1, norm_quantile(p))
-                else:
-                    crit = np.array([t_quantile(p, max(i - 2, 1)) for i in range(n + 1)])
             bound = crit * crit * n
         else:
             raise ConfigurationError(f"unknown policy kind {self.kind!r}")
@@ -157,7 +152,7 @@ class PolicySpec:
             return hi
         m = i - 1
         s2 = np.maximum((ss - s * s / m) / (m - 1), 0.0)
-        exceed = (s2 > 0.0) & (s * s > self.bound[i] * s2)
+        exceed = (s2 > 0.0) & (s * s > self.bound * s2)
         return np.where(exceed, lo, hi)
 
 

@@ -22,7 +22,7 @@ policy maps the running sums S_{i-1} (and sum of squares, for the
 heuristic rule) to sigma_i for every replication at once, then
 X_i = sigma_i * eps_i is absorbed.  The map is ``PolicySpec.sigma``; the
 heuristic rule takes sigma_lo exactly when s^2 > 0 and
-S^2 > crit_i * crit_i * n * s^2, so ties and s^2 = 0 give sigma_hi.
+S^2 > crit * crit * n * s^2, so ties and s^2 = 0 give sigma_hi.
 Noise is drawn in chunks of steps that continue each tile's generator,
 about ``_CHUNK_DOUBLES`` normals per block whatever n is, so that a
 block's sums and its chunk stay in a core's L2 cache.  The kernel is

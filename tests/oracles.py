@@ -21,7 +21,8 @@ solutions with.
 The scalar references last: ``scalar_sigma`` evaluates a policy at width 1
 for step-by-step re-simulation, ``t_statistic`` is the textbook Student
 statistic, and ``pde_policy_equiv_check`` checks the one-sided rule against
-the curvature sign of the closed-form solution.
+the curvature sign of the closed-form solution, which ``profile_f_yy``
+gives.
 """
 
 import math
@@ -29,9 +30,10 @@ import math
 import mpmath as mp
 import numpy as np
 
-from gnormal.capacity import profile_f_yy, tail_threshold
+from gnormal.capacity import VolatilityBand, _require_closed_form, tail_threshold
 from gnormal.errors import DomainError
 from gnormal.gheat import _closed_form, _sample_ic
+from gnormal.special import _INV_SQRT_2PI
 
 mp.mp.dps = 40
 
@@ -204,6 +206,27 @@ def t_statistic(xs):
     if s2 <= 0.0:
         raise ZeroDivisionError("zero sample variance")
     return math.sqrt(n) * mean / math.sqrt(s2)
+
+
+def profile_f_yy(y, band: VolatilityBand):
+    """Second derivative of the profile; sign(f_yy(y)) = sign(-y).
+
+    |f_yy| over y < 0 is maximized at y = -sigma_hi.  ``y`` is a float
+    (giving a float) or an array.
+    """
+    _require_closed_form(band)
+    lo, hi = band.sigma_lo, band.sigma_hi
+    ys = np.asarray(y, dtype=float)
+    sig = np.where(ys <= 0.0, hi, lo)
+    # z * z overflows to inf for large |z|; exp(-inf) = 0 is the exact limit.
+    with np.errstate(over="ignore"):
+        z = ys / sig
+        density = _INV_SQRT_2PI * np.exp(-0.5 * z * z)
+    # Where the density is 0 the value is a zero signed like -y; a unit
+    # stand-in for y keeps -2y finite there (inf * 0 would give NaN).
+    ys = np.where(density == 0.0, np.sign(ys), ys)
+    out = -2.0 * ys / (hi + lo) * density / (sig * sig)
+    return float(out) if out.ndim == 0 else out
 
 
 def pde_policy_equiv_check(band, alpha, n, *, s_points=2001):

@@ -69,19 +69,18 @@ def report(criterion: int, ok: bool, detail: str) -> None:
 
 @pytest.fixture(scope="module")
 def heuristic_reports():
-    """The four heteroscedastic t-test reproductions (n x critical rule)."""
+    """The heteroscedastic t-test reproductions, by n."""
     out = {}
     for n, _ in HETERO_TARGETS:
-        for rule in ("normal", "t_step"):
-            config = SimulationConfig(
-                n=n,
-                reps=ACCEPT_REPS,
-                policy=heuristic_t_policy(BAND, n, REPRO_ALPHA, crit_rule=rule),
-                test=TestSpec(sided="two", alpha=REPRO_ALPHA, statistic="t"),
-                seed=SEED,
-                workers=WORKERS,
-            )
-            out[(n, rule)] = run(config)
+        config = SimulationConfig(
+            n=n,
+            reps=ACCEPT_REPS,
+            policy=heuristic_t_policy(BAND, n, REPRO_ALPHA),
+            test=TestSpec(sided="two", alpha=REPRO_ALPHA, statistic="t"),
+            seed=SEED,
+            workers=WORKERS,
+        )
+        out[n] = run(config)
     return out
 
 
@@ -145,13 +144,9 @@ def test_criterion_5_heteroscedastic_reproduction(heuristic_reports):
     ok = True
     details = []
     for n, expected in HETERO_TARGETS:
-        in_band = []
-        for rule in ("normal", "t_step"):
-            rep = heuristic_reports[(n, rule)]
-            in_band.append(abs(rep.rate - expected) <= SIM_TOL)
-            ok &= above_nominal(rep)
-            details.append(f"n={n}/{rule}: {rep.rate:.5f}")
-        ok &= any(in_band)
+        rep = heuristic_reports[n]
+        ok &= abs(rep.rate - expected) <= SIM_TOL and above_nominal(rep)
+        details.append(f"n={n}: {rep.rate:.5f}")
     report(
         5,
         ok,
@@ -162,7 +157,7 @@ def test_criterion_5_heteroscedastic_reproduction(heuristic_reports):
 
 
 def test_criterion_6_statistic_distribution(heuristic_reports):
-    rep = heuristic_reports[(200, "normal")]
+    rep = heuristic_reports[200]
     hist = rep.histogram
     total = rep.reps - rep.degenerate
     edges = hist.edges

@@ -14,7 +14,6 @@ from gnormal import (
     p1,
     p2_approx,
     profile_f,
-    profile_f_yy,
     relative_error_bound,
     two_sided_error_bound,
 )
@@ -23,6 +22,7 @@ from gnormal.capacity import tail_threshold
 from gnormal.gheat import IndicatorAbove, IndicatorAbsAbove, _closed_form
 
 import oracles
+from oracles import profile_f_yy
 
 BAND = VolatilityBand(0.8, 1.0)
 

@@ -166,6 +166,20 @@ class TestSolveCommand:
         )
         assert proc.returncode == 0, proc.stderr
 
+    @pytest.mark.parametrize("text, bad", [
+        ("x,y\nfoo,bar\nnote,here\n-1,0\n1,1\n", "foo,bar"),
+        ("x,y\nO.5,1\n-1,0\n1,1\n", "O.5,1"),
+    ], ids=["second-header", "mistyped-row"])
+    def test_only_the_first_table_line_may_be_a_header(self, text, bad, tmp_path, capsys):
+        table = tmp_path / "ic.csv"
+        table.write_text(text)
+        out_path = tmp_path / "t.csv"
+        argv = ["solve", "--ic", f"table:{table}", "--sigma-lo", "0.8", "--sigma-hi", "1",
+                "--nx", "21", "--out", str(out_path)]
+        assert cli.main(argv) == cli.USAGE_ERROR
+        assert capsys.readouterr().err.splitlines() == [f"error: bad table row {bad!r}"]
+        assert not out_path.exists()
+
     def test_non_finite_table_exit_2(self, tmp_path):
         table = tmp_path / "nan.csv"
         table.write_text("0 0\n1 nan\n2 1\n")
@@ -347,7 +361,7 @@ class TestSimulateCommand:
 
     @pytest.mark.parametrize("policy, stat, unread", [
         ("heuristic-t", "t", ["--sigma", "0.9", "--table-levels", "7"]),
-        ("constant", "z", ["--crit", "normal"]),
+        ("constant", "z", ["--table-levels", "7"]),
         ("one-sided-opt", "z", ["--table-levels", "50"]),
         ("two-sided-thresh", "t", ["--sigma-ref", "1.0"]),
     ])
@@ -395,14 +409,15 @@ class TestSimulateCommand:
 
 
 # Every option of each command at a non-default value (--c and --alpha are
-# alternatives, so capacity takes --alpha alone).  --sigma, --crit and
+# alternatives, so capacity takes --alpha alone).  --sigma and
 # --table-levels are each read by one policy only, and any other policy
-# refuses them, hence three simulate runs with one each.
+# refuses them, hence a simulate run with each, and one with heuristic-t,
+# which reads neither.
 BAND = ["--sigma-lo", "0.7", "--sigma-hi", "1.1"]
 SIMULATE = [*BAND, "--n", "12", "--reps", "600", "--alpha", "0.1", "--sided", "one",
             "--stat", "z", "--sigma-ref", "0.95", "--seed", "5", "--hist", "{tmp}/h.csv"]
 POLICY_OPTIONS = {
-    "heuristic-t": ["--crit", "t"],
+    "heuristic-t": [],
     "constant": ["--sigma", "0.9"],
     "two-sided-thresh": ["--table-levels", "7"],
 }
@@ -493,7 +508,15 @@ class TestReproCommand:
         out, manifest = runs[0]
         assert out.splitlines()[-1] in ("all checks passed", "SOME CHECKS FAILED")
         assert manifest["subcommand"] == "repro"
-        assert manifest["parameters"] == {"reps": 3000, "fast": False, "crit": "normal", "seed": 3}
+        assert manifest["parameters"] == {"reps": 3000, "fast": False, "seed": 3}
         assert manifest["seed"] == 3
         assert manifest["output_sha256"] == hashlib.sha256(out.encode("utf-8")).hexdigest()
         assert runs[1] == runs[0]
+
+    def test_reps_with_fast_is_usage_error(self, monkeypatch, capsys):
+        # --fast runs 1e5 replications whatever --reps says
+        monkeypatch.setattr(cli, "run", lambda config: pytest.fail("a simulation started"))
+        assert cli.main(["repro", "--fast", "--reps", "5"]) == cli.USAGE_ERROR
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == ["error: --reps is read only with no --fast"]

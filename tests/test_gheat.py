@@ -23,7 +23,6 @@ from gnormal import (
     norm_cdf,
     norm_quantile,
     p1,
-    p2_numeric,
     profile_f,
     solve,
     two_sided_error_bound,
@@ -81,6 +80,11 @@ class TestInitialConditions:
             gheat.LipschitzTable((0.0, float("nan"), 2.0), (0.0, 1.0, 2.0))
         with pytest.raises(DomainError, match="finite"):
             LipschitzTable([0.0, 1.0, 2.0], [0.0, float("inf"), 2.0])
+
+    def test_two_sided_threshold_is_not_negative(self):
+        for c in (-1.0, float("nan")):
+            with pytest.raises(DomainError, match=">= 0"):
+                IndicatorAbsAbove(c)
 
     def test_indicator_outside_grid(self):
         with pytest.raises(ConfigurationError):
@@ -211,38 +215,10 @@ class TestBufferedStep:
     """The buffered march reproduces the allocating step byte for byte."""
 
     def test_every_step_matches_reference_bitwise(self):
-        rng = np.random.default_rng(8)
-        for lo, hi in STEP_BANDS:
-            band = VolatilityBand(lo, hi)
-            for nx, t_end in ((41, 0.5), (161, 0.1), (1601, 0.002)):
-                grid = GridSpec(-4.0, 4.0, nx, t_end)
-                x = np.linspace(-4.0, 4.0, nx)
-                tables = [
-                    # -0.0 and negative data: sigma_lo = 0 gives -0.0 products
-                    np.where(np.arange(nx) % 3 == 0, -0.0, -np.abs(np.sin(3.0 * x))),
-                    # subnormal data: products and dt * G underflow to zeros
-                    rng.choice([1e-310, -1e-310, -0.0, 0.0, 5e-324, -5e-324], nx),
-                    rng.standard_normal(nx) * (rng.random(nx) < 0.7),
-                ]
-                ics = [IndicatorAbove(0.3), IndicatorAbsAbove(1.1)]
-                ics += [LipschitzTable(x, y) for y in tables]
-                for ic in ics:
-                    march = _march(ic, band, grid, 2)
-                    every_step = march.states(range(march.times.size))
-                    states = [(k, u.copy(), d2.copy()) for k, u, d2 in every_step]
-                    # The reference marches the whole grid from its own datum
-                    # and ends; a half march (1{|x| > c} here) holds the ghost
-                    # and the right half, the last `size` nodes of the grid.
-                    size = march.x.size
-                    assert (size < nx) == (ic == IndicatorAbsAbove(1.1))
-                    reference = oracles.reference_solve(
-                        ic, band, grid, march.dt, len(states) - 1
-                    )
-                    for (k, u, d2), want in zip(states, reference, strict=True):
-                        case = (lo, hi, nx, ic, k)
-                        assert k == want[0]
-                        assert u.tobytes() == want[1][-size:].tobytes(), case
-                        assert d2.tobytes() == want[2][2 - size :].tobytes(), case
+        for band, grid, ic in _step_cases():
+            (_, u, _), *_ = every_state(ic, band, grid)
+            # Of these data only 1{|x| > c} takes the half march.
+            assert (u.size < grid.nx) == (ic == IndicatorAbsAbove(1.1))
 
     @pytest.mark.parametrize("nx", [3, 4, 5, 6, 41, 400, 401, 1601])
     def test_two_sided_solve_matches_full_grid_reference(self, nx):
@@ -301,6 +277,24 @@ class TestBufferedStep:
         assert first is second
 
 
+def every_state(ic, band, grid):
+    """Copies of (k, u, D) of every state, each checked byte for byte
+    against the allocating full-grid march, which marches the whole grid
+    from its own datum and ends (a half march holds the ghost and the right
+    half, the last ``x.size`` nodes of the grid)."""
+    march = _march(ic, band, grid, 2)
+    n = march.times.size - 1
+    reference = oracles.reference_solve(ic, band, grid, march.dt, n)
+    size = march.x.size
+    states = []
+    for (k, u, d2), want in zip(march.states(range(n + 1)), reference, strict=True):
+        assert k == want[0]
+        assert u.tobytes() == want[1][-size:].tobytes(), (ic, band, grid.nx, k)
+        assert d2.tobytes() == want[2][2 - size :].tobytes(), (ic, band, grid.nx, k)
+        states.append((k, u.copy(), d2.copy()))
+    return states
+
+
 def _step_cases():
     """(band, grid, datum) of test_every_step_matches_reference_bitwise:
     1{x > c}, 1{|x| > c} (a half march) and three tables, -0.0 and
@@ -310,7 +304,9 @@ def _step_cases():
         for nx, t_end in ((41, 0.5), (161, 0.1), (1601, 0.002)):
             x = np.linspace(-4.0, 4.0, nx)
             tables = [
+                # -0.0 and negative data: sigma_lo = 0 gives -0.0 products
                 np.where(np.arange(nx) % 3 == 0, -0.0, -np.abs(np.sin(3.0 * x))),
+                # subnormal data: products and dt * G underflow to zeros
                 rng.choice([1e-310, -1e-310, -0.0, 0.0, 5e-324, -5e-324], nx),
                 rng.standard_normal(nx) * (rng.random(nx) < 0.7),
             ]
@@ -359,35 +355,18 @@ class TestActiveWindow:
     nonzero before the next scan; every step must still be the full-grid
     march's, byte for byte, for every scan interval K."""
 
-    @staticmethod
-    def every_state(ic, band, grid):
-        """Copies of (k, u, D) of every state, each checked byte for byte
-        against the allocating full-grid march (a half march holds its last
-        ``x.size`` nodes)."""
-        march = _march(ic, band, grid, 2)
-        n = march.times.size - 1
-        reference = oracles.reference_solve(ic, band, grid, march.dt, n)
-        size = march.x.size
-        states = []
-        for (k, u, d2), want in zip(march.states(range(n + 1)), reference, strict=True):
-            assert k == want[0]
-            assert u.tobytes() == want[1][-size:].tobytes(), (ic, band, k)
-            assert d2.tobytes() == want[2][2 - size :].tobytes(), (ic, band, k)
-            states.append((k, u.copy(), d2.copy()))
-        return states
-
     @pytest.mark.parametrize("scan_steps", [1, 2, 3])
     def test_every_step_is_the_full_grid_march(self, monkeypatch, scan_steps):
         # Windows this narrow put every rule at the edge of what it covers.
         monkeypatch.setattr(gheat, "_SCAN_STEPS", scan_steps)
         for _, ic, band, grid in _window_cases():
-            self.every_state(ic, band, grid)
+            every_state(ic, band, grid)
 
     def test_each_case_reaches_its_rule(self):
         # Every step at the module's own K, and the situation each case is for.
         K = gheat._SCAN_STEPS
         for rule, ic, band, grid in _window_cases():
-            states = self.every_state(ic, band, grid)
+            states = every_state(ic, band, grid)
             d2s = [d2 for _, _, d2 in states]
             if rule == "ghost":
                 # D next to the ghost turns nonzero only after four scans.
@@ -598,14 +577,9 @@ class TestP2Numeric:
 
     def test_constant_data_stays_one(self):
         # c = 0: the datum is 1 almost everywhere; only one node dips
-        val = p2_numeric(0.0, BAND, default_two_sided_grid(0.0, BAND, nx=2001))
+        grid = default_two_sided_grid(0.0, BAND, nx=2001)
+        val = solve(IndicatorAbsAbove(0.0), BAND, grid, max_levels=2).value_at_final(0.0)
         assert val == pytest.approx(1.0, abs=0.01)
-
-    def test_grid_coverage_enforced(self):
-        with pytest.raises(ConfigurationError):
-            p2_numeric(2.0, BAND, GridSpec(-5, 5, 501, 1.0))
-        with pytest.raises(DomainError):
-            p2_numeric(-1.0, BAND)
 
     def test_sandwich_location(self):
         # the scheme's own triple at the origin: 2 u_h(1, 0) - w_h(1, 0) lies
@@ -620,7 +594,7 @@ class TestP2Numeric:
         assert -gheat._SANDWICH_TOL <= gap <= bound + gheat._SANDWICH_TOL
 
     def test_capacity_sandwich_invariant(self):
-        # 2 p1(c) - p2_numeric(c) in [0, bound] strictly, at thresholds where
+        # 2 p1(c) - w_h(1, 0) in [0, bound] strictly, at thresholds where
         # the true gap dwarfs discretization error
         for c in (0.6, 0.8, 1.0):
             grid = default_two_sided_grid(c, BAND, nx=1601)
@@ -881,6 +855,6 @@ class TestDegenerateBand:
     def test_pde_accepts_degenerate_lower_edge(self):
         band = VolatilityBand(0.0, 1.0)
         grid = default_two_sided_grid(1.0, band, nx=801)
-        val = p2_numeric(1.0, band, grid)
+        val = solve(IndicatorAbsAbove(1.0), band, grid, max_levels=2).value_at_final(0.0)
         # with sigma_lo = 0 mass only diffuses where curvature is positive
         assert 0.0 < val < 1.0

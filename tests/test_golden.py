@@ -39,14 +39,9 @@ SIMULATE = {
         "c84b62ff41ae35ca2f825e13c1ec9f7d5bf1c999b895614903c23531aa72d5ac",
     ),
     "heuristic-t normal": (
-        ["--n", "40", "--reps", "4000", "--policy", "heuristic-t", "--crit", "normal",
+        ["--n", "40", "--reps", "4000", "--policy", "heuristic-t",
          "--sided", "two", "--stat", "t"],
         "354e1b8396c3b70a6f176b14146c107bc937190829cf1031bd6f80f24f4eebcf",
-    ),
-    "heuristic-t t": (
-        ["--n", "40", "--reps", "4000", "--policy", "heuristic-t", "--crit", "t",
-         "--sided", "two", "--stat", "t"],
-        "efaf69e9e239a179a80b86dd235cbf88e25805db312962d2ae6fadb2a3e02ffe",
     ),
 }
 

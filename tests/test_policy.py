@@ -16,13 +16,12 @@ from gnormal import (
     norm_pdf,
     norm_quantile,
     one_sided_optimal_policy,
-    profile_f_yy,
     t_quantile,
     two_sided_threshold,
     two_sided_threshold_policy,
 )
 
-from oracles import pde_policy_equiv_check, scalar_sigma
+from oracles import pde_policy_equiv_check, profile_f_yy, scalar_sigma
 
 BAND = VolatilityBand(0.8, 1.0)
 
@@ -35,6 +34,14 @@ def state_after(xs):
         s += x
         ss += x * x
     return len(xs) + 1, s, ss
+
+
+def heuristic(n, rule):
+    """The heuristic rule at alpha = 0.05 with critical value Phi^-1(0.975)
+    (``rule="normal"``) or the t-test's own t_{0.975, n-1} (``"fixed"``)."""
+    if rule == "fixed":
+        return heuristic_t_policy(BAND, n, c_alpha=t_quantile(0.975, n - 1))
+    return heuristic_t_policy(BAND, n, 0.05)
 
 
 def sample_variance(st):
@@ -85,7 +92,6 @@ class TestSpecValidation:
     @pytest.mark.parametrize("make", [
         lambda: PolicySpec(kind="heuristic_t", band=BAND, n=20, alpha=0.05,
                            crit_rule="normal", c_alpha=2.5),
-        lambda: heuristic_t_policy(BAND, 20, 0.05, crit_rule="t_step", c_alpha=2.5),
         lambda: PolicySpec(kind="one_sided_optimal", band=BAND, n=20, alpha=0.05,
                            sigma_const=0.9),
         lambda: PolicySpec(kind="one_sided_optimal", band=BAND, n=20, alpha=0.05,
@@ -100,13 +106,17 @@ class TestSpecValidation:
         lambda: PolicySpec(kind="heuristic_t", band=BAND, n=20, alpha=0.05,
                            crit_rule="fixed", c_alpha=2.5),
         lambda: heuristic_t_policy(BAND, 20, 0.05, c_alpha=2.5),
-    ], ids=["c_alpha-normal", "c_alpha-t_step", "sigma_const", "c_alpha",
+    ], ids=["c_alpha-normal", "sigma_const", "c_alpha",
             "crit_rule", "table", "alpha-constant", "alpha-two_sided_threshold",
             "alpha-fixed", "alpha-fixed-helper"])
     def test_unread_field_rejected(self, make):
         # A field the rule ignores would still be recorded in the config echo.
         with pytest.raises(ConfigurationError, match="does not read"):
             make()
+
+    def test_unknown_crit_rule(self):
+        with pytest.raises(ConfigurationError, match="unknown heuristic critical-value rule"):
+            heuristic_t_policy(BAND, 20, 0.05, crit_rule="t_step")
 
 
 class TestConstant:
@@ -207,15 +217,6 @@ class TestHeuristicT:
         assert scalar_sigma(small_n, *st) == BAND.sigma_lo
         assert scalar_sigma(large_n, *st) == BAND.sigma_hi
 
-    def test_t_step_convention(self):
-        spec = heuristic_t_policy(BAND, 20, 0.05, crit_rule="t_step")
-        crit = t_quantile(0.975, 3)
-        assert spec.bound[5] == crit * crit * 20
-        st = state_after([1.0, 1.5, 0.5, 1.2])
-        stat = abs(st[1]) / math.sqrt(20 * sample_variance(st))
-        expected = BAND.sigma_hi if stat <= crit else BAND.sigma_lo
-        assert scalar_sigma(spec, *st) == expected
-
     def test_fixed_c_alpha(self):
         spec = heuristic_t_policy(BAND, 20, c_alpha=2.5)
         assert spec.crit_rule == "fixed"
@@ -240,8 +241,8 @@ class TestStateContracts:
             constant_policy(BAND, 30, 0.9),
             one_sided_optimal_policy(BAND, 30, 0.05),
             two_sided_threshold_policy(BAND, 30, table),
-            heuristic_t_policy(BAND, 30, 0.05),
-            heuristic_t_policy(BAND, 30, 0.05, crit_rule="t_step"),
+            heuristic(30, "normal"),
+            heuristic(30, "fixed"),
         ]
         for spec in specs:
             s = ss = 0.0
@@ -313,13 +314,13 @@ class TestScalarMatchesKernel:
         zero_variance = (3, 2.0, 2.0)
         assert self.check(fixed, [zero_variance]) == [hi]
 
-    @pytest.mark.parametrize("rule", ["normal", "t_step"])
+    @pytest.mark.parametrize("rule", ["normal", "fixed"])
     def test_heuristic_near_ties(self, rule):
         # With Q fixed, s^2 = (Q - S^2/m)/(m - 1) and the tie S^2 = k s^2
         # solves to S^2 = k Q / ((m - 1) + k/m), k = crit^2 n.
         for n, i, q in ((20, 10, 18.0), (20, 5, 3.7), (200, 150, 160.0), (40, 3, 2.5)):
-            spec = heuristic_t_policy(BAND, n, 0.05, crit_rule=rule)
-            k = spec.bound[i]
+            spec = heuristic(n, rule)
+            k = spec.bound
             m = i - 1
             s_tie = math.sqrt(k * q / ((m - 1) + k / m))
             states = [(i, sign * s, q) for s in near(s_tie) for sign in (1.0, -1.0)]

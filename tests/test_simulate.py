@@ -279,11 +279,14 @@ class TestDeterminism:
         assert manual == report.rejections
 
     def test_vectorized_policy_matches_scalar(self):
-        # heuristic rule, both critical-value conventions
+        # heuristic rule, both critical-value conventions: the normal
+        # quantile and the t-test's own t_{0.975, n-1}
         n, seed, reps = 40, 9, 128
         test = TestSpec(sided="two", alpha=0.05, statistic="t")
-        for rule in ("normal", "t_step"):
-            spec = heuristic_t_policy(BAND, n, 0.05, crit_rule=rule)
+        for spec in (
+            heuristic_t_policy(BAND, n, 0.05),
+            heuristic_t_policy(BAND, n, c_alpha=test.critical_value(n)),
+        ):
             report = run(SimulationConfig(n=n, reps=reps, policy=spec, test=test, seed=seed))
             crit = test.critical_value(n)
             manual = 0
