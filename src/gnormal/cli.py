@@ -417,7 +417,7 @@ def cmd_repro(args) -> int:
         for name, got, want, ok in checks
     ]
     lines.append("all checks passed" if all_ok else "SOME CHECKS FAILED")
-    _emit_text("\n".join(lines) + "\n", _manifest(args, reps=reps))
+    _emit_text("\n".join(lines) + "\n", _manifest(args, **opts))
     return 0 if all_ok else PROPERTY_FAILURE
 
 

@@ -444,6 +444,18 @@ def read_manifest(command, captured, argv):
     return json.loads(captured.err.strip().splitlines()[-1])
 
 
+def rerun_argv(command, manifest):
+    """Each manifest parameter passed back: a true flag bare, a null or
+    false one left out."""
+    argv = [command]
+    for key, value in manifest["parameters"].items():
+        if value is not None and value is not False:
+            argv.append("--" + key.replace("_", "-"))
+            if value is not True:
+                argv.append(str(value))
+    return argv
+
+
 class TestTopLevel:
     def test_every_export_resolves(self):
         # Import does not read __all__; a stale name only breaks `import *`.
@@ -477,13 +489,7 @@ class TestTopLevel:
         assert cli.main(argv) == 0
         first = capsys.readouterr()
         manifest = read_manifest(command, first, argv)
-        rerun = [command]
-        for key, value in manifest["parameters"].items():
-            if value is not None and value is not False:
-                rerun.append("--" + key.replace("_", "-"))
-                if value is not True:
-                    rerun.append(str(value))
-        assert cli.main(rerun) == 0
+        assert cli.main(rerun_argv(command, manifest)) == 0
         second = capsys.readouterr()
         again = read_manifest(command, second, argv)
         # output_sha256 and parameters, and the rest too: simulate's
@@ -512,6 +518,21 @@ class TestReproCommand:
         assert manifest["seed"] == 3
         assert manifest["output_sha256"] == hashlib.sha256(out.encode("utf-8")).hexdigest()
         assert runs[1] == runs[0]
+
+    def test_fast_manifest_reruns(self, monkeypatch, capsys):
+        # --fast reads no --reps, so the manifest records none to pass back
+        monkeypatch.setattr(cli, "LIMIT_N", 50)
+        monkeypatch.setattr(cli, "LIMIT_REPS", 3000)
+        monkeypatch.setattr(cli, "HETERO_TARGETS", ((20, 0.0565),))
+        code = cli.main(["repro", "--fast", "--seed", "3", "--workers", "1"])
+        assert code in (0, cli.PROPERTY_FAILURE)
+        first = capsys.readouterr()
+        manifest = json.loads(first.err.strip().splitlines()[-1])
+        assert manifest["parameters"] == {"reps": None, "fast": True, "seed": 3}
+        assert cli.main(rerun_argv("repro", manifest)) == code
+        second = capsys.readouterr()
+        assert second.out == first.out
+        assert json.loads(second.err.strip().splitlines()[-1]) == manifest
 
     def test_reps_with_fast_is_usage_error(self, monkeypatch, capsys):
         # --fast runs 1e5 replications whatever --reps says
