@@ -359,6 +359,8 @@ def cmd_repro(args) -> int:
     band = REPRO_BAND
     opts = _read_options(args, {"reps": ("no --fast", not args.fast, 1_000_000)})
     reps = opts.get("reps", 100_000)
+    if reps < 1:
+        raise ConfigurationError(f"reps must be >= 1, got {reps!r}")
     sim_tol = hetero_tolerance(reps)
     checks = []
 

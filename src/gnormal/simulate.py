@@ -28,7 +28,9 @@ about ``_CHUNK_DOUBLES`` normals per block whatever n is, so that a
 block's sums and its chunk stay in a core's L2 cache.  The kernel is
 replication-local and chunking does not change the stream, so neither
 block nor chunk size can change any value.  Workers own disjoint tile
-ranges and their integer tallies merge by summation.
+ranges and their integer tallies merge by summation.  A worker process
+with two CPUs of its own draws the next chunk on a helper thread while the
+policy steps this one; each tile's draws keep their order, so no value changes.
 
 Degenerate replications (zero sample variance, probability zero under
 continuous noise) are tallied separately and excluded from the rejection
@@ -39,6 +41,7 @@ from __future__ import annotations
 
 import math
 import multiprocessing
+import os
 import time
 from dataclasses import dataclass
 
@@ -186,8 +189,9 @@ class SimulationReport:
     runtime_seconds: float
     config: SimulationConfig
     # Seconds per phase, like ``runtime_seconds`` volatile and kept out of
-    # ``to_json_dict``: noise_s, step_s and tally_s summed over workers,
-    # pool_start_s and merge_s in the parent process.
+    # ``to_json_dict``: noise_s, noise_wait_s (the step loop's wait for
+    # noise; noise_s when drawn inline), step_s and tally_s summed over
+    # workers, pool_start_s and merge_s in the parent process.
     diagnostics: dict[str, float]
 
     def to_json_dict(self) -> dict:
@@ -261,63 +265,99 @@ def _tile_generator(seed: int, tile: int) -> Generator:
     return Generator(SFC64(SeedSequence(seed, spawn_key=(tile,))))
 
 
-def _run_range(config: SimulationConfig, tile_lo: int, tile_hi: int, critical: float):
+def _blocks(n: int, tile_lo: int, tile_hi: int):
+    """(b_lo, b_hi, chunk) of each block of tiles [tile_lo, tile_hi)."""
+    tiles_per_block = max(1, _BLOCK_MAX // TILE)
+    for b_lo in range(tile_lo, tile_hi, tiles_per_block):
+        b_hi = min(b_lo + tiles_per_block, tile_hi)
+        yield b_lo, b_hi, max(1, min(n, _CHUNK_DOUBLES // ((b_hi - b_lo) * TILE)))
+
+
+def _noise_chunks(config: SimulationConfig, tile_lo: int, tile_hi: int, ring, timers):
+    """Each chunk's noise in step-loop order, drawn into the buffers of
+    ``ring`` in turn; the seconds spent, tile streams included, go to
+    ``timers["noise_s"]``, which no other code writes while this runs."""
+    n, k = config.n, 0
+    for b_lo, b_hi, chunk in _blocks(n, tile_lo, tile_hi):
+        t0 = time.perf_counter()
+        gens = [_tile_generator(config.seed, t) for t in range(b_lo, b_hi)]
+        # noise[t, j] is step j of the chunk for tile b_lo + t: each tile's
+        # chunk is a contiguous (steps, TILE) slice drawn in place.
+        for i0 in range(1, n + 1, chunk):
+            noise = ring[k % len(ring)][: (b_hi - b_lo) * chunk * TILE].reshape(-1, chunk, TILE)
+            k += 1
+            for t, gen in enumerate(gens):
+                gen.standard_normal(out=noise[t, : min(chunk, n + 1 - i0)])
+            timers["noise_s"] += time.perf_counter() - t0
+            yield noise
+            t0 = time.perf_counter()
+
+
+def _run_range(config, tile_lo: int, tile_hi: int, critical: float, prefetch: bool):
     """Tallies and phase seconds for the replications of tiles
-    [tile_lo, tile_hi), cut at ``config.reps``."""
+    [tile_lo, tile_hi), cut at ``config.reps``.  With ``prefetch`` a helper
+    thread draws the next chunk while this one steps the current one."""
     n = config.n
     needs_ss = config.policy.kind == "heuristic_t" or config.test.statistic == "t"
     policy = config.policy
     hist = _empty_histogram()
     rejections = 0
     degenerate = 0
-    timers = {"noise_s": 0.0, "step_s": 0.0, "tally_s": 0.0}
+    timers = {"noise_s": 0.0, "noise_wait_s": 0.0, "step_s": 0.0, "tally_s": 0.0}
 
-    tiles_per_block = max(1, _BLOCK_MAX // TILE)
-    for b_lo in range(tile_lo, tile_hi, tiles_per_block):
-        b_hi = min(b_lo + tiles_per_block, tile_hi)
-        width = b_hi - b_lo
-        gens = [_tile_generator(config.seed, t) for t in range(b_lo, b_hi)]
-        chunk = max(1, min(n, _CHUNK_DOUBLES // (width * TILE)))
-        # noise[t, j] is step j of the chunk for tile b_lo + t: each tile's
-        # chunk is a contiguous (steps, TILE) slice drawn in place.
-        noise = np.empty((width, chunk, TILE))
-        s = np.zeros((width, TILE))
-        ss = np.zeros((width, TILE)) if needs_ss else None
-        x = np.empty((width, TILE))
-        for i0 in range(1, n + 1, chunk):
-            steps = min(chunk, n + 1 - i0)
+    # A helper thread runs one chunk ahead, so it needs a second buffer.
+    size = max((b_hi - b_lo) * chunk for b_lo, b_hi, chunk in _blocks(n, tile_lo, tile_hi))
+    ring = [np.empty(size * TILE) for _ in range(2 if prefetch else 1)]
+    chunks = _noise_chunks(config, tile_lo, tile_hi, ring, timers)
+    if prefetch:  # imported here, as it brings in logging: 6 ms
+        from concurrent.futures import ThreadPoolExecutor
+        helper = ThreadPoolExecutor(max_workers=1)
+        ahead = helper.submit(next, chunks)
+    try:
+        for b_lo, b_hi, chunk in _blocks(n, tile_lo, tile_hi):
+            width = b_hi - b_lo
+            s = np.zeros((width, TILE))
+            ss = np.zeros((width, TILE)) if needs_ss else None
+            x = np.empty((width, TILE))
+            for i0 in range(1, n + 1, chunk):
+                t0 = time.perf_counter()
+                if prefetch:
+                    noise = ahead.result()
+                    # the next chunk goes into the buffer of the chunk stepped last
+                    ahead = helper.submit(next, chunks, None)
+                else:
+                    noise = next(chunks)
+                t1 = time.perf_counter()
+                for j in range(min(chunk, n + 1 - i0)):
+                    np.multiply(policy.sigma(i0 + j, s, ss), noise[:, j], out=x)
+                    s += x
+                    if needs_ss:
+                        x *= x
+                        ss += x
+                timers["noise_wait_s"] += t1 - t0
+                timers["step_s"] += time.perf_counter() - t1
+
             t0 = time.perf_counter()
-            for t, gen in enumerate(gens):
-                gen.standard_normal(out=noise[t, :steps])
-            t1 = time.perf_counter()
-            for j in range(steps):
-                np.multiply(policy.sigma(i0 + j, s, ss), noise[:, j], out=x)
-                s += x
-                if needs_ss:
-                    x *= x
-                    ss += x
-            timers["noise_s"] += t1 - t0
-            timers["step_s"] += time.perf_counter() - t1
+            used = min(b_hi * TILE, config.reps) - b_lo * TILE
+            s = s.ravel()[:used]
+            if config.test.statistic == "z":
+                stats = s / (math.sqrt(n) * config.test.sigma_ref)
+            else:
+                ss = ss.ravel()[:used]
+                s2 = np.maximum((ss - s * s / n) / (n - 1), 0.0)
+                good = s2 > 0.0
+                degenerate += int(np.count_nonzero(~good))
+                stats = (s[good] / math.sqrt(n)) / np.sqrt(s2[good])
 
-        t0 = time.perf_counter()
-        used = min(b_hi * TILE, config.reps) - b_lo * TILE
-        s = s.ravel()[:used]
-        if config.test.statistic == "z":
-            stats = s / (math.sqrt(n) * config.test.sigma_ref)
-        else:
-            ss = ss.ravel()[:used]
-            s2 = np.maximum((ss - s * s / n) / (n - 1), 0.0)
-            good = s2 > 0.0
-            degenerate += int(np.count_nonzero(~good))
-            stats = (s[good] / math.sqrt(n)) / np.sqrt(s2[good])
-
-        if config.test.sided == "one":
-            rejections += int(np.count_nonzero(stats > critical))
-        else:
-            rejections += int(np.count_nonzero(np.abs(stats) > critical))
-        hist.add(stats)
-        timers["tally_s"] += time.perf_counter() - t0
-
+            if config.test.sided == "one":
+                rejections += int(np.count_nonzero(stats > critical))
+            else:
+                rejections += int(np.count_nonzero(np.abs(stats) > critical))
+            hist.add(stats)
+            timers["tally_s"] += time.perf_counter() - t0
+    finally:
+        if prefetch:  # waits for the draw in flight, if any, and joins the thread
+            helper.shutdown()
     return rejections, degenerate, hist, timers
 
 
@@ -331,13 +371,16 @@ def run(config: SimulationConfig) -> SimulationReport:
     n_tiles = -(-config.reps // TILE)
 
     workers = min(config.workers, n_tiles)
+    # Drawing ahead pays only on a spare CPU per worker: pinned to one, it cost 1-7%.
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    prefetch = (cpus or 1) >= 2 * workers
     pool_start = 0.0
     if workers == 1:
-        parts = [_run_range(config, 0, n_tiles, critical)]
+        parts = [_run_range(config, 0, n_tiles, critical, prefetch)]
     else:
         bounds = np.linspace(0, n_tiles, workers + 1).astype(int)
         tasks = [
-            (config, int(bounds[w]), int(bounds[w + 1]), critical)
+            (config, int(bounds[w]), int(bounds[w + 1]), critical, prefetch)
             for w in range(workers)
             if bounds[w] < bounds[w + 1]
         ]

@@ -327,7 +327,9 @@ class TestSimulateCommand:
         assert "diagnostics" not in out
         line = [l for l in proc.stderr.splitlines() if l.startswith("diagnostics: ")]
         phases = json.loads(line[0].split(": ", 1)[1])
-        assert set(phases) == {"noise_s", "step_s", "tally_s", "pool_start_s", "merge_s"}
+        assert set(phases) == {
+            "noise_s", "noise_wait_s", "step_s", "tally_s", "pool_start_s", "merge_s"
+        }
 
     def test_null_rate_near_alpha(self):
         out = json_out(
@@ -541,3 +543,10 @@ class TestReproCommand:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.splitlines() == ["error: --reps is read only with no --fast"]
+
+    def test_reps_below_one_is_usage_error_before_any_simulation(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "run", lambda config: pytest.fail("a simulation started"))
+        assert cli.main(["repro", "--reps", "0"]) == cli.USAGE_ERROR
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == ["error: reps must be >= 1, got 0"]

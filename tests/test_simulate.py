@@ -1,7 +1,10 @@
 """Monte Carlo engine: statistic arithmetic, stream purity, determinism,
 calibration, and report bookkeeping."""
 
+import json
 import math
+import os
+import threading
 from functools import lru_cache
 
 import numpy as np
@@ -26,6 +29,7 @@ from gnormal import (
 )
 from gnormal import simulate
 from gnormal.capacity import tail_threshold
+from gnormal.policy import PolicySpec
 from gnormal.simulate import HIST_BINS, RNG_SCHEME
 
 from oracles import scalar_sigma, t_statistic
@@ -296,6 +300,90 @@ class TestDeterminism:
             assert manual == report.rejections
 
 
+class Boom(RuntimeError):
+    pass
+
+
+class TestPrefetch:
+    # 17 tiles, the last partial, make two blocks: 16 tiles stepped in
+    # 8-step chunks (the third refills the first buffer), then one tile.
+    N, REPS = 20, 17 * TILE - 300
+
+    def run_forced(
+        self, monkeypatch, config, prefetch, make_generator=simulate._tile_generator
+    ):
+        """``run`` with one worker and 2 CPUs (prefetch) or 1 (inline): the
+        tile streams must be built on a helper thread only with prefetch,
+        and no thread may outlive ``run``."""
+        on_main = []
+
+        def recording(seed, tile):
+            on_main.append(threading.current_thread() is threading.main_thread())
+            return make_generator(seed, tile)
+
+        cpus = set(range(2 if prefetch else 1))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+        monkeypatch.setattr(simulate, "_tile_generator", recording)
+        threads = threading.active_count()
+        try:
+            return run(config)
+        finally:
+            assert threading.active_count() == threads
+            assert on_main and set(on_main) == {not prefetch}
+
+    def test_reports_are_identical_with_and_without_prefetch(self, monkeypatch):
+        n = self.N
+        z = TestSpec(sided="one", alpha=0.05, statistic="z", sigma_ref=1.0)
+        t = TestSpec(sided="two", alpha=0.05, statistic="t")
+        for spec, test in (
+            (constant_policy(BAND, n, 0.9), z),
+            (one_sided_optimal_policy(BAND, n, 0.05), z),
+            (two_sided_threshold_policy(BAND, n, two_sided_threshold(BAND, 0.05, 10)), t),
+            (heuristic_t_policy(BAND, n, 0.05), t),
+        ):
+            config = SimulationConfig(n=n, reps=self.REPS, policy=spec, test=test, seed=21)
+            payloads = []
+            for prefetch in (True, False):
+                report = self.run_forced(monkeypatch, config, prefetch)
+                payload = report.to_json_dict()
+                del payload["runtime_seconds"]
+                payloads.append(json.dumps(payload, sort_keys=True))
+            assert payloads[0] == payloads[1], spec.kind
+            # inline, the step loop waits for every draw
+            assert report.diagnostics["noise_wait_s"] >= report.diagnostics["noise_s"] > 0.0
+
+    def config(self):
+        return SimulationConfig(
+            n=self.N, reps=self.REPS, policy=heuristic_t_policy(BAND, self.N, 0.05),
+            test=TestSpec(sided="two", alpha=0.05, statistic="t"), seed=21,
+        )
+
+    def test_a_failed_draw_raises_its_own_error_on_both_paths(self, monkeypatch):
+        make_generator = simulate._tile_generator
+
+        def failing(seed, tile):
+            if tile == 16:  # the second block, drawn while the first steps
+                raise Boom(f"no stream for tile {tile}")
+            return make_generator(seed, tile)
+
+        for prefetch in (True, False):
+            with pytest.raises(Boom, match="^no stream for tile 16$"):
+                self.run_forced(monkeypatch, self.config(), prefetch, failing)
+
+    def test_a_failed_step_joins_the_helper(self, monkeypatch):
+        sigma = PolicySpec.sigma
+
+        def failing(spec, i, s, ss):
+            if i == 12:  # the second chunk, with the third one's draw submitted
+                raise Boom(f"step {i}")
+            return sigma(spec, i, s, ss)
+
+        monkeypatch.setattr(PolicySpec, "sigma", failing)
+        for prefetch in (True, False):
+            with pytest.raises(Boom, match="^step 12$"):
+                self.run_forced(monkeypatch, self.config(), prefetch)
+
+
 class TestCalibrationAndInflation:
     def test_null_calibration_quick(self):
         band = VolatilityBand(1.0, 1.0)
@@ -421,7 +509,7 @@ class TestReportShape:
         )
         report = run(config)
         assert set(report.diagnostics) == {
-            "noise_s", "step_s", "tally_s", "pool_start_s", "merge_s"
+            "noise_s", "noise_wait_s", "step_s", "tally_s", "pool_start_s", "merge_s"
         }
         assert all(seconds >= 0.0 for seconds in report.diagnostics.values())
         assert report.diagnostics["pool_start_s"] > 0.0
