@@ -15,9 +15,11 @@ comparisons are
                          s2 = max((Q - S*S/m) / (m - 1), 0),
 
 the last being |S| / sqrt(n * s2) <= crit, scaled by the full horizon n
-rather than i-1.  Each is written once, in ``PolicySpec.sigma``, the
-kernel the Monte Carlo engine evaluates.  Conventions left open by the
-construction are configuration:
+rather than i-1.  The kernel skips the clip at 0, which cannot change the
+mask, since a clipped s2 fails s2 > 0 exactly when the raw one does.  Each
+rule is written once, in ``PolicySpec.sigma``, the kernel the Monte Carlo
+engine evaluates.  Conventions left open by the construction are
+configuration:
 
 * critical value: the normal quantile Phi^-1(1-alpha/2) (default) or an
   explicit constant;
@@ -151,8 +153,10 @@ class PolicySpec:
         if i <= 2:
             return hi
         m = i - 1
-        s2 = np.maximum((ss - s * s / m) / (m - 1), 0.0)
-        exceed = (s2 > 0.0) & (s * s > self.bound * s2)
+        sq = s * s
+        # s2 is not clipped at 0: a raw s2 <= 0 (or NaN) fails s2 > 0 anyway.
+        s2 = (ss - sq / m) / (m - 1)
+        exceed = (s2 > 0.0) & (sq > self.bound * s2)
         return np.where(exceed, lo, hi)
 
 

@@ -29,8 +29,9 @@ block's sums and its chunk stay in a core's L2 cache.  The kernel is
 replication-local and chunking does not change the stream, so neither
 block nor chunk size can change any value.  Workers own disjoint tile
 ranges and their integer tallies merge by summation.  A worker process
-with two CPUs of its own draws the next chunk on a helper thread while the
-policy steps this one; each tile's draws keep their order, so no value changes.
+with two CPUs of its own splits its range at a tile boundary and runs the
+second half on a helper thread, each half drawing its own noise; the halves
+merge like workers, so no value changes.
 
 Degenerate replications (zero sample variance, probability zero under
 continuous noise) are tallied separately and excluded from the rejection
@@ -189,9 +190,8 @@ class SimulationReport:
     runtime_seconds: float
     config: SimulationConfig
     # Seconds per phase, like ``runtime_seconds`` volatile and kept out of
-    # ``to_json_dict``: noise_s, noise_wait_s (the step loop's wait for
-    # noise; noise_s when drawn inline), step_s and tally_s summed over
-    # workers, pool_start_s and merge_s in the parent process.
+    # ``to_json_dict``: noise_s, step_s and tally_s summed over threads
+    # and workers, pool_start_s and merge_s in the parent process.
     diagnostics: dict[str, float]
 
     def to_json_dict(self) -> dict:
@@ -273,92 +273,76 @@ def _blocks(n: int, tile_lo: int, tile_hi: int):
         yield b_lo, b_hi, max(1, min(n, _CHUNK_DOUBLES // ((b_hi - b_lo) * TILE)))
 
 
-def _noise_chunks(config: SimulationConfig, tile_lo: int, tile_hi: int, ring, timers):
-    """Each chunk's noise in step-loop order, drawn into the buffers of
-    ``ring`` in turn; the seconds spent, tile streams included, go to
-    ``timers["noise_s"]``, which no other code writes while this runs."""
-    n, k = config.n, 0
-    for b_lo, b_hi, chunk in _blocks(n, tile_lo, tile_hi):
-        t0 = time.perf_counter()
-        gens = [_tile_generator(config.seed, t) for t in range(b_lo, b_hi)]
-        # noise[t, j] is step j of the chunk for tile b_lo + t: each tile's
-        # chunk is a contiguous (steps, TILE) slice drawn in place.
-        for i0 in range(1, n + 1, chunk):
-            noise = ring[k % len(ring)][: (b_hi - b_lo) * chunk * TILE].reshape(-1, chunk, TILE)
-            k += 1
-            for t, gen in enumerate(gens):
-                gen.standard_normal(out=noise[t, : min(chunk, n + 1 - i0)])
-            timers["noise_s"] += time.perf_counter() - t0
-            yield noise
-            t0 = time.perf_counter()
-
-
-def _run_range(config, tile_lo: int, tile_hi: int, critical: float, prefetch: bool):
+def _run_range(config, tile_lo: int, tile_hi: int, critical: float):
     """Tallies and phase seconds for the replications of tiles
-    [tile_lo, tile_hi), cut at ``config.reps``.  With ``prefetch`` a helper
-    thread draws the next chunk while this one steps the current one."""
+    [tile_lo, tile_hi), cut at ``config.reps``."""
     n = config.n
     needs_ss = config.policy.kind == "heuristic_t" or config.test.statistic == "t"
     policy = config.policy
     hist = _empty_histogram()
     rejections = 0
     degenerate = 0
-    timers = {"noise_s": 0.0, "noise_wait_s": 0.0, "step_s": 0.0, "tally_s": 0.0}
+    timers = {"noise_s": 0.0, "step_s": 0.0, "tally_s": 0.0}
 
-    # A helper thread runs one chunk ahead, so it needs a second buffer.
     size = max((b_hi - b_lo) * chunk for b_lo, b_hi, chunk in _blocks(n, tile_lo, tile_hi))
-    ring = [np.empty(size * TILE) for _ in range(2 if prefetch else 1)]
-    chunks = _noise_chunks(config, tile_lo, tile_hi, ring, timers)
-    if prefetch:  # imported here, as it brings in logging: 6 ms
-        from concurrent.futures import ThreadPoolExecutor
-        helper = ThreadPoolExecutor(max_workers=1)
-        ahead = helper.submit(next, chunks)
-    try:
-        for b_lo, b_hi, chunk in _blocks(n, tile_lo, tile_hi):
-            width = b_hi - b_lo
-            s = np.zeros((width, TILE))
-            ss = np.zeros((width, TILE)) if needs_ss else None
-            x = np.empty((width, TILE))
-            for i0 in range(1, n + 1, chunk):
-                t0 = time.perf_counter()
-                if prefetch:
-                    noise = ahead.result()
-                    # the next chunk goes into the buffer of the chunk stepped last
-                    ahead = helper.submit(next, chunks, None)
-                else:
-                    noise = next(chunks)
-                t1 = time.perf_counter()
-                for j in range(min(chunk, n + 1 - i0)):
-                    np.multiply(policy.sigma(i0 + j, s, ss), noise[:, j], out=x)
-                    s += x
-                    if needs_ss:
-                        x *= x
-                        ss += x
-                timers["noise_wait_s"] += t1 - t0
-                timers["step_s"] += time.perf_counter() - t1
-
+    buffer = np.empty(size * TILE)
+    for b_lo, b_hi, chunk in _blocks(n, tile_lo, tile_hi):
+        t0 = time.perf_counter()
+        width = b_hi - b_lo
+        gens = [_tile_generator(config.seed, t) for t in range(b_lo, b_hi)]
+        # noise[t, j] is step j of the chunk for tile b_lo + t: each tile's
+        # chunk is a contiguous (steps, TILE) slice drawn in place.
+        noise = buffer[: width * chunk * TILE].reshape(width, chunk, TILE)
+        s = np.zeros((width, TILE))
+        ss = np.zeros((width, TILE)) if needs_ss else None
+        x = np.empty((width, TILE))
+        for i0 in range(1, n + 1, chunk):
+            steps = min(chunk, n + 1 - i0)
+            for t, gen in enumerate(gens):
+                gen.standard_normal(out=noise[t, :steps])
+            t1 = time.perf_counter()
+            for j in range(steps):
+                np.multiply(policy.sigma(i0 + j, s, ss), noise[:, j], out=x)
+                s += x
+                if needs_ss:
+                    x *= x
+                    ss += x
+            timers["noise_s"] += t1 - t0
             t0 = time.perf_counter()
-            used = min(b_hi * TILE, config.reps) - b_lo * TILE
-            s = s.ravel()[:used]
-            if config.test.statistic == "z":
-                stats = s / (math.sqrt(n) * config.test.sigma_ref)
-            else:
-                ss = ss.ravel()[:used]
-                s2 = np.maximum((ss - s * s / n) / (n - 1), 0.0)
-                good = s2 > 0.0
-                degenerate += int(np.count_nonzero(~good))
-                stats = (s[good] / math.sqrt(n)) / np.sqrt(s2[good])
+            timers["step_s"] += t0 - t1
 
-            if config.test.sided == "one":
-                rejections += int(np.count_nonzero(stats > critical))
-            else:
-                rejections += int(np.count_nonzero(np.abs(stats) > critical))
-            hist.add(stats)
-            timers["tally_s"] += time.perf_counter() - t0
-    finally:
-        if prefetch:  # waits for the draw in flight, if any, and joins the thread
-            helper.shutdown()
+        used = min(b_hi * TILE, config.reps) - b_lo * TILE
+        s = s.ravel()[:used]
+        if config.test.statistic == "z":
+            stats = s / (math.sqrt(n) * config.test.sigma_ref)
+        else:
+            ss = ss.ravel()[:used]
+            s2 = np.maximum((ss - s * s / n) / (n - 1), 0.0)
+            good = s2 > 0.0
+            degenerate += int(np.count_nonzero(~good))
+            stats = (s[good] / math.sqrt(n)) / np.sqrt(s2[good])
+
+        if config.test.sided == "one":
+            rejections += int(np.count_nonzero(stats > critical))
+        else:
+            rejections += int(np.count_nonzero(np.abs(stats) > critical))
+        hist.add(stats)
+        timers["tally_s"] += time.perf_counter() - t0
     return rejections, degenerate, hist, timers
+
+
+def _run_threads(config, tile_lo: int, tile_hi: int, critical: float, split: bool):
+    """The parts of tiles [tile_lo, tile_hi): with ``split``, the second
+    half runs on a helper thread while this thread runs the first."""
+    if not split or tile_hi - tile_lo < 2:
+        return [_run_range(config, tile_lo, tile_hi, critical)]
+    from concurrent.futures import ThreadPoolExecutor  # here, as it brings in logging: 6 ms
+
+    mid = (tile_lo + tile_hi) // 2
+    with ThreadPoolExecutor(max_workers=1) as helper:  # joined on exit, error or not
+        second = helper.submit(_run_range, config, mid, tile_hi, critical)
+        first = _run_range(config, tile_lo, mid, critical)
+    return [first, second.result()]
 
 
 def run(config: SimulationConfig) -> SimulationReport:
@@ -371,23 +355,23 @@ def run(config: SimulationConfig) -> SimulationReport:
     n_tiles = -(-config.reps // TILE)
 
     workers = min(config.workers, n_tiles)
-    # Drawing ahead pays only on a spare CPU per worker: pinned to one, it cost 1-7%.
+    # A second thread per worker pays only on a CPU of its own.
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    prefetch = (cpus or 1) >= 2 * workers
+    split = (cpus or 1) >= 2 * workers
     pool_start = 0.0
     if workers == 1:
-        parts = [_run_range(config, 0, n_tiles, critical, prefetch)]
+        parts = _run_threads(config, 0, n_tiles, critical, split)
     else:
         bounds = np.linspace(0, n_tiles, workers + 1).astype(int)
         tasks = [
-            (config, int(bounds[w]), int(bounds[w + 1]), critical, prefetch)
+            (config, int(bounds[w]), int(bounds[w + 1]), critical, split)
             for w in range(workers)
             if bounds[w] < bounds[w + 1]
         ]
         t0 = time.perf_counter()
         with multiprocessing.Pool(processes=workers) as pool:
             pool_start = time.perf_counter() - t0
-            parts = pool.starmap(_run_range, tasks)
+            parts = [part for threads in pool.starmap(_run_threads, tasks) for part in threads]
 
     t0 = time.perf_counter()
     rejections = 0

@@ -8,6 +8,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy
 import pytest
@@ -328,7 +329,7 @@ class TestSimulateCommand:
         line = [l for l in proc.stderr.splitlines() if l.startswith("diagnostics: ")]
         phases = json.loads(line[0].split(": ", 1)[1])
         assert set(phases) == {
-            "noise_s", "noise_wait_s", "step_s", "tally_s", "pool_start_s", "merge_s"
+            "noise_s", "step_s", "tally_s", "pool_start_s", "merge_s"
         }
 
     def test_null_rate_near_alpha(self):
@@ -347,7 +348,7 @@ class TestSimulateCommand:
                     "--alpha", "0.05", "--sided", "two", "--stat", "t",
                     "--seed", "3", "--hist", hist_path)
         )
-        lines = open(hist_path).read().strip().splitlines()
+        lines = Path(hist_path).read_text().strip().splitlines()
         assert lines[0] == "bin_lo,bin_hi,count"
         total = sum(int(l.split(",")[2]) for l in lines[1:])
         hist = out["histogram"]

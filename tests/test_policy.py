@@ -224,6 +224,34 @@ class TestHeuristicT:
         stat = abs(st[1]) / math.sqrt(20 * sample_variance(st))
         assert scalar_sigma(spec, *st) == (BAND.sigma_hi if stat <= 2.5 else BAND.sigma_lo)
 
+    def test_kernel_matches_the_clipped_formula_bitwise(self):
+        # The kernel leaves out the docstring's clip of s2 at 0; every sigma
+        # must still be the formula's, bit for bit.
+        def clipped(spec, i, s, ss):
+            m = i - 1
+            s2 = np.maximum((ss - s * s / m) / (m - 1), 0.0)
+            exceed = (s2 > 0.0) & (s * s > spec.bound * s2)
+            return np.where(exceed, BAND.sigma_lo, BAND.sigma_hi)
+
+        fixed = heuristic_t_policy(BAND, 4, c_alpha=1.0)
+        cancel = state_after([0.1, 0.1, 0.1])
+        assert (cancel[2] - cancel[1] * cancel[1] / 3) / 2 < 0.0  # raw s2 below 0
+        cases = [
+            # m = 2: S = 2, Q = 3 ties S^2 = c^2 n s^2 (with its neighbours),
+            # and S = 2, Q = 2 gives s^2 = 0
+            (fixed, 3, np.array([*near(2.0, 1), 2.0]), np.array([3.0, 3.0, 3.0, 2.0])),
+            (fixed, cancel[0], np.array([cancel[1]]), np.array([cancel[2]])),
+        ]
+        rng = np.random.default_rng(23)
+        for rule in ("normal", "fixed"):
+            x = rng.standard_normal((19, 4096))
+            s, ss = np.cumsum(x, axis=0), np.cumsum(x * x, axis=0)
+            cases += [(heuristic(20, rule), i, s[i - 2], ss[i - 2]) for i in range(3, 21)]
+        for spec, i, s, ss in cases:
+            assert spec.sigma(i, s, ss).tobytes() == clipped(spec, i, s, ss).tobytes()
+        hi, lo = BAND.sigma_hi, BAND.sigma_lo
+        assert fixed.sigma(*cases[0][1:]).tolist() == [hi, hi, lo, hi]
+
 
 class TestStateContracts:
     def test_predictability(self):

@@ -189,7 +189,6 @@ class TestStreams:
         # column around the 1023/1024 tile boundary and in the partial last
         # tile with a fresh draw of the contract.
         n, seed, reps = 12, 987, 2 * TILE + 5
-        drawn = {}
         make_generator = simulate._tile_generator
 
         class Recorder:
@@ -205,19 +204,26 @@ class TestStreams:
         monkeypatch.setattr(simulate, "_BLOCK_MAX", 2 * TILE)
         monkeypatch.setattr(simulate, "_CHUNK_DOUBLES", 5 * 2 * TILE)
         test = TestSpec(sided="one", alpha=0.05, statistic="z", sigma_ref=1.0)
-        run(SimulationConfig(
-            n=n, reps=reps, policy=constant_policy(BAND, n, 0.9), test=test, seed=seed
-        ))
-        assert sorted(drawn) == [0, 1, 2]
-        # 5-step chunks in the two-tile block, 10-step in the one-tile block
-        assert [len(drawn[t]) for t in range(3)] == [3, 3, 2]
-        tiles = {t: np.concatenate(chunks) for t, chunks in drawn.items()}
-        checked = [*range(0, 3), *range(TILE - 3, TILE + 3), *range(2 * TILE - 1, reps)]
-        for rep in checked:
-            engine = tiles[rep // TILE][:, rep % TILE]
-            assert np.array_equal(engine, replication_noise(seed, rep, n)), rep
-        # the partial last tile is drawn in full
-        assert np.array_equal(tiles[2], _reference_tile(seed, 2, n))
+        # 5-step chunks in a two-tile block, 10-step in a one-tile block: one
+        # CPU runs tiles [0, 2) and [2, 3) as blocks, two CPUs split the
+        # range into [0, 1) and [1, 3).
+        for cpus, plan in ((1, [3, 3, 2]), (2, [2, 3, 3])):
+            drawn = {}
+            monkeypatch.setattr(
+                os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False
+            )
+            run(SimulationConfig(
+                n=n, reps=reps, policy=constant_policy(BAND, n, 0.9), test=test, seed=seed
+            ))
+            assert sorted(drawn) == [0, 1, 2]
+            assert [len(drawn[t]) for t in range(3)] == plan
+            tiles = {t: np.concatenate(chunks) for t, chunks in drawn.items()}
+            checked = [*range(0, 3), *range(TILE - 3, TILE + 3), *range(2 * TILE - 1, reps)]
+            for rep in checked:
+                engine = tiles[rep // TILE][:, rep % TILE]
+                assert np.array_equal(engine, replication_noise(seed, rep, n)), rep
+            # the partial last tile is drawn in full
+            assert np.array_equal(tiles[2], _reference_tile(seed, 2, n))
 
     def test_replication_noise_is_pure(self):
         a = replication_noise(5, 123, 16)
@@ -304,34 +310,38 @@ class Boom(RuntimeError):
     pass
 
 
-class TestPrefetch:
-    # 17 tiles, the last partial, make two blocks: 16 tiles stepped in
-    # 8-step chunks (the third refills the first buffer), then one tile.
+class TestSplit:
+    # 17 tiles, the last partial.  On 2 CPUs one worker runs tiles [0, 8)
+    # on the main thread and [8, 17) on a helper thread, one block each.
     N, REPS = 20, 17 * TILE - 300
+    HELPER_TILES = set(range(8, 17))
 
-    def run_forced(
-        self, monkeypatch, config, prefetch, make_generator=simulate._tile_generator
-    ):
-        """``run`` with one worker and 2 CPUs (prefetch) or 1 (inline): the
-        tile streams must be built on a helper thread only with prefetch,
-        and no thread may outlive ``run``."""
-        on_main = []
+    def run_on(self, monkeypatch, config, cpus, make_generator=simulate._tile_generator):
+        """``run`` with ``cpus`` CPUs and the tiles whose streams it built
+        off the main thread; no thread may outlive ``run``."""
+        off_main = set()
 
         def recording(seed, tile):
-            on_main.append(threading.current_thread() is threading.main_thread())
+            if threading.current_thread() is not threading.main_thread():
+                off_main.add(tile)
             return make_generator(seed, tile)
 
-        cpus = set(range(2 if prefetch else 1))
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
         monkeypatch.setattr(simulate, "_tile_generator", recording)
         threads = threading.active_count()
         try:
-            return run(config)
+            return run(config), off_main
         finally:
             assert threading.active_count() == threads
-            assert on_main and set(on_main) == {not prefetch}
 
-    def test_reports_are_identical_with_and_without_prefetch(self, monkeypatch):
+    def config(self, spec=None, test=None, workers=1):
+        return SimulationConfig(
+            n=self.N, reps=self.REPS, workers=workers, seed=21,
+            policy=spec or heuristic_t_policy(BAND, self.N, 0.05),
+            test=test or TestSpec(sided="two", alpha=0.05, statistic="t"),
+        )
+
+    def test_reports_are_identical_split_or_not(self, monkeypatch):
         n = self.N
         z = TestSpec(sided="one", alpha=0.05, statistic="z", sigma_ref=1.0)
         t = TestSpec(sided="two", alpha=0.05, statistic="t")
@@ -341,47 +351,54 @@ class TestPrefetch:
             (two_sided_threshold_policy(BAND, n, two_sided_threshold(BAND, 0.05, 10)), t),
             (heuristic_t_policy(BAND, n, 0.05), t),
         ):
-            config = SimulationConfig(n=n, reps=self.REPS, policy=spec, test=test, seed=21)
-            payloads = []
-            for prefetch in (True, False):
-                report = self.run_forced(monkeypatch, config, prefetch)
+            payloads = set()
+            for workers, cpus in ((1, 1), (1, 2), (2, 4)):
+                report, _ = self.run_on(monkeypatch, self.config(spec, test, workers), cpus)
                 payload = report.to_json_dict()
                 del payload["runtime_seconds"]
-                payloads.append(json.dumps(payload, sort_keys=True))
-            assert payloads[0] == payloads[1], spec.kind
-            # inline, the step loop waits for every draw
-            assert report.diagnostics["noise_wait_s"] >= report.diagnostics["noise_s"] > 0.0
+                payloads.add(json.dumps(payload, sort_keys=True))
+                assert report.diagnostics["noise_s"] > 0.0
+                assert report.diagnostics["step_s"] > 0.0
+            assert len(payloads) == 1, spec.kind
 
-    def config(self):
-        return SimulationConfig(
-            n=self.N, reps=self.REPS, policy=heuristic_t_policy(BAND, self.N, 0.05),
-            test=TestSpec(sided="two", alpha=0.05, statistic="t"), seed=21,
-        )
+    def test_second_half_is_drawn_on_the_helper_only_when_split(self, monkeypatch):
+        _, off_main = self.run_on(monkeypatch, self.config(), 2)
+        assert off_main == self.HELPER_TILES
+        _, off_main = self.run_on(monkeypatch, self.config(), 1)
+        assert off_main == set()
 
-    def test_a_failed_draw_raises_its_own_error_on_both_paths(self, monkeypatch):
+    def test_a_failed_draw_in_the_helper_raises_its_own_error(self, monkeypatch):
         make_generator = simulate._tile_generator
+        failed_on_main = []
 
         def failing(seed, tile):
-            if tile == 16:  # the second block, drawn while the first steps
+            if tile == 12:
+                failed_on_main.append(threading.current_thread() is threading.main_thread())
                 raise Boom(f"no stream for tile {tile}")
             return make_generator(seed, tile)
 
-        for prefetch in (True, False):
-            with pytest.raises(Boom, match="^no stream for tile 16$"):
-                self.run_forced(monkeypatch, self.config(), prefetch, failing)
+        for cpus in (2, 1):
+            with pytest.raises(Boom, match="^no stream for tile 12$"):
+                self.run_on(monkeypatch, self.config(), cpus, failing)
+        assert failed_on_main == [False, True]
 
-    def test_a_failed_step_joins_the_helper(self, monkeypatch):
+    def test_a_failed_step_on_the_main_thread_joins_the_helper(self, monkeypatch):
         sigma = PolicySpec.sigma
+        helper_steps = []
 
         def failing(spec, i, s, ss):
-            if i == 12:  # the second chunk, with the third one's draw submitted
+            if threading.current_thread() is not threading.main_thread():
+                helper_steps.append(i)
+            elif i == 12:
                 raise Boom(f"step {i}")
             return sigma(spec, i, s, ss)
 
         monkeypatch.setattr(PolicySpec, "sigma", failing)
-        for prefetch in (True, False):
+        for cpus in (2, 1):
             with pytest.raises(Boom, match="^step 12$"):
-                self.run_forced(monkeypatch, self.config(), prefetch)
+                self.run_on(monkeypatch, self.config(), cpus)
+        # the helper ran its half to the end before the error left ``run``
+        assert helper_steps == list(range(1, self.N + 1))
 
 
 class TestCalibrationAndInflation:
@@ -509,7 +526,7 @@ class TestReportShape:
         )
         report = run(config)
         assert set(report.diagnostics) == {
-            "noise_s", "noise_wait_s", "step_s", "tally_s", "pool_start_s", "merge_s"
+            "noise_s", "step_s", "tally_s", "pool_start_s", "merge_s"
         }
         assert all(seconds >= 0.0 for seconds in report.diagnostics.values())
         assert report.diagnostics["pool_start_s"] > 0.0
