@@ -498,7 +498,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--table-levels", type=int, default=None,
                    help="threshold table rows for two-sided-thresh (default 50)")
     p.add_argument("--seed", type=int, default=0)
-    add_workers(p, 1)  # small runs would pay more for a pool than they gain
+    add_workers(p, 1)  # one worker is still two processes where it has two CPUs
     p.add_argument("--hist", default=None, help="write histogram CSV here")
     p.set_defaults(func=cmd_simulate)
 

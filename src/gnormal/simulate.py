@@ -27,11 +27,13 @@ Noise is drawn in chunks of steps that continue each tile's generator,
 about ``_CHUNK_DOUBLES`` normals per block whatever n is, so that a
 block's sums and its chunk stay in a core's L2 cache.  The kernel is
 replication-local and chunking does not change the stream, so neither
-block nor chunk size can change any value.  Workers own disjoint tile
-ranges and their integer tallies merge by summation.  A worker process
-with two CPUs of its own splits its range at a tile boundary and runs the
-second half on a helper thread, each half drawing its own noise; the halves
-merge like workers, so no value changes.
+block nor chunk size can change any value.  ``run`` cuts the tiles into
+one range per worker, or two where each worker has two CPUs of its own.
+The caller runs the first range and a child made by ``os.fork`` runs each
+other one, sending its tallies back through a pipe; where ``os.fork`` is
+missing the caller runs every range in turn.  Ranges start on tile
+boundaries and integer tallies merge by summation, so no value depends
+on the cut.
 
 Degenerate replications (zero sample variance, probability zero under
 continuous noise) are tallied separately and excluded from the rejection
@@ -41,8 +43,9 @@ rate; they are never silently dropped.
 from __future__ import annotations
 
 import math
-import multiprocessing
 import os
+import pickle
+import signal
 import time
 from dataclasses import dataclass
 
@@ -190,8 +193,8 @@ class SimulationReport:
     runtime_seconds: float
     config: SimulationConfig
     # Seconds per phase, like ``runtime_seconds`` volatile and kept out of
-    # ``to_json_dict``: noise_s, step_s and tally_s summed over threads
-    # and workers, pool_start_s and merge_s in the parent process.
+    # ``to_json_dict``: noise_s, step_s and tally_s summed over processes,
+    # fork_s and merge_s in the calling process.
     diagnostics: dict[str, float]
 
     def to_json_dict(self) -> dict:
@@ -331,18 +334,89 @@ def _run_range(config, tile_lo: int, tile_hi: int, critical: float):
     return rejections, degenerate, hist, timers
 
 
-def _run_threads(config, tile_lo: int, tile_hi: int, critical: float, split: bool):
-    """The parts of tiles [tile_lo, tile_hi): with ``split``, the second
-    half runs on a helper thread while this thread runs the first."""
-    if not split or tile_hi - tile_lo < 2:
-        return [_run_range(config, tile_lo, tile_hi, critical)]
-    from concurrent.futures import ThreadPoolExecutor  # here, as it brings in logging: 6 ms
+def _child_payload(config, tile_lo: int, tile_hi: int, critical: float) -> bytes:
+    """The pickled ``(True, part)`` of tiles [tile_lo, tile_hi), or
+    ``(False, error)`` for the parent to raise; an error that does not
+    survive a pickle round trip is sent as its repr."""
+    try:
+        return pickle.dumps((True, _run_range(config, tile_lo, tile_hi, critical)))
+    except BaseException as exc:  # KeyboardInterrupt too: the parent raises it
+        try:
+            payload = pickle.dumps((False, exc))
+            pickle.loads(payload)
+            return payload
+        except Exception:
+            return pickle.dumps((False, repr(exc)))
 
-    mid = (tile_lo + tile_hi) // 2
-    with ThreadPoolExecutor(max_workers=1) as helper:  # joined on exit, error or not
-        second = helper.submit(_run_range, config, mid, tile_hi, critical)
-        first = _run_range(config, tile_lo, mid, critical)
-    return [first, second.result()]
+
+def _fork_part(config, tile_lo: int, tile_hi: int, critical: float):
+    """Fork a child that runs tiles [tile_lo, tile_hi) and writes its
+    payload to a pipe; the child's pid and the pipe's read end."""
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            with open(write_fd, "wb") as pipe:
+                pipe.write(_child_payload(config, tile_lo, tile_hi, critical))
+            status = 0
+        finally:
+            os._exit(status)  # never unwind into the caller's stack
+    os.close(write_fd)  # so that a dead child reads as EOF
+    return pid, open(read_fd, "rb")
+
+
+def _received(payload: bytes, status: int, tile_lo: int, tile_hi: int):
+    """The part a child sent, or its error raised here."""
+    try:
+        ok, value = pickle.loads(payload)
+    except (EOFError, pickle.UnpicklingError):  # nothing, or a cut pickle
+        raise RuntimeError(
+            f"the child process for tiles [{tile_lo}, {tile_hi}) exited with status "
+            f"{os.waitstatus_to_exitcode(status)} without sending its tallies"
+        ) from None
+    if ok:
+        return value
+    if isinstance(value, BaseException):
+        raise value
+    raise RuntimeError(
+        f"the child process for tiles [{tile_lo}, {tile_hi}) raised {value}, "
+        "which could not be sent back"
+    )
+
+
+def _run_parts(config, ranges, critical: float):
+    """The parts of ``ranges`` and the seconds spent forking: the first
+    range runs in this process and each other one in a forked child.  Any
+    error, here or in a child, kills and reaps every child left."""
+    if not hasattr(os, "fork"):
+        return [_run_range(config, lo, hi, critical) for lo, hi in ranges], 0.0
+    children = []  # (pid, pipe) of every child not yet reaped
+    try:
+        t0 = time.perf_counter()
+        for lo, hi in ranges[1:]:
+            children.append(_fork_part(config, lo, hi, critical))
+        fork_s = time.perf_counter() - t0
+        parts = [_run_range(config, *ranges[0], critical)]
+        for lo, hi in ranges[1:]:
+            pid, pipe = children[0]
+            with pipe:
+                payload = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            del children[0]
+            parts.append(_received(payload, status, lo, hi))
+        return parts, fork_s
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def run(config: SimulationConfig) -> SimulationReport:
@@ -354,24 +428,12 @@ def run(config: SimulationConfig) -> SimulationReport:
     critical = config.test.critical_value(config.n)
     n_tiles = -(-config.reps // TILE)
 
-    workers = min(config.workers, n_tiles)
-    # A second thread per worker pays only on a CPU of its own.
+    # Each worker's tiles run as two processes where it has two CPUs of its own.
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    split = (cpus or 1) >= 2 * workers
-    pool_start = 0.0
-    if workers == 1:
-        parts = _run_threads(config, 0, n_tiles, critical, split)
-    else:
-        bounds = np.linspace(0, n_tiles, workers + 1).astype(int)
-        tasks = [
-            (config, int(bounds[w]), int(bounds[w + 1]), critical, split)
-            for w in range(workers)
-            if bounds[w] < bounds[w + 1]
-        ]
-        t0 = time.perf_counter()
-        with multiprocessing.Pool(processes=workers) as pool:
-            pool_start = time.perf_counter() - t0
-            parts = [part for threads in pool.starmap(_run_threads, tasks) for part in threads]
+    n_parts = config.workers * (2 if (cpus or 1) >= 2 * config.workers else 1)
+    n_parts = min(n_parts, n_tiles)
+    bounds = [k * n_tiles // n_parts for k in range(n_parts + 1)]
+    parts, fork_s = _run_parts(config, list(zip(bounds[:-1], bounds[1:])), critical)
 
     t0 = time.perf_counter()
     rejections = 0
@@ -384,7 +446,7 @@ def run(config: SimulationConfig) -> SimulationReport:
         hist.merge(part_hist)
         for key, seconds in part_timers.items():
             diagnostics[key] += seconds
-    diagnostics["pool_start_s"] = pool_start
+    diagnostics["fork_s"] = fork_s
     diagnostics["merge_s"] = time.perf_counter() - t0
 
     effective = config.reps - degenerate

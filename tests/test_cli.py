@@ -329,7 +329,7 @@ class TestSimulateCommand:
         line = [l for l in proc.stderr.splitlines() if l.startswith("diagnostics: ")]
         phases = json.loads(line[0].split(": ", 1)[1])
         assert set(phases) == {
-            "noise_s", "step_s", "tally_s", "pool_start_s", "merge_s"
+            "noise_s", "step_s", "tally_s", "fork_s", "merge_s"
         }
 
     def test_null_rate_near_alpha(self):

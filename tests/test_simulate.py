@@ -5,6 +5,7 @@ import json
 import math
 import os
 import threading
+import time
 from functools import lru_cache
 
 import numpy as np
@@ -183,22 +184,25 @@ class TestStreams:
         off_diagonal = corr[~np.eye(len(draws), dtype=bool)]
         assert np.all(np.abs(off_diagonal) < 5.0 / math.sqrt(size))
 
-    def test_engine_draws_match_reference_columns(self, monkeypatch):
+    def test_engine_draws_match_reference_columns(self, monkeypatch, tmp_path):
         # Record what each tile's generator writes into the engine's noise
         # buffer, over several blocks and step chunks, and compare every
         # column around the 1023/1024 tile boundary and in the partial last
-        # tile with a fresh draw of the contract.
+        # tile with a fresh draw of the contract.  The chunks go to files,
+        # so that those drawn in a child process are seen too.
         n, seed, reps = 12, 987, 2 * TILE + 5
         make_generator = simulate._tile_generator
 
         class Recorder:
             def __init__(self, seed, tile):
                 self.gen = make_generator(seed, tile)
-                self.chunks = drawn.setdefault(tile, [])
+                self.tile = tile
+                self.chunks = 0
 
             def standard_normal(self, out):
                 self.gen.standard_normal(out=out)
-                self.chunks.append(out.copy())
+                np.save(tmp_path / f"{cpus}-{self.tile}-{self.chunks:03d}.npy", out)
+                self.chunks += 1
 
         monkeypatch.setattr(simulate, "_tile_generator", Recorder)
         monkeypatch.setattr(simulate, "_BLOCK_MAX", 2 * TILE)
@@ -208,13 +212,15 @@ class TestStreams:
         # CPU runs tiles [0, 2) and [2, 3) as blocks, two CPUs split the
         # range into [0, 1) and [1, 3).
         for cpus, plan in ((1, [3, 3, 2]), (2, [2, 3, 3])):
-            drawn = {}
             monkeypatch.setattr(
                 os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False
             )
             run(SimulationConfig(
                 n=n, reps=reps, policy=constant_policy(BAND, n, 0.9), test=test, seed=seed
             ))
+            drawn = {}
+            for path in sorted(tmp_path.glob(f"{cpus}-*.npy")):
+                drawn.setdefault(int(path.name.split("-")[1]), []).append(np.load(path))
             assert sorted(drawn) == [0, 1, 2]
             assert [len(drawn[t]) for t in range(3)] == plan
             tiles = {t: np.concatenate(chunks) for t, chunks in drawn.items()}
@@ -310,29 +316,49 @@ class Boom(RuntimeError):
     pass
 
 
+class TwoArgs(Exception):
+    """Pickles, but its unpickling calls ``__init__`` with one argument."""
+
+    def __init__(self, what, where):
+        super().__init__(f"{what} at {where}")
+
+
 class TestSplit:
     # 17 tiles, the last partial.  On 2 CPUs one worker runs tiles [0, 8)
-    # on the main thread and [8, 17) on a helper thread, one block each.
+    # in the calling process and [8, 17) in a forked child, one block each.
     N, REPS = 20, 17 * TILE - 300
-    HELPER_TILES = set(range(8, 17))
+    CHILD_TILES = set(range(8, 17))
 
-    def run_on(self, monkeypatch, config, cpus, make_generator=simulate._tile_generator):
-        """``run`` with ``cpus`` CPUs and the tiles whose streams it built
-        off the main thread; no thread may outlive ``run``."""
-        off_main = set()
+    def run_on(self, monkeypatch, tmp_path, config, cpus,
+               make_generator=simulate._tile_generator):
+        """``run`` with ``cpus`` CPUs, and {pid: tiles} of the streams that
+        child processes built, seen through files under ``tmp_path``.  No
+        child process and no thread may outlive ``run``."""
+        caller = os.getpid()
+        built = tmp_path / "built"
+        built.mkdir(exist_ok=True)
+        for old in built.iterdir():
+            old.unlink()
 
         def recording(seed, tile):
-            if threading.current_thread() is not threading.main_thread():
-                off_main.add(tile)
+            if os.getpid() != caller:
+                (built / f"{os.getpid()}-{tile}").touch()
             return make_generator(seed, tile)
 
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
         monkeypatch.setattr(simulate, "_tile_generator", recording)
         threads = threading.active_count()
         try:
-            return run(config), off_main
+            report = run(config)
         finally:
             assert threading.active_count() == threads
+            with pytest.raises(ChildProcessError):
+                os.waitpid(-1, os.WNOHANG)
+        in_children = {}
+        for path in built.iterdir():
+            pid, tile = map(int, path.name.split("-"))
+            in_children.setdefault(pid, set()).add(tile)
+        return report, in_children
 
     def config(self, spec=None, test=None, workers=1):
         return SimulationConfig(
@@ -341,7 +367,7 @@ class TestSplit:
             test=test or TestSpec(sided="two", alpha=0.05, statistic="t"),
         )
 
-    def test_reports_are_identical_split_or_not(self, monkeypatch):
+    def test_reports_are_identical_split_or_not(self, monkeypatch, tmp_path):
         n = self.N
         z = TestSpec(sided="one", alpha=0.05, statistic="z", sigma_ref=1.0)
         t = TestSpec(sided="two", alpha=0.05, statistic="t")
@@ -352,8 +378,9 @@ class TestSplit:
             (heuristic_t_policy(BAND, n, 0.05), t),
         ):
             payloads = set()
-            for workers, cpus in ((1, 1), (1, 2), (2, 4)):
-                report, _ = self.run_on(monkeypatch, self.config(spec, test, workers), cpus)
+            for workers, cpus in ((1, 1), (1, 2), (2, 2), (2, 4), (7, 2)):
+                config = self.config(spec, test, workers)
+                report, _ = self.run_on(monkeypatch, tmp_path, config, cpus)
                 payload = report.to_json_dict()
                 del payload["runtime_seconds"]
                 payloads.add(json.dumps(payload, sort_keys=True))
@@ -361,44 +388,94 @@ class TestSplit:
                 assert report.diagnostics["step_s"] > 0.0
             assert len(payloads) == 1, spec.kind
 
-    def test_second_half_is_drawn_on_the_helper_only_when_split(self, monkeypatch):
-        _, off_main = self.run_on(monkeypatch, self.config(), 2)
-        assert off_main == self.HELPER_TILES
-        _, off_main = self.run_on(monkeypatch, self.config(), 1)
-        assert off_main == set()
+    def test_second_half_is_drawn_in_a_child_only_when_split(self, monkeypatch, tmp_path):
+        _, in_children = self.run_on(monkeypatch, tmp_path, self.config(), 2)
+        assert list(in_children.values()) == [self.CHILD_TILES]
+        _, in_children = self.run_on(monkeypatch, tmp_path, self.config(), 1)
+        assert in_children == {}
 
-    def test_a_failed_draw_in_the_helper_raises_its_own_error(self, monkeypatch):
+    def test_without_fork_every_part_runs_in_the_caller(self, monkeypatch, tmp_path):
+        forked, _ = self.run_on(monkeypatch, tmp_path, self.config(workers=2), 4)
+        monkeypatch.delattr(os, "fork")
+        report, in_children = self.run_on(monkeypatch, tmp_path, self.config(workers=2), 4)
+        assert in_children == {}
+        assert report.diagnostics["fork_s"] == 0.0
+        assert _report_key(report) == _report_key(forked)
+
+    def test_a_failed_draw_in_the_child_raises_its_own_error(self, monkeypatch, tmp_path):
         make_generator = simulate._tile_generator
-        failed_on_main = []
+        caller = os.getpid()
 
         def failing(seed, tile):
             if tile == 12:
-                failed_on_main.append(threading.current_thread() is threading.main_thread())
+                where = "child" if os.getpid() != caller else "caller"
+                (tmp_path / f"failed-in-{where}").touch()
                 raise Boom(f"no stream for tile {tile}")
             return make_generator(seed, tile)
 
-        for cpus in (2, 1):
+        for cpus, failed in ((2, ["child"]), (1, ["caller", "child"])):
             with pytest.raises(Boom, match="^no stream for tile 12$"):
-                self.run_on(monkeypatch, self.config(), cpus, failing)
-        assert failed_on_main == [False, True]
+                self.run_on(monkeypatch, tmp_path, self.config(), cpus, failing)
+            assert sorted(p.name for p in tmp_path.glob("failed-in-*")) == [
+                f"failed-in-{where}" for where in failed
+            ]
 
-    def test_a_failed_step_on_the_main_thread_joins_the_helper(self, monkeypatch):
+    def test_an_unpicklable_error_in_the_child_raises_its_repr(self, monkeypatch, tmp_path):
+        make_generator = simulate._tile_generator
+
+        class Local(Exception):  # pickled by reference, and not found by name
+            pass
+
+        for error, shown in (
+            (Local("no stream"), r"Local\('no stream'\)"),
+            (TwoArgs("no stream", 12), r"TwoArgs\('no stream at 12'\)"),
+        ):
+            def failing(seed, tile):
+                if tile == 12:
+                    raise error
+                return make_generator(seed, tile)
+
+            with pytest.raises(RuntimeError, match=rf"tiles \[8, 17\) raised .*{shown}"):
+                self.run_on(monkeypatch, tmp_path, self.config(), 2, failing)
+
+    def test_a_child_that_exits_without_tallies_names_its_status(self, monkeypatch, tmp_path):
+        caller = os.getpid()
+        run_range = simulate._run_range
+
+        def exiting(config, tile_lo, tile_hi, critical):
+            if os.getpid() != caller:
+                os._exit(3)
+            return run_range(config, tile_lo, tile_hi, critical)
+
+        monkeypatch.setattr(simulate, "_run_range", exiting)
+        with pytest.raises(RuntimeError, match=r"tiles \[8, 17\) exited with status 3 "):
+            self.run_on(monkeypatch, tmp_path, self.config(), 2)
+
+    def test_a_failed_step_in_the_caller_kills_the_child(self, monkeypatch, tmp_path):
+        # The child sleeps at its first step for longer than the test may
+        # take and marks each step it passes, so a caller that waited for
+        # its part would be slow and find marks: the caller's error at step
+        # 12 must kill it instead.
         sigma = PolicySpec.sigma
-        helper_steps = []
+        caller = os.getpid()
 
         def failing(spec, i, s, ss):
-            if threading.current_thread() is not threading.main_thread():
-                helper_steps.append(i)
+            if os.getpid() != caller:
+                if i == 1:
+                    time.sleep(10.0)
+                (tmp_path / f"child-step-{i}").touch()
             elif i == 12:
-                raise Boom(f"step {i}")
+                raise error(f"step {i}")
             return sigma(spec, i, s, ss)
 
         monkeypatch.setattr(PolicySpec, "sigma", failing)
-        for cpus in (2, 1):
-            with pytest.raises(Boom, match="^step 12$"):
-                self.run_on(monkeypatch, self.config(), cpus)
-        # the helper ran its half to the end before the error left ``run``
-        assert helper_steps == list(range(1, self.N + 1))
+        for error in (Boom, KeyboardInterrupt):
+            for cpus in (2, 1):
+                start = time.perf_counter()
+                with pytest.raises(error, match="^step 12$"):
+                    self.run_on(monkeypatch, tmp_path, self.config(), cpus)
+                assert time.perf_counter() - start < 5.0
+        assert list(tmp_path.glob("child-step-*")) == []
 
 
 class TestCalibrationAndInflation:
@@ -526,8 +603,8 @@ class TestReportShape:
         )
         report = run(config)
         assert set(report.diagnostics) == {
-            "noise_s", "step_s", "tally_s", "pool_start_s", "merge_s"
+            "noise_s", "step_s", "tally_s", "fork_s", "merge_s"
         }
         assert all(seconds >= 0.0 for seconds in report.diagnostics.values())
-        assert report.diagnostics["pool_start_s"] > 0.0
+        assert report.diagnostics["fork_s"] > 0.0
         assert "diagnostics" not in report.to_json_dict()
