@@ -18,8 +18,8 @@ records a value that changed nothing.
 it on stderr as one JSON line after their text on stdout.
 Wall-clock runtime is excluded from the checksum; re-runs with the same
 manifest parameters reproduce all checksummed bytes.  ``simulate`` also
-prints its per-phase seconds on stderr, and ``solve`` its march seconds,
-steps/s, CFL fraction and node counts.
+prints its per-phase seconds and process count on stderr, and ``solve`` its
+march seconds, steps/s, CFL fraction and node counts.
 """
 
 from __future__ import annotations
@@ -258,8 +258,7 @@ def cmd_solve(args) -> int:
 
 def cmd_threshold(args) -> int:
     band = _band(args)
-    nx = {} if args.nx is None else {"nx": args.nx}
-    rows = two_sided_threshold(band, args.alpha, args.levels, **nx)
+    rows = two_sided_threshold(band, args.alpha, args.levels, nx=args.nx)
     constant_band = band.is_classical
     lines = ["time_remaining,threshold,flag"]
     for row in rows:
@@ -311,7 +310,6 @@ def cmd_simulate(args) -> int:
     if args.hist is not None:
         report.histogram.write_csv(args.hist)
 
-    print(f"workers: {config.workers}", file=sys.stderr)
     print(f"diagnostics: {json.dumps(report.diagnostics)}", file=sys.stderr)
     manifest = _manifest(args, **opts)
     if args.hist is not None:
@@ -476,7 +474,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_band(p)
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--levels", type=int, default=20)
-    p.add_argument("--nx", type=int, default=None)
+    p.add_argument("--nx", type=int, default=1201)
     p.set_defaults(func=cmd_threshold)
 
     p = sub.add_parser("simulate", help="Monte Carlo rejection-rate experiment")

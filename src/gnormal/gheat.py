@@ -243,10 +243,6 @@ class GridSolution:
     snapped_c: float | None = None
     diagnostics: dict[str, float] = field(default_factory=dict, compare=False)
 
-    @property
-    def final_values(self) -> np.ndarray:
-        return self.values[-1]
-
     def value_at_final(self, x: float) -> float:
         """Linear interpolation of the t_end level at x."""
         if not self.x[0] <= x <= self.x[-1]:
@@ -567,34 +563,23 @@ def two_sided_threshold(
     return [ThresholdLevel(float(march.times[k]), *roots[k]) for k in picks]
 
 
-def verify_sandwich(
-    c: float, band: VolatilityBand, grid: GridSpec | None = None
-) -> SandwichReport:
+def verify_sandwich(c: float, band: VolatilityBand) -> SandwichReport:
     """Check the scheme's own sandwich 0 <= u_h + v_h - w_h <= bound(t) at
-    every retained node with t > 0 of one grid symmetric about 0.
+    every retained node with t > 0 of ``default_two_sided_grid(c, band,
+    nx=1601)``, the bound taken at the snapped c.
 
-    The explicit scheme is monotone and keeps constants, and G is
-    sublinear, so the discrete triple satisfies the sandwich up to rounding
-    (the discrete comparison principle); the tolerance is _SANDWICH_TOL.
-    Violations beyond it are reported, not raised.
+    The grid is symmetric about 0, as mirroring u_h needs.  Every c above
+    s_hi/2 snaps to a point above s_hi/2 on it, so the bound's regime holds
+    at the snapped c wherever it holds at c.  The explicit scheme is
+    monotone and keeps constants, and G is sublinear, so the discrete
+    triple satisfies the sandwich up to rounding (the discrete comparison
+    principle); the tolerance is _SANDWICH_TOL.  Violations beyond it are
+    reported, not raised.
     """
-    if grid is None:
-        grid = default_two_sided_grid(c, band, nx=1601)
+    grid = default_two_sided_grid(c, band, nx=1601)
     _require_positive_time_regime(c, grid.t_end, band)
-    # The bound is evaluated at the grid's snapped threshold, so the regime
-    # must hold there too; check it before either solve.
-    snapped_c = _snap_to_cell_midpoint(c, grid.x_min, grid.dx)
-    try:
-        _require_positive_time_regime(snapped_c, grid.t_end, band)
-    except DomainError as exc:
-        raise DomainError(f"{exc}, the grid's snap of the requested c = {c!r}") from None
-    if grid.x_min != -grid.x_max:
-        raise ConfigurationError(
-            f"verify_sandwich mirrors u_h, so the grid must be symmetric about 0, "
-            f"got [{grid.x_min!r}, {grid.x_max!r}]"
-        )
-
     one_sided = solve(IndicatorAbove(c), band, grid)
+    snapped_c = one_sided.snapped_c
     bound = np.array(
         [two_sided_error_bound(snapped_c, t, band) for t in one_sided.times[1:].tolist()]
     )

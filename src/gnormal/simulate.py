@@ -194,7 +194,8 @@ class SimulationReport:
     config: SimulationConfig
     # Seconds per phase, like ``runtime_seconds`` volatile and kept out of
     # ``to_json_dict``: noise_s, step_s and tally_s summed over processes,
-    # fork_s and merge_s in the calling process.
+    # fork_s and merge_s in the calling process; and ``processes``, the
+    # number of tile ranges, each its own process where ``os.fork`` exists.
     diagnostics: dict[str, float]
 
     def to_json_dict(self) -> dict:
@@ -448,6 +449,7 @@ def run(config: SimulationConfig) -> SimulationReport:
             diagnostics[key] += seconds
     diagnostics["fork_s"] = fork_s
     diagnostics["merge_s"] = time.perf_counter() - t0
+    diagnostics["processes"] = len(parts)
 
     effective = config.reps - degenerate
     rate = rejections / effective if effective > 0 else math.nan

@@ -101,7 +101,7 @@ def test_criterion_2_pde_vs_closed_form():
         grid = GridSpec(-10.0, 10.0, nx, 1.0)
         sol = solve(IndicatorAbove(c), BAND, grid, max_levels=2)
         exact = np.array([profile_f(x - c, BAND) for x in sol.x])
-        errors.append(float(np.abs(sol.final_values - exact).max()))
+        errors.append(float(np.abs(sol.values[-1] - exact).max()))
     ratios = [errors[0] / errors[1], errors[1] / errors[2]]
     ok = errors[2] <= 5e-3 and all(r >= 1.7 for r in ratios)
     report(

@@ -329,8 +329,9 @@ class TestSimulateCommand:
         line = [l for l in proc.stderr.splitlines() if l.startswith("diagnostics: ")]
         phases = json.loads(line[0].split(": ", 1)[1])
         assert set(phases) == {
-            "noise_s", "step_s", "tally_s", "fork_s", "merge_s"
+            "noise_s", "step_s", "tally_s", "fork_s", "merge_s", "processes"
         }
+        assert not any(l.startswith("workers: ") for l in proc.stderr.splitlines())
 
     def test_null_rate_near_alpha(self):
         out = json_out(
@@ -380,12 +381,15 @@ class TestSimulateCommand:
         assert err.startswith(f"error: {unread[0]} is read only with --")
 
     def test_workers_env_default(self):
-        proc = run_cli("simulate", "--n", "10", "--reps", "64", "--policy",
+        # three tiles on three workers run as three processes on any machine;
+        # one worker runs at most two
+        proc = run_cli("simulate", "--n", "10", "--reps", "3072", "--policy",
                        "constant", "--sigma-lo", "1", "--sigma-hi", "1",
                        "--alpha", "0.05", "--sided", "one", "--stat", "z",
-                       "--seed", "1", env_extra={"GNORMAL_WORKERS": "2"})
+                       "--seed", "1", env_extra={"GNORMAL_WORKERS": "3"})
         assert proc.returncode == 0
-        assert "workers: 2" in proc.stderr
+        line = [l for l in proc.stderr.splitlines() if l.startswith("diagnostics: ")]
+        assert json.loads(line[0].split(": ", 1)[1])["processes"] == 3
 
     def test_workers_default(self, monkeypatch):
         # repro's long runs take up to two workers, simulate's small ones one;
@@ -428,6 +432,7 @@ RERUN = {
     "capacity": ["capacity", *BAND, "--alpha", "0.01", "--sided", "one", "--t", "0.5",
                  "--bounds", "--pde", "--nx", "401"],
     "threshold": ["threshold", *BAND, "--alpha", "0.02", "--levels", "4", "--nx", "301"],
+    "threshold-default-nx": ["threshold", *BAND, "--alpha", "0.02", "--levels", "4"],
     **{
         f"simulate-{policy}": ["simulate", *SIMULATE, "--policy", policy, *options]
         for policy, options in POLICY_OPTIONS.items()
@@ -498,8 +503,11 @@ class TestTopLevel:
         # output_sha256 and parameters, and the rest too: simulate's
         # histogram checksum, solve's step plan
         assert again == manifest
-        if command == "capacity":
+        if command in ("capacity", "threshold"):
             assert second.out == first.out
+        if case == "threshold-default-nx":
+            # the march's node count, not a null
+            assert manifest["parameters"]["nx"] == 1201
 
 
 class TestReproCommand:

@@ -3,6 +3,7 @@ maximum principle, symmetry, refinement behavior, sandwich checking."""
 
 import csv
 import dataclasses
+import math
 import operator
 import warnings
 
@@ -168,7 +169,7 @@ class TestPolynomialData:
         grid = GridSpec(-5, 5, 201, 1.0)
         xs = np.linspace(-5, 5, 21)
         sol = solve(LipschitzTable(xs, xs), BAND, grid)
-        assert np.abs(sol.final_values - sol.x).max() <= 1e-10
+        assert np.abs(sol.values[-1] - sol.x).max() <= 1e-10
 
     def test_quadratic_moments(self):
         # convex data picks up sigma_hi^2 * t, concave data sigma_lo^2 * t
@@ -186,9 +187,9 @@ class TestOneSidedOracle:
         grid = GridSpec(-10, 10, 501, 1.0)
         sol = solve(IndicatorAbove(c), BAND, grid, max_levels=2)
         exact_snap = exact_values(sol, 1.0)
-        assert np.abs(sol.final_values - exact_snap).max() <= 5e-4
+        assert np.abs(sol.values[-1] - exact_snap).max() <= 5e-4
         exact_req = np.array([profile_f(x - c, BAND) for x in sol.x])
-        assert np.abs(sol.final_values - exact_req).max() <= 2e-2
+        assert np.abs(sol.values[-1] - exact_req).max() <= 2e-2
 
     def test_classical_heat_solution(self):
         band = VolatilityBand(1.0, 1.0)
@@ -196,7 +197,7 @@ class TestOneSidedOracle:
         grid = GridSpec(-8, 8, 801, 1.0)
         sol = solve(IndicatorAbove(c), band, grid, max_levels=2)
         exact = np.array([norm_cdf(x - sol.snapped_c) for x in sol.x])
-        assert np.abs(sol.final_values - exact).max() <= 2e-4
+        assert np.abs(sol.values[-1] - exact).max() <= 2e-4
 
 
 class TestMaximumPrincipleAndSymmetry:
@@ -255,7 +256,7 @@ class TestBufferedStep:
             *_, (_, unfolded, _) = oracles.reference_solve(
                 sol.ic, band, grid, sol.dt, sol.n_steps, march=oracles.unfolded_march
             )
-            gap = np.abs(sol.final_values - unfolded).max()
+            gap = np.abs(sol.values[-1] - unfolded).max()
             assert gap <= 4.0 * np.finfo(float).eps, (lo, hi, gap)
 
     def test_sparse_report_matches_every_step_bitwise(self):
@@ -744,28 +745,23 @@ class TestThresholdLocus:
 
 class TestVerifySandwich:
     def test_holds_at_moderate_threshold(self):
-        grid = default_two_sided_grid(1.5, BAND, nx=801)
-        report = verify_sandwich(1.5, BAND, grid)
+        report = verify_sandwich(1.5, BAND)
         assert report.passed
         assert report.eps_grid == 64 * np.finfo(float).eps
         assert report.lower_bound_violation <= report.eps_grid
         assert report.upper_bound_slack >= -report.eps_grid
+        grid = default_two_sided_grid(1.5, BAND, nx=1601)
         sol = solve(IndicatorAbsAbove(1.5), BAND, grid, max_levels=2)
         assert report.snapped_c == sol.snapped_c
-        assert report.nodes_checked == 200 * 801
+        assert report.nodes_checked == 200 * 1601
 
     def test_classical_band_gap_is_zero(self):
-        band = VolatilityBand(1.0, 1.0)
-        report = verify_sandwich(2.0, band, default_two_sided_grid(2.0, band, nx=801))
+        report = verify_sandwich(2.0, VolatilityBand(1.0, 1.0))
         assert report.passed
 
     def test_precondition(self):
         with pytest.raises(DomainError):
             verify_sandwich(0.3, BAND)
-
-    def test_asymmetric_grid_rejected(self):
-        with pytest.raises(ConfigurationError, match="symmetric"):
-            verify_sandwich(1.5, BAND, GridSpec(-11.0, 12.0, 401, 1.0))
 
     @pytest.mark.parametrize("shift, side", [(1e-12, "lower"), (-1e-12, "upper")])
     def test_shifted_two_sided_solve_fails(self, monkeypatch, shift, side):
@@ -780,12 +776,12 @@ class TestVerifySandwich:
             return sol
 
         monkeypatch.setattr(gheat, "solve", shifted)
-        report = verify_sandwich(1.5, BAND, default_two_sided_grid(1.5, BAND, nx=401))
+        report = verify_sandwich(1.5, BAND)
         assert not report.passed
         assert report.lower_ok == (side != "lower")
         assert report.upper_ok == (side != "upper")
 
-    def test_two_solves_on_the_requested_grid(self, monkeypatch):
+    def test_two_solves_on_the_default_grid(self, monkeypatch):
         calls = []
         real_solve = gheat.solve
 
@@ -794,35 +790,38 @@ class TestVerifySandwich:
             return real_solve(ic, band, grid, **kwargs)
 
         monkeypatch.setattr(gheat, "solve", spy)
-        grid = default_two_sided_grid(1.5, BAND, nx=401)
-        verify_sandwich(1.5, BAND, grid)
+        verify_sandwich(1.5, BAND)
+        grid = default_two_sided_grid(1.5, BAND, nx=1601)
         assert sorted(calls, key=lambda call: call[0].__name__) == [
             (gheat.IndicatorAbove, 1.5, grid),
             (gheat.IndicatorAbsAbove, 1.5, grid),
         ]
 
-    def test_snapped_threshold_checked_before_solving(self, monkeypatch):
-        # c = 0.5001 lies inside the regime c > sigma_hi*sqrt(t)/2 = 0.5, but
-        # this grid snaps it to the cell midpoint 0.49, where the bound is
-        # evaluated: the check must fail there, before any solve.
-        calls = []
-        real_solve = gheat.solve
-
-        def spy(*args, **kwargs):
-            calls.append(args)
-            return real_solve(*args, **kwargs)
-
-        monkeypatch.setattr(gheat, "solve", spy)
-        with pytest.raises(DomainError, match=r"c = 0\.49.*c = 0\.5001"):
-            verify_sandwich(0.5001, BAND, GridSpec(-3.06, 3.14, 63, 1.0))
-        assert calls == []
+    @pytest.mark.parametrize(
+        "lo, hi", [(0.8, 1.0), (1.0, 1.0), (0.5, 2.0), (0.1, 0.3), (2.0, 7.5), (1e-3, 1e3)]
+    )
+    def test_snapped_threshold_stays_in_the_regime(self, lo, hi):
+        # The bound is taken at the snapped c, so every c above
+        # sigma_hi*sqrt(t_end)/2 must snap above it too.  On the default grid
+        # sigma_hi/2 lies 800(c + 10.5 sigma_hi)/(c + 10 sigma_hi) ~ 838.1
+        # cells from x_min when c is near it, in the lower half of its cell,
+        # so each such c snaps to a midpoint about 0.4 cells above it.
+        band = VolatilityBand(lo, hi)
+        edge = hi / 2  # the default grid's t_end is 1
+        dx = default_two_sided_grid(edge, band, nx=1601).dx
+        cs = [math.nextafter(edge, math.inf), *(edge + np.linspace(0, 3, 2001)[1:] * dx).tolist()]
+        for c in cs:
+            grid = default_two_sided_grid(c, band, nx=1601)
+            snapped = gheat._snap_to_cell_midpoint(c, grid.x_min, grid.dx)
+            assert snapped - edge > 0.4 * grid.dx, c
+        assert verify_sandwich(cs[0], band).snapped_c - edge > 0.4 * dx
 
     def test_final_time_never_exceeds_by_more_than_tolerance(self):
         # sublinearity echo: w <= u + v up to discretization tolerance
         grid = default_two_sided_grid(1.5, BAND, nx=1601)
         sol = solve(IndicatorAbsAbove(1.5), BAND, grid, max_levels=2)
         uv = exact_values(sol, 1.0)
-        assert float(np.max(sol.final_values - uv)) <= 5e-5
+        assert float(np.max(sol.values[-1] - uv)) <= 5e-5
 
 
 class TestCsvDump:
@@ -850,7 +849,7 @@ class TestDegenerateBand:
         grid = GridSpec(-2, 2, 41, 1.0)
         xs = np.linspace(-2, 2, 41)
         sol = solve(LipschitzTable(xs, np.sin(xs)), band, grid)
-        assert np.abs(sol.final_values - np.sin(sol.x)).max() <= 1e-12
+        assert np.abs(sol.values[-1] - np.sin(sol.x)).max() <= 1e-12
 
     def test_pde_accepts_degenerate_lower_edge(self):
         band = VolatilityBand(0.0, 1.0)

@@ -378,12 +378,15 @@ class TestSplit:
             (heuristic_t_policy(BAND, n, 0.05), t),
         ):
             payloads = set()
-            for workers, cpus in ((1, 1), (1, 2), (2, 2), (2, 4), (7, 2)):
+            for workers, cpus, processes in (
+                (1, 1, 1), (1, 2, 2), (2, 2, 2), (2, 4, 4), (7, 2, 7)
+            ):
                 config = self.config(spec, test, workers)
                 report, _ = self.run_on(monkeypatch, tmp_path, config, cpus)
                 payload = report.to_json_dict()
                 del payload["runtime_seconds"]
                 payloads.add(json.dumps(payload, sort_keys=True))
+                assert report.diagnostics["processes"] == processes
                 assert report.diagnostics["noise_s"] > 0.0
                 assert report.diagnostics["step_s"] > 0.0
             assert len(payloads) == 1, spec.kind
@@ -603,7 +606,7 @@ class TestReportShape:
         )
         report = run(config)
         assert set(report.diagnostics) == {
-            "noise_s", "step_s", "tally_s", "fork_s", "merge_s"
+            "noise_s", "step_s", "tally_s", "fork_s", "merge_s", "processes"
         }
         assert all(seconds >= 0.0 for seconds in report.diagnostics.values())
         assert report.diagnostics["fork_s"] > 0.0
