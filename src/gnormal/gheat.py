@@ -37,15 +37,18 @@ Numerical conventions that matter to the contracts:
 * 1{|x| > c} on a grid with x_min = -x_max marches the right half only,
   behind a ghost node nx//2 - 1 that copies its mirror after the step's
   right boundary value.  Datum and ends are mirror images, so by the
-  symmetry above every kept node holds the full march's bits.
+  symmetry above every kept node holds the full march's bits.  The ghost
+  reads no boundary value, so such a march builds only the right end's
+  list of them.
 * A step updates only a window of interior nodes.  The one set at state
   s = jK, K = _SCAN_STEPS, is the hull of the nonzero D of state s - 1
   widened by K (D's support grows by at most a node a step), and to each
-  end whose value moves (exact !=) in steps s - 1 .. s + K - 2.  D = +0.0
-  gives g = +0.0 and u + g = u (no node holds -0.0).  Outside the window
-  no stencil node has changed since D there was +0.0, so D is +0.0 again,
-  with no flag: the bits, the NumericalError step and the D buffer are the
-  full march's.  The ghost needs no rule: its neighbour reads its mirror.
+  end whose value moves (exact !=) in steps s - 1 .. s + K - 2, flags
+  that set-up computes for every scan.  D = +0.0 gives g = +0.0 and
+  u + g = u (no node holds -0.0).  Outside the window no stencil node has
+  changed since D there was +0.0, so D is +0.0 again, with no flag: the
+  bits, the NumericalError step and the D buffer are the full march's.
+  The ghost needs no rule: its neighbour reads its mirror.
 * Overflow surfaces once, as NumericalError naming the step whose
   arithmetic failed.  Every datum starts finite, and finite arithmetic
   turns non-finite only by an overflow or invalid operation, so ``solve``
@@ -267,8 +270,11 @@ class SandwichReport:
     v_h is u_h mirrored, and the bound is evaluated at ``snapped_c``, the
     cell-midpoint threshold both solves used.  ``lower_bound_violation`` is
     max(w_h - (u_h+v_h)); ``upper_bound_slack`` is min(bound - (u_h+v_h-w_h)).
-    Both are compared against ``eps_grid``, which holds the fixed rounding
-    tolerance 64 eps, not a grid-dependent estimate.
+    Both range over every retained node with t > 0, which
+    ``nodes_checked`` counts (levels x nx), though they are read off the
+    mirror half of the grid (see ``verify_sandwich``).  Both are compared
+    against ``eps_grid``, which holds the fixed rounding tolerance 64 eps,
+    not a grid-dependent estimate.
     """
 
     c: float
@@ -395,11 +401,15 @@ def _march(
         boundary = _closed_form(ic, snapped_c, x[ends], t_next, band)
     else:
         boundary = np.broadcast_to(u0[ends], (n_steps, len(ends)))
-    bc_left, bc_right = boundary.T[[0, -1]].tolist()
-    # For the active window: the steps at which each end's value moves, and
-    # the interior index just past each end; see the module notes.
+    # A half march builds no left list: its ghost never reads one.
+    bc_right = boundary[:, -1].tolist()
+    bc_left = None if mirror else boundary[:, 0].tolist()
+    # For the active window: whether each end's value moves in steps
+    # s - 1 .. s + K - 2, for each scan state s = K, 2K, ..., and the
+    # interior index just past each end; see the module notes.
     n, K = x.size - 2, _SCAN_STEPS
-    moves = boundary != np.vstack((u0[ends], boundary[:-1]))
+    moved = boundary != np.vstack((u0[ends], boundary[:-1]))
+    end_moves = np.logical_or.reduceat(moved, np.arange(K - 1, n_steps, K), axis=0).tolist()
     beyond = [-1, n][-len(ends) :]
     updates = [0]
 
@@ -413,6 +423,7 @@ def _march(
             a_lo = np.array(mesh_ratio * (0.5 * band.sigma_lo * band.sigma_lo))
             u = u0.copy()
             d2, g, work = np.empty((3, n))
+            nonzero = np.empty(n, dtype=bool)
             add, subtract, multiply, maximum = np.add, np.subtract, np.multiply, np.maximum
             # Views of the window [lo, hi) of interior nodes; state `scan` sets the next.
             lo, hi, scan = 0, n, K
@@ -426,11 +437,11 @@ def _march(
                         # The ends that move in steps k - 1 .. k + K - 2 and the
                         # nonzero D of state k - 1 (d still holds it), widened
                         # by K: the light cone of states k .. k + K - 1.
-                        hull = [p for p, m in zip(beyond, moves[k - 1 : k - 1 + K].any(0)) if m]
-                        nonzero = d != 0.0
-                        if nonzero.any():
-                            last = d.size - 1 - int(nonzero[::-1].argmax())
-                            hull += [lo + int(nonzero.argmax()), lo + last]
+                        hull = [p for p, m in zip(beyond, end_moves[k // K - 1]) if m]
+                        nz = np.not_equal(d, 0.0, out=nonzero[: d.size])
+                        if nz.any():
+                            last = d.size - 1 - int(nz[::-1].argmax())
+                            hull += [lo + int(nz.argmax()), lo + last]
                         if hull:
                             lo, hi = max(min(hull) - K, 0), min(max(hull) + K + 1, n)
                         else:
@@ -575,6 +586,13 @@ def verify_sandwich(c: float, band: VolatilityBand) -> SandwichReport:
     triple satisfies the sandwich up to rounding (the discrete comparison
     principle); the tolerance is _SANDWICH_TOL.  Violations beyond it are
     reported, not raised.
+
+    The gap u_h + v_h - w_h is formed only on the (nx + 1) // 2 columns
+    that hold the centre.  Each row of w_h is its own mirror image bit for
+    bit (``solve`` fills its left half by reversal) and float addition
+    commutes, so the gap is mirror symmetric and its extrema there are the
+    whole grid's.  u_h is dropped before w_h is solved, so the call holds
+    one solution and half a gap at a time.
     """
     grid = default_two_sided_grid(c, band, nx=1601)
     _require_positive_time_regime(c, grid.t_end, band)
@@ -583,18 +601,20 @@ def verify_sandwich(c: float, band: VolatilityBand) -> SandwichReport:
     bound = np.array(
         [two_sided_error_bound(snapped_c, t, band) for t in one_sided.times[1:].tolist()]
     )
+    half = (grid.nx + 1) // 2  # the columns up to and including the centre
     u = one_sided.values[1:]
-    gap = u + u[:, ::-1]
-    # Drop u_h before solving w_h, so that at most two (levels, nx) arrays
-    # are alive at once.
+    gap = u[:, :half] + u[:, ::-1][:, :half]
     del one_sided, u
-    gap -= solve(IndicatorAbsAbove(c), band, grid).values[1:]
+    gap -= solve(IndicatorAbsAbove(c), band, grid).values[1:, :half]
+    # -min(gap) is max(-gap) bit for bit; then gap turns into bound - gap.
+    lower_bound_violation = -float(gap.min())
+    upper_bound_slack = float(np.subtract(bound[:, None], gap, out=gap).min())
     return SandwichReport(
         c=c,
         snapped_c=snapped_c,
         band=band,
         eps_grid=_SANDWICH_TOL,
-        lower_bound_violation=float(np.max(-gap)),
-        upper_bound_slack=float(np.min(bound[:, None] - gap)),
-        nodes_checked=gap.size,
+        lower_bound_violation=lower_bound_violation,
+        upper_bound_slack=upper_bound_slack,
+        nodes_checked=bound.size * grid.nx,
     )

@@ -15,8 +15,9 @@ buffered forms must reproduce them byte for byte.  ``reference_solve``
 always marches the whole grid, so it also pins the solver's half march of
 mirror-symmetric data.  ``unfolded_march`` keeps the step that scaled by
 1/dx^2 and by dt separately; the folded step must stay within a few eps of
-it.  ``exact_values`` is the closed-form reference the PDE tests compare
-solutions with.
+it.  ``reference_sandwich`` forms the sandwich's gap on every column, where
+``verify_sandwich`` forms it on the mirror half only.  ``exact_values`` is
+the closed-form reference the PDE tests compare solutions with.
 
 The scalar references last: ``scalar_sigma`` evaluates a policy at width 1
 for step-by-step re-simulation, ``t_statistic`` is the textbook Student
@@ -30,9 +31,24 @@ import math
 import mpmath as mp
 import numpy as np
 
-from gnormal.capacity import VolatilityBand, _require_closed_form, tail_threshold
+from gnormal.capacity import (
+    VolatilityBand,
+    _require_closed_form,
+    _require_positive_time_regime,
+    tail_threshold,
+    two_sided_error_bound,
+)
 from gnormal.errors import DomainError
-from gnormal.gheat import _closed_form, _sample_ic
+from gnormal.gheat import (
+    _SANDWICH_TOL,
+    IndicatorAbove,
+    IndicatorAbsAbove,
+    SandwichReport,
+    _closed_form,
+    _sample_ic,
+    default_two_sided_grid,
+    solve,
+)
 from gnormal.special import _INV_SQRT_2PI
 
 mp.mp.dps = 40
@@ -161,6 +177,32 @@ def reference_solve(ic, band, grid, dt, n_steps, march=reference_march):
     else:
         ends = np.broadcast_to(u0[[0, -1]], (n_steps, 2))
     return march(u0, ends.tolist(), dt, grid.dx, band.sigma_lo, band.sigma_hi)
+
+
+def reference_sandwich(c, band):
+    """``gheat.verify_sandwich`` over the whole grid: u_h + v_h - w_h at
+    every retained node with t > 0, from two ``solve`` calls that are both
+    alive at once, and its extrema over every column."""
+    grid = default_two_sided_grid(c, band, nx=1601)
+    _require_positive_time_regime(c, grid.t_end, band)
+    one_sided = solve(IndicatorAbove(c), band, grid)
+    two_sided = solve(IndicatorAbsAbove(c), band, grid)
+    snapped_c = one_sided.snapped_c
+    bound = np.array(
+        [two_sided_error_bound(snapped_c, t, band) for t in one_sided.times[1:].tolist()]
+    )
+    u = one_sided.values[1:]
+    gap = u + u[:, ::-1]
+    gap -= two_sided.values[1:]
+    return SandwichReport(
+        c=c,
+        snapped_c=snapped_c,
+        band=band,
+        eps_grid=_SANDWICH_TOL,
+        lower_bound_violation=float(np.max(-gap)),
+        upper_bound_slack=float(np.min(bound[:, None] - gap)),
+        nodes_checked=gap.size,
+    )
 
 
 _erfc_object = np.frompyfunc(math.erfc, 1, 1)

@@ -5,6 +5,7 @@ import csv
 import dataclasses
 import math
 import operator
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -207,9 +208,14 @@ class TestMaximumPrincipleAndSymmetry:
         assert sol.values.max() <= 1.0 + 1e-15
 
     def test_two_sided_symmetry(self):
-        sol = solve(IndicatorAbsAbove(1.2), BAND, default_two_sided_grid(1.2, BAND, nx=401))
-        flipped = sol.values[:, ::-1]
-        assert np.abs(sol.values - flipped).max() <= 1e-13
+        # Every row is its own mirror image bit for bit, at odd and even nx:
+        # verify_sandwich's mirror half rests on it.
+        for lo, hi in STEP_BANDS:
+            band = VolatilityBand(lo, hi)
+            for nx in (401, 1600, 1601):
+                grid = default_two_sided_grid(1.2, band, nx=nx)
+                values = solve(IndicatorAbsAbove(1.2), band, grid).values
+                assert values.tobytes() == values[:, ::-1].tobytes(), (lo, hi, nx)
 
 
 class TestBufferedStep:
@@ -753,6 +759,7 @@ class TestVerifySandwich:
         grid = default_two_sided_grid(1.5, BAND, nx=1601)
         sol = solve(IndicatorAbsAbove(1.5), BAND, grid, max_levels=2)
         assert report.snapped_c == sol.snapped_c
+        # Every retained node with t > 0, though only the mirror half is formed.
         assert report.nodes_checked == 200 * 1601
 
     def test_classical_band_gap_is_zero(self):
@@ -780,6 +787,50 @@ class TestVerifySandwich:
         assert not report.passed
         assert report.lower_ok == (side != "lower")
         assert report.upper_ok == (side != "upper")
+
+    @pytest.mark.parametrize("shift, side", [(1e-12, "lower"), (-1e-12, "upper")])
+    def test_a_fault_on_the_centre_column_is_seen(self, monkeypatch, shift, side):
+        # The centre column x = 0 is the last one of the mirror half that
+        # the check reads; w_h moved there alone stays mirror symmetric.
+        real_solve = gheat.solve
+
+        def shifted(ic, *args, **kwargs):
+            sol = real_solve(ic, *args, **kwargs)
+            if isinstance(ic, gheat.IndicatorAbsAbove):
+                sol.values[:, sol.grid.nx // 2] += shift
+            return sol
+
+        monkeypatch.setattr(gheat, "solve", shifted)
+        report = verify_sandwich(1.5, BAND)
+        assert report.lower_ok == (side != "lower")
+        assert report.upper_ok == (side != "upper")
+
+    @pytest.mark.parametrize(
+        "lo, hi, c",
+        [(lo, hi, c) for lo, hi in ((0.8, 1.0), (1.0, 1.0)) for c in (1.0, 1.5, 2.0)]
+        + [(0.5, 2.0, c) for c in (1.01, 2.5, 4.0)],
+    )
+    def test_mirror_half_equals_the_full_grid(self, lo, hi, c):
+        band = VolatilityBand(lo, hi)
+        report = verify_sandwich(c, band)
+        want = oracles.reference_sandwich(c, band)
+        for f in dataclasses.fields(report):
+            got, ref = getattr(report, f.name), getattr(want, f.name)
+            # repr tells -0.0 from 0.0, and np.float64 from float
+            assert (type(got), repr(got)) == (type(ref), repr(ref)), f.name
+
+    def test_traced_peak_of_one_check(self):
+        # One solution and half a gap: 4.02 MiB.  Both solutions alive at
+        # once with the full gap held 5.44 MiB.
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            verify_sandwich(1.0, VolatilityBand(0.8, 1.0))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.6 * 2**20, peak / 2**20
 
     def test_two_solves_on_the_default_grid(self, monkeypatch):
         calls = []

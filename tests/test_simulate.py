@@ -168,6 +168,22 @@ class TestStreams:
         for seed in (0, 5, 2**32 - 1, 2**32 + 5, 2**64 - 2):
             assert tile_state(seed, 1) != tile_state(seed + 1, 0)
 
+    def test_first_normals_of_tiles_0_and_1(self):
+        # numpy keeps SeedSequence and the SFC64 bits stable, not
+        # Generator.standard_normal.  When a golden checksum breaks and this
+        # test passes, the engine changed; when this fails too, numpy's
+        # sampler or the tiles' seeding did.
+        normals = {
+            tile: [v.hex() for v in simulate._tile_generator(1, tile).standard_normal(4).tolist()]
+            for tile in (0, 1)
+        }
+        assert normals == {
+            0: ["0x1.05ff781162626p+0", "-0x1.c99619033fa2fp-1",
+                "-0x1.0b70d35c73ca6p+0", "0x1.b238c0c606808p-1"],
+            1: ["0x1.61e375af153eap+0", "0x1.08988fd1711aap-2",
+                "-0x1.15a7eec372935p-2", "-0x1.923b48fee3f7ap-3"],
+        }
+
     def test_tile_streams_look_independent(self):
         # Smoke test of the first 2**16 draws of 4 tiles x 2 adjacent seeds:
         # mean 0 and variance 1 within 5 standard errors, and every pairwise
