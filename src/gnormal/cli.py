@@ -5,17 +5,19 @@ JSON goes to stdout, diagnostics to stderr.  Exit codes: 0 success,
 
 Every subcommand echoes a run manifest holding its parameters, tool and
 numpy versions, seed and a SHA-256 checksum of the deterministic output
-content.  ``parameters`` is every parsed option except ``--workers`` (which
-changes no output byte), with the values a command resolves from defaults
-filled in.  Setting an option the run does not read (``capacity``'s
-``--alpha`` and ``--sided`` with ``--c`` and ``--nx`` without ``--pde``,
-``simulate``'s ``--sigma`` and ``--table-levels`` outside their policy,
-``--sigma-ref`` without ``--stat z``, ``solve``'s ``--c`` with table data,
-``repro``'s ``--reps`` with ``--fast``) is a usage error, so no manifest
-records a value that changed nothing.
+content.  ``parameters`` is every parsed option except ``simulate``'s
+``--workers`` (which changes no output byte), with the values a command
+resolves from defaults filled in.  Setting an option the run does not
+read (``capacity``'s ``--alpha`` and ``--sided`` with ``--c`` and ``--nx``
+without ``--pde``, ``simulate``'s ``--sigma`` and ``--table-levels``
+outside their policy, ``--sigma-ref`` without ``--stat z``, ``solve``'s
+``--c`` with table data, ``repro``'s ``--reps`` with ``--fast``) is a
+usage error, so no manifest records a value that changed nothing.
 ``capacity`` and ``simulate`` put the manifest inside their JSON payload,
 ``solve`` writes it next to its CSV, and ``threshold`` and ``repro`` print
-it on stderr as one JSON line after their text on stdout.
+it on stderr as one JSON line after their text on stdout.  No JSON they
+print holds NaN or Infinity: a non-finite value that reaches one is a
+numerical failure.
 Wall-clock runtime is excluded from the checksum; re-runs with the same
 manifest parameters reproduce all checksummed bytes.  ``simulate`` also
 prints its per-phase seconds and process count on stderr, and ``solve`` its
@@ -27,7 +29,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
+import math
 import sys
 
 import numpy
@@ -65,10 +67,18 @@ NUMERICAL_ERROR = 3
 PROPERTY_FAILURE = 4
 
 
+def _json(value, **kwargs) -> str:
+    """``json.dumps`` that refuses NaN and Infinity, which RFC 8259 lacks."""
+    try:
+        return json.dumps(value, allow_nan=False, **kwargs)
+    except ValueError as exc:
+        raise NumericalError(f"non-finite value in JSON output ({exc})") from None
+
+
 def _canonical_checksum(payload: dict) -> str:
     """SHA-256 over the canonical JSON of the payload, runtime stripped."""
     stable = {k: v for k, v in payload.items() if k != "runtime_seconds"}
-    blob = json.dumps(stable, sort_keys=True).encode("utf-8")
+    blob = _json(stable, sort_keys=True).encode("utf-8")
     return hashlib.sha256(blob).hexdigest()
 
 
@@ -90,14 +100,15 @@ def _manifest(args, **resolved) -> dict:
 
 def _emit_json(payload: dict, manifest: dict) -> None:
     manifest["output_sha256"] = _canonical_checksum(payload)
-    print(json.dumps({**payload, "manifest": manifest}, indent=2))
+    print(_json({**payload, "manifest": manifest}, indent=2))
 
 
 def _emit_text(body: str, manifest: dict) -> None:
     """Body on stdout; the manifest, with the body's SHA-256, on stderr."""
-    sys.stdout.write(body)
     manifest["output_sha256"] = hashlib.sha256(body.encode("utf-8")).hexdigest()
-    print(json.dumps(manifest), file=sys.stderr)
+    line = _json(manifest)  # before the body, so that a failure prints nothing
+    sys.stdout.write(body)
+    print(line, file=sys.stderr)
 
 
 def _file_sha256(path: str) -> str:
@@ -143,6 +154,8 @@ def cmd_capacity(args) -> int:
     })
     if args.c is not None:
         c = args.c
+        if not math.isfinite(c):
+            raise DomainError(f"--c must be finite, got {c!r}")
     elif opts["alpha"] is None:
         raise DomainError("provide --c, or --alpha with --sided")
     else:
@@ -150,6 +163,8 @@ def cmd_capacity(args) -> int:
     t = args.t
     if not t >= 0.0:
         raise DomainError(f"time horizon must be >= 0, got {t!r}")
+    if t == math.inf:
+        raise DomainError("time horizon must be finite, got inf")
     payload: dict = {
         "sigma_lo": band.sigma_lo,
         "sigma_hi": band.sigma_hi,
@@ -244,9 +259,9 @@ def cmd_solve(args) -> int:
         "levels_kept": int(sol.times.size),
     }
     manifest_path = args.out + ".manifest.json"
+    text = _json(manifest, indent=2)
     with open(manifest_path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2)
-        fh.write("\n")
+        fh.write(text + "\n")
     print(f"wrote {args.out} and {manifest_path}", file=sys.stderr)
     print(f"diagnostics: {json.dumps(sol.diagnostics)}", file=sys.stderr)
     return 0
@@ -379,7 +394,6 @@ def cmd_repro(args) -> int:
         policy=one_sided_optimal_policy(band, LIMIT_N, REPRO_ALPHA),
         test=TestSpec(sided="one", alpha=REPRO_ALPHA, statistic="z", sigma_ref=band.sigma_hi),
         seed=args.seed,
-        workers=args.workers,
     )
     rate = run(cfg).rate
     checks.append(
@@ -398,7 +412,6 @@ def cmd_repro(args) -> int:
             policy=heuristic_t_policy(band, n, REPRO_ALPHA),
             test=TestSpec(sided="two", alpha=REPRO_ALPHA, statistic="t"),
             seed=args.seed,
-            workers=args.workers,
         )
         report = run(cfg)
         checks.append(
@@ -437,13 +450,6 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_band(p):
         p.add_argument("--sigma-lo", type=float, required=True)
         p.add_argument("--sigma-hi", type=float, required=True)
-
-    def add_workers(p, fallback):
-        # A string default goes through type=int only when the flag is
-        # absent, so a bad GNORMAL_WORKERS is a usage error of this command.
-        p.add_argument(
-            "--workers", type=int, default=os.environ.get("GNORMAL_WORKERS", str(fallback))
-        )
 
     p = sub.add_parser("capacity", help="closed-form capacities and error bounds")
     add_band(p)
@@ -496,7 +502,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--table-levels", type=int, default=None,
                    help="threshold table rows for two-sided-thresh (default 50)")
     p.add_argument("--seed", type=int, default=0)
-    add_workers(p, 1)  # one worker is still two processes where it has two CPUs
+    p.add_argument("--workers", type=int, default=1, help="at least this many processes")
     p.add_argument("--hist", default=None, help="write histogram CSV here")
     p.set_defaults(func=cmd_simulate)
 
@@ -504,7 +510,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reps", type=int, default=None, help="default 1e6; without --fast only")
     p.add_argument("--fast", action="store_true", help="desk scale: reps=1e5, wider tolerances")
     p.add_argument("--seed", type=int, default=1)
-    add_workers(p, min(2, os.cpu_count() or 1))
     p.set_defaults(func=cmd_repro)
 
     return parser

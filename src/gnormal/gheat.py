@@ -190,8 +190,8 @@ class GridSpec:
             )
         if self.nx < 3:
             raise ConfigurationError(f"grid requires nx >= 3, got {self.nx!r}")
-        if not self.t_end > 0.0:
-            raise ConfigurationError(f"grid requires t_end > 0, got {self.t_end!r}")
+        if not 0.0 < self.t_end < math.inf:
+            raise ConfigurationError(f"grid requires a finite t_end > 0, got {self.t_end!r}")
         if not 0.0 < self.safety <= 1.0:
             raise ConfigurationError(
                 f"CFL safety fraction must lie in (0, 1], got {self.safety!r}"

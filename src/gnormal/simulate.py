@@ -12,8 +12,8 @@ seed is numpy's k-th child ``SeedSequence(seed).spawn(k + 1)[k]``; the
 entropy-list form ``SeedSequence([seed, k])`` would be ambiguous (it maps
 ``[2**32 + 5, 0]`` and ``[5, 1]`` to one state).  SFC64 is the Small Fast
 Chaotic generator of PractRand (C. Doty-Humphrey).  The draws are a pure
-function of (seed, r): worker ranges start on tile boundaries, so identical
-configurations produce bit-identical tallies for any worker count.  A
+function of (seed, r): process ranges start on tile boundaries, so identical
+configurations produce bit-identical tallies however the tiles are cut.  A
 partial last tile is still drawn in full and its surplus columns unused.
 
 Replications are processed in blocks of up to ``_BLOCK_MAX`` replications
@@ -28,12 +28,11 @@ about ``_CHUNK_DOUBLES`` normals per block whatever n is, so that a
 block's sums and its chunk stay in a core's L2 cache.  The kernel is
 replication-local and chunking does not change the stream, so neither
 block nor chunk size can change any value.  ``run`` cuts the tiles into
-one range per worker, or two where each worker has two CPUs of its own.
-The caller runs the first range and a child made by ``os.fork`` runs each
-other one, sending its tallies back through a pipe; where ``os.fork`` is
-missing the caller runs every range in turn.  Ranges start on tile
-boundaries and integer tallies merge by summation, so no value depends
-on the cut.
+``min(max(workers, usable CPUs), tiles)`` ranges.  The caller runs the
+first range and a child made by ``os.fork`` runs each other one, sending
+its tallies back through a pipe; where ``os.fork`` is missing the caller
+runs every range in turn.  Ranges start on tile boundaries and integer
+tallies merge by summation, so no value depends on the cut.
 
 Degenerate replications (zero sample variance, probability zero under
 continuous noise) are tallied separately and excluded from the rejection
@@ -106,8 +105,8 @@ class TestSpec:
                 f"statistic must be 'z' or 't', got {self.statistic!r}"
             )
         if self.statistic == "z":
-            if self.sigma_ref is None or not self.sigma_ref > 0.0:
-                raise ConfigurationError("z statistic needs sigma_ref > 0")
+            if self.sigma_ref is None or not 0.0 < self.sigma_ref < math.inf:
+                raise ConfigurationError("z statistic needs a finite sigma_ref > 0")
 
     def critical_value(self, n: int) -> float:
         p = 1.0 - (self.alpha if self.sided == "one" else self.alpha / 2.0)
@@ -123,7 +122,7 @@ class SimulationConfig:
     policy: PolicySpec
     test: TestSpec
     seed: int
-    workers: int = 1
+    workers: int = 1  # at least this many tile ranges; see ``run``
 
     def __post_init__(self) -> None:
         if self.reps < 1:
@@ -199,11 +198,13 @@ class SimulationReport:
     diagnostics: dict[str, float]
 
     def to_json_dict(self) -> dict:
+        """The results as JSON values.  ``rate`` is NaN when every
+        replication is degenerate; it is written as null here."""
         return {
             "reps": self.reps,
             "rejections": self.rejections,
             "degenerate": self.degenerate,
-            "rate": self.rate,
+            "rate": None if math.isnan(self.rate) else self.rate,
             "ci95_lo": self.ci95[0],
             "ci95_hi": self.ci95[1],
             "histogram": {
@@ -423,16 +424,15 @@ def _run_parts(config, ranges, critical: float):
 def run(config: SimulationConfig) -> SimulationReport:
     """Execute the Monte Carlo experiment described by ``config``.
 
-    Output tallies are bit-identical for any ``workers`` value.
+    Its tiles are cut into ``min(max(workers, usable CPUs), tiles)``
+    ranges; output tallies are bit-identical for any cut.
     """
     start = time.perf_counter()
     critical = config.test.critical_value(config.n)
     n_tiles = -(-config.reps // TILE)
 
-    # Each worker's tiles run as two processes where it has two CPUs of its own.
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    n_parts = config.workers * (2 if (cpus or 1) >= 2 * config.workers else 1)
-    n_parts = min(n_parts, n_tiles)
+    n_parts = min(max(config.workers, cpus or 1), n_tiles)
     bounds = [k * n_tiles // n_parts for k in range(n_parts + 1)]
     parts, fork_s = _run_parts(config, list(zip(bounds[:-1], bounds[1:])), critical)
 

@@ -5,7 +5,7 @@ per criterion.  The two-sided simulation reproduction defaults to the full
 one-million-replication scale; set GNORMAL_ACCEPT_REPS=100000 for the
 desk-scale fallback with its wider tolerance.  Criteria 1, 4 and 5 take
 their targets, tolerances and sizes from the table ``gnormal repro`` uses.
-The long simulations run on GNORMAL_WORKERS workers, by default up to two.
+The long simulations, like every run, use one process per usable CPU.
 """
 
 import json
@@ -57,9 +57,6 @@ BAND = REPRO_BAND
 ACCEPT_REPS = int(os.environ.get("GNORMAL_ACCEPT_REPS", "1000000"))
 SIM_TOL = hetero_tolerance(ACCEPT_REPS)
 SEED = 1
-# Tallies are bit-identical for every worker count (criterion 9), so the
-# long runs take both cores of a typical machine.
-WORKERS = int(os.environ.get("GNORMAL_WORKERS", min(2, os.cpu_count() or 1)))
 
 
 def report(criterion: int, ok: bool, detail: str) -> None:
@@ -78,7 +75,6 @@ def heuristic_reports():
             policy=heuristic_t_policy(BAND, n, REPRO_ALPHA),
             test=TestSpec(sided="two", alpha=REPRO_ALPHA, statistic="t"),
             seed=SEED,
-            workers=WORKERS,
         )
         out[n] = run(config)
     return out
@@ -133,7 +129,6 @@ def test_criterion_4_one_sided_limit():
         policy=one_sided_optimal_policy(BAND, LIMIT_N, REPRO_ALPHA),
         test=TestSpec(sided="one", alpha=REPRO_ALPHA, statistic="z", sigma_ref=BAND.sigma_hi),
         seed=SEED,
-        workers=WORKERS,
     )
     rate = run(config).rate
     ok = abs(rate - LIMIT_TARGET) <= LIMIT_TOL
@@ -216,24 +211,30 @@ def test_criterion_8_policy_equivalence():
 
 
 def test_criterion_9_cli_determinism():
+    # 17 tiles, so that 16 workers cut 16 ranges or more
     args = [
-        sys.executable, "-m", "gnormal", "simulate", "--n", "40", "--reps", "4000",
+        sys.executable, "-m", "gnormal", "simulate", "--n", "40", "--reps", str(17 * 1024),
         "--policy", "heuristic-t", "--sigma-lo", "0.8", "--sigma-hi", "1",
         "--alpha", "0.05", "--sided", "two", "--stat", "t", "--seed", "123",
     ]
     payloads = []
     checksums = []
-    for workers in ("1", "4", "16"):
+    processes = []
+    for workers in (1, 4, 16):
         proc = subprocess.run(
-            args + ["--workers", workers], capture_output=True, text=True
+            args + ["--workers", str(workers)], capture_output=True, text=True
         )
         assert proc.returncode == 0, proc.stderr
         payload = json.loads(proc.stdout)
         checksums.append(payload["manifest"]["output_sha256"])
         payload.pop("runtime_seconds")  # wall clock, the one volatile field
         payloads.append(json.dumps(payload, sort_keys=True))
+        line = [l for l in proc.stderr.splitlines() if l.startswith("diagnostics: ")]
+        processes.append(json.loads(line[0].split(": ", 1)[1])["processes"])
+        assert processes[-1] >= workers, processes
     ok = len(set(payloads)) == 1 and len(set(checksums)) == 1
-    report(9, ok, f"workers {{1,4,16}} identical modulo runtime; sha {checksums[0][:12]}...")
+    report(9, ok, f"workers {{1,4,16}} ran as {processes} processes, identical modulo "
+                  f"runtime; sha {checksums[0][:12]}...")
 
 
 def test_criterion_10_special_function_contracts():

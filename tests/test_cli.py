@@ -30,9 +30,16 @@ def run_cli(*args, env_extra=None):
     )
 
 
+def strict_json(text):
+    """``json.loads`` that refuses NaN and Infinity, as RFC 8259 does."""
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
 def json_out(proc):
     assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout)
+    return strict_json(proc.stdout)
 
 
 class TestCapacityCommand:
@@ -115,12 +122,26 @@ class TestCapacityCommand:
         assert out == ""
         assert err.splitlines() == [f"error: {unread[2]} is read only with {reader}"]
 
-    def test_ignores_bad_workers_env(self):
-        # capacity has no --workers, so GNORMAL_WORKERS is not its input
-        proc = run_cli("capacity", "--sigma-lo", "0.8", "--sigma-hi", "1", "--c", "2",
-                       env_extra={"GNORMAL_WORKERS": "abc"})
-        assert proc.returncode == 0, proc.stderr
-        assert "Traceback" not in proc.stderr
+    @pytest.mark.parametrize("argv, message", [
+        (["--c", "nan"], "--c must be finite, got nan"),
+        (["--c", "inf"], "--c must be finite, got inf"),
+        (["--c", "1", "--t", "inf"], "time horizon must be finite, got inf"),
+    ], ids=["c-nan", "c-inf", "t-inf"])
+    def test_non_finite_input_is_usage_error(self, argv, message, capsys):
+        # each would print NaN or Infinity, which no JSON parser need accept
+        assert cli.main(["capacity", "--sigma-lo", "0.8", "--sigma-hi", "1", *argv]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == [f"error: {message}"]
+
+    def test_non_finite_result_is_numerical_failure(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "p1", lambda c, band: float("nan"))
+        argv = ["capacity", "--sigma-lo", "0.8", "--sigma-hi", "1", "--c", "1.5"]
+        assert cli.main(argv) == cli.NUMERICAL_ERROR
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("numerical failure: non-finite value in JSON output")
+        assert len(err.splitlines()) == 1
 
 
 class TestSolveCommand:
@@ -277,6 +298,25 @@ class TestSolveCommand:
         )
         assert proc.returncode == 2
 
+    def test_infinite_horizon_exit_2(self, tmp_path, capsys):
+        out_path = tmp_path / "u.csv"
+        argv = ["solve", "--ic", "one-sided", "--c", "1", "--sigma-lo", "0.8",
+                "--sigma-hi", "1", "--t-end", "inf", "--out", str(out_path)]
+        assert cli.main(argv) == cli.USAGE_ERROR
+        assert capsys.readouterr().err.splitlines() == [
+            "error: grid requires a finite t_end > 0, got inf"
+        ]
+        assert not out_path.exists()
+
+    def test_non_finite_manifest_is_numerical_failure(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "_file_sha256", lambda path: float("inf"))
+        out_path = tmp_path / "u.csv"
+        argv = ["solve", "--ic", "one-sided", "--c", "0.5", "--sigma-lo", "0.8",
+                "--sigma-hi", "1", "--nx", "41", "--out", str(out_path)]
+        assert cli.main(argv) == cli.NUMERICAL_ERROR
+        assert capsys.readouterr().err.startswith("numerical failure: non-finite value")
+        assert not (tmp_path / "u.csv.manifest.json").exists()
+
 
 class TestThresholdCommand:
     def test_rows(self):
@@ -300,23 +340,7 @@ class TestThresholdCommand:
             assert "constant-band" in line.split(",")[2]
 
 
-def strip_runtime(payload):
-    payload = dict(payload)
-    payload.pop("runtime_seconds", None)
-    return json.dumps(payload, sort_keys=True)
-
-
 class TestSimulateCommand:
-    def test_deterministic_across_workers(self):
-        args = (
-            "simulate", "--n", "30", "--reps", "2000", "--policy", "heuristic-t",
-            "--sigma-lo", "0.8", "--sigma-hi", "1", "--alpha", "0.05",
-            "--sided", "two", "--stat", "t", "--seed", "17",
-        )
-        outs = [json_out(run_cli(*args, "--workers", w)) for w in ("1", "4")]
-        assert strip_runtime(outs[0]) == strip_runtime(outs[1])
-        assert outs[0]["manifest"]["output_sha256"] == outs[1]["manifest"]["output_sha256"]
-
     def test_provenance_and_phase_seconds(self):
         proc = run_cli("simulate", "--n", "10", "--reps", "300", "--policy",
                        "constant", "--sigma", "0.9", "--sigma-lo", "0.8",
@@ -380,39 +404,46 @@ class TestSimulateCommand:
         assert len(err.splitlines()) == 1
         assert err.startswith(f"error: {unread[0]} is read only with --")
 
-    def test_workers_env_default(self):
-        # three tiles on three workers run as three processes on any machine;
-        # one worker runs at most two
+    def test_workers_sets_the_minimum_process_count(self):
+        # three tiles on three workers run as three processes on any machine
+        # with three CPUs or fewer
         proc = run_cli("simulate", "--n", "10", "--reps", "3072", "--policy",
                        "constant", "--sigma-lo", "1", "--sigma-hi", "1",
                        "--alpha", "0.05", "--sided", "one", "--stat", "z",
-                       "--seed", "1", env_extra={"GNORMAL_WORKERS": "3"})
+                       "--seed", "1", "--workers", "3")
         assert proc.returncode == 0
         line = [l for l in proc.stderr.splitlines() if l.startswith("diagnostics: ")]
         assert json.loads(line[0].split(": ", 1)[1])["processes"] == 3
 
-    def test_workers_default(self, monkeypatch):
-        # repro's long runs take up to two workers, simulate's small ones one;
-        # GNORMAL_WORKERS overrides both.
-        monkeypatch.delenv("GNORMAL_WORKERS", raising=False)
+    def test_workers_default(self, capsys):
+        # simulate's --workers is the one worker setting; repro has none
         parser = cli._build_parser()
         simulate = ["simulate", "--sigma-lo", "1", "--sigma-hi", "1", "--n", "10",
                     "--reps", "64", "--policy", "constant", "--sided", "one", "--stat", "z"]
         assert parser.parse_args(simulate).workers == 1
-        assert parser.parse_args(["repro"]).workers == min(2, os.cpu_count() or 1)
-        monkeypatch.setenv("GNORMAL_WORKERS", "3")
-        parser = cli._build_parser()
-        assert parser.parse_args(simulate).workers == 3
-        assert parser.parse_args(["repro"]).workers == 3
+        with pytest.raises(SystemExit) as exit_:
+            parser.parse_args(["repro", "--workers", "2"])
+        assert exit_.value.code == cli.USAGE_ERROR
+        assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
 
-    def test_bad_workers_env_is_usage_error(self):
-        simulate = ("simulate", "--n", "10", "--reps", "64", "--policy", "constant",
-                    "--sigma-lo", "1", "--sigma-hi", "1", "--sided", "one", "--stat", "z")
-        for argv in (simulate, ("repro", "--fast")):
-            proc = run_cli(*argv, env_extra={"GNORMAL_WORKERS": "abc"})
-            assert proc.returncode == 2
-            assert "argument --workers: invalid int value: 'abc'" in proc.stderr
-            assert "Traceback" not in proc.stderr
+    def test_infinite_sigma_ref_is_usage_error(self, capsys):
+        argv = ["simulate", "--sigma-lo", "0.8", "--sigma-hi", "1", "--n", "10",
+                "--reps", "10", "--policy", "constant", "--sided", "one", "--stat", "z",
+                "--sigma-ref", "inf"]
+        assert cli.main(argv) == cli.USAGE_ERROR
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == ["error: z statistic needs a finite sigma_ref > 0"]
+
+    def test_undefined_rate_is_null(self, capsys):
+        # sigma = 0 makes every replication degenerate, so no rate exists
+        argv = ["simulate", "--sigma-lo", "0", "--sigma-hi", "1", "--n", "10",
+                "--reps", "10", "--policy", "constant", "--sigma", "0", "--sided", "two",
+                "--stat", "t"]
+        assert cli.main(argv) == 0
+        out = strict_json(capsys.readouterr().out)
+        assert out["degenerate"] == 10
+        assert out["rate"] is None
 
 
 # Every option of each command at a non-default value (--c and --alpha are
@@ -511,17 +542,35 @@ class TestTopLevel:
 
 
 class TestReproCommand:
+    def test_non_finite_manifest_prints_nothing(self, capsys):
+        with pytest.raises(cli.NumericalError):
+            cli._emit_text("body\n", {"alpha": float("nan")})
+        assert capsys.readouterr() == ("", "")
+
     def test_manifest_hashes_stdout_for_every_worker_count(self, monkeypatch, capsys):
         monkeypatch.setattr(cli, "LIMIT_N", 50)
         monkeypatch.setattr(cli, "LIMIT_REPS", 3000)
         monkeypatch.setattr(cli, "HETERO_TARGETS", ((20, 0.0565),))
+        run = cli.run
+        processes = []
+
+        def counting(config):
+            report = run(config)
+            processes.append(report.diagnostics["processes"])
+            return report
+
+        monkeypatch.setattr(cli, "run", counting)
         runs = []
-        for workers in ("1", "2"):
-            argv = ["repro", "--reps", "3000", "--seed", "3", "--workers", workers]
+        for cpus in (1, 2):
+            monkeypatch.setattr(
+                os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False
+            )
+            argv = ["repro", "--reps", "3000", "--seed", "3"]
             # at these sizes a check may fail (exit 4); the manifest must not
             assert cli.main(argv) in (0, cli.PROPERTY_FAILURE)
             out, err = capsys.readouterr()
             runs.append((out, json.loads(err.strip().splitlines()[-1])))
+        assert processes == [1, 1, 2, 2]  # the limit run and the n = 20 run
         out, manifest = runs[0]
         assert out.splitlines()[-1] in ("all checks passed", "SOME CHECKS FAILED")
         assert manifest["subcommand"] == "repro"
@@ -535,7 +584,7 @@ class TestReproCommand:
         monkeypatch.setattr(cli, "LIMIT_N", 50)
         monkeypatch.setattr(cli, "LIMIT_REPS", 3000)
         monkeypatch.setattr(cli, "HETERO_TARGETS", ((20, 0.0565),))
-        code = cli.main(["repro", "--fast", "--seed", "3", "--workers", "1"])
+        code = cli.main(["repro", "--fast", "--seed", "3"])
         assert code in (0, cli.PROPERTY_FAILURE)
         first = capsys.readouterr()
         manifest = json.loads(first.err.strip().splitlines()[-1])

@@ -65,6 +65,8 @@ class TestGridSpec:
             GridSpec(-1.0, 1.0, 2, 1.0)
         with pytest.raises(ConfigurationError):
             GridSpec(-1.0, 1.0, 101, 0.0)
+        with pytest.raises(ConfigurationError, match="finite t_end"):
+            GridSpec(-1.0, 1.0, 101, float("inf"))  # no step count reaches it
         with pytest.raises(ConfigurationError):
             GridSpec(-1.0, 1.0, 101, 1.0, safety=1.5)  # CFL violation
         with pytest.raises(ConfigurationError):

@@ -394,8 +394,10 @@ class TestSplit:
             (heuristic_t_policy(BAND, n, 0.05), t),
         ):
             payloads = set()
+            # min(max(workers, cpus), 17 tiles) ranges
             for workers, cpus, processes in (
-                (1, 1, 1), (1, 2, 2), (2, 2, 2), (2, 4, 4), (7, 2, 7)
+                (1, 1, 1), (1, 2, 2), (2, 2, 2), (2, 4, 4), (7, 2, 7),
+                (1, 3, 3), (1, 4, 4), (20, 2, 17),
             ):
                 config = self.config(spec, test, workers)
                 report, _ = self.run_on(monkeypatch, tmp_path, config, cpus)
