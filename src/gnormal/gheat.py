@@ -114,6 +114,11 @@ _D2_NOISE_MULT = 64.0
 
 _DEFAULT_MAX_LEVELS = 201
 
+# The largest grid and longest march accepted, 40 and 80 times the largest the
+# commands build (2401 nodes, 12,584 steps); a march keeps ~200 bytes per step.
+MAX_NX = 100_000
+MAX_STEPS = 1_000_000
+
 # Steps between two settings of the march's active window (K in the module
 # notes).  Rescans cost a scan of D; wider cones cost more nodes per step.
 _SCAN_STEPS = 32
@@ -188,8 +193,8 @@ class GridSpec:
             raise ConfigurationError(
                 f"grid requires x_min < x_max, got [{self.x_min!r}, {self.x_max!r}]"
             )
-        if self.nx < 3:
-            raise ConfigurationError(f"grid requires nx >= 3, got {self.nx!r}")
+        if not 3 <= self.nx <= MAX_NX:
+            raise ConfigurationError(f"grid requires 3 <= nx <= {MAX_NX}, got {self.nx!r}")
         if not 0.0 < self.t_end < math.inf:
             raise ConfigurationError(f"grid requires a finite t_end > 0, got {self.t_end!r}")
         if not 0.0 < self.safety <= 1.0:
@@ -373,12 +378,16 @@ def _march(
 ) -> _March:
     if max_levels < 2:
         raise ConfigurationError("max_levels must be >= 2")
-    x = np.linspace(grid.x_min, grid.x_max, grid.nx)
     dx = grid.dx
+    dt_max = grid.safety * dx * dx / (band.sigma_hi * band.sigma_hi)
+    steps = grid.t_end / dt_max if dt_max > 0.0 else math.inf
+    if steps > MAX_STEPS:
+        raise ConfigurationError(f"t_end = {grid.t_end!r} on nx = {grid.nx} needs "
+                                 f"{steps:.4g} steps, more than {MAX_STEPS}")
+    x = np.linspace(grid.x_min, grid.x_max, grid.nx)
     u0, snapped_c = _sample_ic(ic, x, dx)
 
-    dt_max = grid.safety * dx * dx / (band.sigma_hi * band.sigma_hi)
-    raw_steps = max(1, math.ceil(grid.t_end / dt_max))
+    raw_steps = max(1, math.ceil(steps))
     # Round the step count up so retained levels sit at j*t_end/(levels-1).
     levels = min(max_levels, raw_steps + 1)
     segments = max(levels - 1, 1)

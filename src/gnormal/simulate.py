@@ -31,7 +31,9 @@ block nor chunk size can change any value.  ``run`` cuts the tiles into
 ``min(max(workers, usable CPUs), tiles)`` ranges.  The caller runs the
 first range and a child made by ``os.fork`` runs each other one, sending
 its tallies back through a pipe; where ``os.fork`` is missing the caller
-runs every range in turn.  Ranges start on tile boundaries and integer
+runs every range in turn.  A range's tallies are one int64 vector,
+``[rejections, degenerate, underflow, bin 0 .. bin HIST_BINS - 1, overflow]``,
+and ``run`` adds the vectors: ranges start on tile boundaries and integer
 tallies merge by summation, so no value depends on the cut.
 
 Degenerate replications (zero sample variance, probability zero under
@@ -67,6 +69,9 @@ __all__ = [
 HIST_LO = -6.0
 HIST_HI = 6.0
 HIST_BINS = 240  # width 0.05, fine enough to resolve the +-1.97 notches
+
+# ``SimulationConfig.workers`` may ask for at most this many processes.
+MAX_WORKERS = 256
 
 # The noise contract (see the module docstring).  It decides every tally,
 # so its id is echoed inside the output checksum.
@@ -137,14 +142,15 @@ class SimulationConfig:
             )
         if not 0 <= self.seed < 2**64:
             raise ConfigurationError("seed must be a 64-bit unsigned integer")
-        if self.workers < 1:
-            raise ConfigurationError(f"workers must be >= 1, got {self.workers!r}")
+        if not 1 <= self.workers <= MAX_WORKERS:
+            raise ConfigurationError(f"workers must lie in [1, {MAX_WORKERS}], got {self.workers!r}")
 
 
 @dataclass
 class Histogram:
     """Equal-width counts over [lo, hi]; out-of-range values tallied
-    separately in ``underflow``/``overflow`` (bins are right-open)."""
+    separately in ``underflow``/``overflow`` (bins are right-open).  In a
+    report, these are entries 2 onward of the tally vector (module docstring)."""
 
     lo: float
     hi: float
@@ -156,19 +162,6 @@ class Histogram:
     def edges(self) -> np.ndarray:
         return np.linspace(self.lo, self.hi, len(self.counts) + 1)
 
-    def add(self, values: np.ndarray) -> None:
-        nbins = len(self.counts)
-        pos = np.floor((values - self.lo) / (self.hi - self.lo) * nbins).astype(np.int64)
-        self.underflow += int(np.count_nonzero(pos < 0))
-        self.overflow += int(np.count_nonzero(pos >= nbins))
-        inside = pos[(pos >= 0) & (pos < nbins)]
-        self.counts += np.bincount(inside, minlength=nbins)
-
-    def merge(self, other: "Histogram") -> None:
-        self.counts += other.counts
-        self.underflow += other.underflow
-        self.overflow += other.overflow
-
     def write_csv(self, path) -> None:
         edges = self.edges.tolist()
         with open(path, "w", encoding="utf-8") as fh:
@@ -177,8 +170,10 @@ class Histogram:
                 fh.write(f"{edges[j]!r},{edges[j + 1]!r},{int(cnt)}\n")
 
 
-def _empty_histogram() -> Histogram:
-    return Histogram(lo=HIST_LO, hi=HIST_HI, counts=np.zeros(HIST_BINS, dtype=np.int64))
+def _bins(stats: np.ndarray) -> np.ndarray:
+    """[underflow, bin 0, ..., bin HIST_BINS - 1, overflow] counts of ``stats``."""
+    pos = np.floor((stats - HIST_LO) / (HIST_HI - HIST_LO) * HIST_BINS).astype(np.int64)
+    return np.bincount(np.clip(pos, -1, HIST_BINS) + 1, minlength=HIST_BINS + 2)
 
 
 @dataclass
@@ -279,14 +274,12 @@ def _blocks(n: int, tile_lo: int, tile_hi: int):
 
 
 def _run_range(config, tile_lo: int, tile_hi: int, critical: float):
-    """Tallies and phase seconds for the replications of tiles
-    [tile_lo, tile_hi), cut at ``config.reps``."""
+    """The tally vector (see the module docstring) and phase seconds of
+    the replications of tiles [tile_lo, tile_hi), cut at ``config.reps``."""
     n = config.n
     needs_ss = config.policy.kind == "heuristic_t" or config.test.statistic == "t"
     policy = config.policy
-    hist = _empty_histogram()
-    rejections = 0
-    degenerate = 0
+    tally = np.zeros(HIST_BINS + 4, dtype=np.int64)
     timers = {"noise_s": 0.0, "step_s": 0.0, "tally_s": 0.0}
 
     size = max((b_hi - b_lo) * chunk for b_lo, b_hi, chunk in _blocks(n, tile_lo, tile_hi))
@@ -324,16 +317,16 @@ def _run_range(config, tile_lo: int, tile_hi: int, critical: float):
             ss = ss.ravel()[:used]
             s2 = np.maximum((ss - s * s / n) / (n - 1), 0.0)
             good = s2 > 0.0
-            degenerate += int(np.count_nonzero(~good))
+            tally[1] += used - np.count_nonzero(good)
             stats = (s[good] / math.sqrt(n)) / np.sqrt(s2[good])
 
         if config.test.sided == "one":
-            rejections += int(np.count_nonzero(stats > critical))
+            tally[0] += np.count_nonzero(stats > critical)
         else:
-            rejections += int(np.count_nonzero(np.abs(stats) > critical))
-        hist.add(stats)
+            tally[0] += np.count_nonzero(np.abs(stats) > critical)
+        tally[2:] += _bins(stats)
         timers["tally_s"] += time.perf_counter() - t0
-    return rejections, degenerate, hist, timers
+    return tally, timers
 
 
 def _child_payload(config, tile_lo: int, tile_hi: int, critical: float) -> bytes:
@@ -437,20 +430,13 @@ def run(config: SimulationConfig) -> SimulationReport:
     parts, fork_s = _run_parts(config, list(zip(bounds[:-1], bounds[1:])), critical)
 
     t0 = time.perf_counter()
-    rejections = 0
-    degenerate = 0
-    hist = _empty_histogram()
-    diagnostics = dict.fromkeys(parts[0][3], 0.0)
-    for part_rej, part_deg, part_hist, part_timers in parts:
-        rejections += part_rej
-        degenerate += part_deg
-        hist.merge(part_hist)
-        for key, seconds in part_timers.items():
-            diagnostics[key] += seconds
+    tally = sum(vector for vector, _ in parts)
+    diagnostics = {key: sum(timers[key] for _, timers in parts) for key in parts[0][1]}
     diagnostics["fork_s"] = fork_s
     diagnostics["merge_s"] = time.perf_counter() - t0
     diagnostics["processes"] = len(parts)
 
+    rejections, degenerate, underflow, *_, overflow = tally.tolist()
     effective = config.reps - degenerate
     rate = rejections / effective if effective > 0 else math.nan
     z95 = norm_quantile(0.975)
@@ -461,7 +447,7 @@ def run(config: SimulationConfig) -> SimulationReport:
         degenerate=degenerate,
         rate=rate,
         ci95=ci,
-        histogram=hist,
+        histogram=Histogram(HIST_LO, HIST_HI, tally[3:-1], underflow, overflow),
         runtime_seconds=time.perf_counter() - start,
         config=config,
         diagnostics=diagnostics,

@@ -290,6 +290,16 @@ class TestSolveCommand:
         assert cli.main([*argv, "--x-max", "5"]) == cli.USAGE_ERROR
         assert capsys.readouterr().err.splitlines()[-1] == "error: grid endpoints must be finite"
 
+    def test_unbounded_march_is_usage_error(self, tmp_path, capsys):
+        out_path = tmp_path / "u.csv"
+        argv = ["solve", "--ic", "one-sided", "--c", "1", "--sigma-lo", "0.8", "--sigma-hi", "1",
+                "--t-end", "1e300", "--nx", "5", "--out", str(out_path)]
+        assert cli.main(argv) == cli.USAGE_ERROR
+        assert capsys.readouterr().err.splitlines() == [
+            "error: t_end = 1e+300 on nx = 5 needs 4.132e+298 steps, more than 1000000"
+        ]
+        assert not out_path.exists()
+
     def test_cfl_violation_exit_2(self, tmp_path):
         proc = run_cli(
             "solve", "--ic", "one-sided", "--c", "0", "--sigma-lo", "1",
@@ -414,6 +424,15 @@ class TestSimulateCommand:
         assert proc.returncode == 0
         line = [l for l in proc.stderr.splitlines() if l.startswith("diagnostics: ")]
         assert json.loads(line[0].split(": ", 1)[1])["processes"] == 3
+
+    def test_workers_are_bounded(self, capsys):
+        # one tile: without the bound this runs as one process and exits 0
+        argv = ["simulate", "--sigma-lo", "1", "--sigma-hi", "1", "--n", "10", "--reps", "1024",
+                "--policy", "constant", "--sided", "one", "--stat", "z", "--workers", "100000"]
+        assert cli.main(argv) == cli.USAGE_ERROR
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == ["error: workers must lie in [1, 256], got 100000"]
 
     def test_workers_default(self, capsys):
         # simulate's --workers is the one worker setting; repro has none

@@ -71,6 +71,27 @@ class TestGridSpec:
             GridSpec(-1.0, 1.0, 101, 1.0, safety=1.5)  # CFL violation
         with pytest.raises(ConfigurationError):
             GridSpec(-1.0, 1.0, 101, 1.0, safety=0.0)
+        # the largest grid is only built here: marching it takes seconds
+        assert GridSpec(-1.0, 1.0, gheat.MAX_NX, 1.0).nx == 100_000
+        with pytest.raises(ConfigurationError,
+                           match=r"^grid requires 3 <= nx <= 100000, got 100001$"):
+            GridSpec(-1.0, 1.0, gheat.MAX_NX + 1, 1.0)
+
+    def test_step_count_is_bounded(self, monkeypatch):
+        # refused before any per-step array is made
+        with pytest.raises(ConfigurationError, match=r"^t_end = 1e\+300 on nx = 5 needs "
+                           r"1\.389e\+299 steps, more than 1000000$"):
+            solve(IndicatorAbove(1.0), BAND, GridSpec(-6.0, 6.0, 5, 1e300))
+        # sigma_hi**2 overflows, so the step limit dt_max is 0
+        with pytest.raises(ConfigurationError, match=r"needs inf steps, more than 1000000$"):
+            solve(IndicatorAbove(1.0), VolatilityBand(0.8, 1e200), GridSpec(-6.0, 6.0, 5, 1.0))
+        # dt <= 0.8 * 3**2 takes 70 / 7.2, rounded up to 10 steps
+        grid = GridSpec(-6.0, 6.0, 5, 70.0)
+        monkeypatch.setattr(gheat, "MAX_STEPS", 10)
+        assert solve(IndicatorAbove(1.0), BAND, grid).n_steps == 10
+        monkeypatch.setattr(gheat, "MAX_STEPS", 9)
+        with pytest.raises(ConfigurationError, match=r"needs 9\.722 steps, more than 9$"):
+            solve(IndicatorAbove(1.0), BAND, grid)
 
 
 class TestInitialConditions:

@@ -31,7 +31,7 @@ from gnormal import (
 from gnormal import simulate
 from gnormal.capacity import tail_threshold
 from gnormal.policy import PolicySpec
-from gnormal.simulate import HIST_BINS, RNG_SCHEME
+from gnormal.simulate import HIST_BINS, HIST_HI, HIST_LO, MAX_WORKERS, RNG_SCHEME, Histogram
 
 from oracles import scalar_sigma, t_statistic
 
@@ -133,6 +133,19 @@ class TestSpecValidation:
             SimulationConfig(
                 n=1, reps=10, policy=constant_policy(BAND, 1, 0.9), test=test, seed=0
             )
+
+    def test_workers_are_bounded(self):
+        # checked on construction only: a run would fork that many processes
+        test = TestSpec(sided="one", alpha=0.05, statistic="z", sigma_ref=1.0)
+
+        def config(workers):
+            return SimulationConfig(n=10, reps=10, policy=constant_policy(BAND, 10, 0.9),
+                                    test=test, seed=0, workers=workers)
+
+        assert config(MAX_WORKERS).workers == MAX_WORKERS
+        for workers in (0, MAX_WORKERS + 1):
+            with pytest.raises(ConfigurationError, match=r"^workers must lie in \[1, 256\], "):
+                config(workers)
 
     def test_policy_horizon_must_match(self):
         test = TestSpec(sided="one", alpha=0.05, statistic="z", sigma_ref=1.0)
@@ -530,6 +543,12 @@ class TestCalibrationAndInflation:
             assert lo3 > 0.05
 
 
+def histogram_of(values):
+    """The report histogram of ``values``, built from their bin counts."""
+    counts = simulate._bins(np.array(values))
+    return Histogram(HIST_LO, HIST_HI, counts[1:-1], int(counts[0]), int(counts[-1]))
+
+
 class TestHistogram:
     def test_tail_identity_and_totals(self):
         spec = heuristic_t_policy(BAND, 30, 0.05)
@@ -548,21 +567,16 @@ class TestHistogram:
         assert manual == report.rejections
 
     def test_bin_geometry(self):
-        from gnormal.simulate import _empty_histogram
-
-        hist = _empty_histogram()
+        hist = histogram_of([-7.0, -6.0, 0.0, 5.999, 6.0, 100.0])
         assert len(hist.counts) == HIST_BINS
         assert hist.edges[0] == -6.0 and hist.edges[-1] == 6.0
-        hist.add(np.array([-7.0, -6.0, 0.0, 5.999, 6.0, 100.0]))
         assert hist.underflow == 1  # -7.0
         assert hist.overflow == 2  # 6.0 (right-open top) and 100.0
         assert hist.counts.sum() == 3
+        assert hist.counts[[0, 120, 239]].tolist() == [1, 1, 1]  # -6.0, 0.0, 5.999
 
     def test_csv(self, tmp_path):
-        from gnormal.simulate import _empty_histogram
-
-        hist = _empty_histogram()
-        hist.add(np.array([0.01, 0.02, 1.0]))
+        hist = histogram_of([0.01, 0.02, 1.0])
         path = tmp_path / "h.csv"
         hist.write_csv(path)
         lines = path.read_text().strip().splitlines()
