@@ -27,9 +27,11 @@ march seconds, steps/s, CFL fraction and node counts.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import math
+import os
 import sys
 
 import numpy
@@ -117,6 +119,23 @@ def _file_sha256(path: str) -> str:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             digest.update(chunk)
     return digest.hexdigest()
+
+
+@contextlib.contextmanager
+def _file_errors(what: str):
+    """A failed open, read or write in the block is a usage error naming
+    ``what``, not a traceback."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigurationError(f"{what}: {exc.strerror or exc}") from None
+
+
+def _require_directory(flag: str, path: str) -> None:
+    """Refuse an output file whose directory is missing, before any run."""
+    directory = os.path.dirname(path) or "."
+    if not os.path.isdir(directory):
+        raise ConfigurationError(f"{flag} {path!r}: no directory {directory!r}")
 
 
 def _band(args) -> VolatilityBand:
@@ -207,7 +226,7 @@ def cmd_capacity(args) -> int:
 
 
 def _load_table(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
+    with _file_errors(f"cannot read table {path!r}"), open(path, encoding="utf-8") as fh:
         lines = [line.strip() for line in fh]
     rows = [line for line in lines if line and not line.startswith("#")]
     xs, ys = [], []
@@ -230,6 +249,7 @@ def cmd_solve(args) -> int:
     band = _band(args)
     indicator = not args.ic.startswith("table:")
     _read_options(args, {"c": ("--ic one-sided or two-sided", indicator, None)})
+    _require_directory("--out", args.out)
     if args.ic in ("one-sided", "two-sided"):
         if args.c is None:
             raise DomainError(f"--ic {args.ic} requires --c")
@@ -248,10 +268,7 @@ def cmd_solve(args) -> int:
         x_min=x_min, x_max=x_max, nx=args.nx, t_end=args.t_end, safety=args.safety
     )
     sol = solve(ic, band, grid, max_levels=args.levels)
-    sol.write_csv(args.out)
-
     manifest = _manifest(args, x_min=x_min, x_max=x_max)
-    manifest["output_sha256"] = {args.out: _file_sha256(args.out)}
     manifest["solution"] = {
         "n_steps": sol.n_steps,
         "dt": sol.dt,
@@ -259,9 +276,12 @@ def cmd_solve(args) -> int:
         "levels_kept": int(sol.times.size),
     }
     manifest_path = args.out + ".manifest.json"
-    text = _json(manifest, indent=2)
-    with open(manifest_path, "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
+    with _file_errors(f"cannot write {args.out!r}"):
+        sol.write_csv(args.out)
+        manifest["output_sha256"] = {args.out: _file_sha256(args.out)}
+        text = _json(manifest, indent=2)
+        with open(manifest_path, "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
     print(f"wrote {args.out} and {manifest_path}", file=sys.stderr)
     print(f"diagnostics: {json.dumps(sol.diagnostics)}", file=sys.stderr)
     return 0
@@ -309,6 +329,8 @@ def cmd_simulate(args) -> int:
         "table_levels": ("--policy two-sided-thresh", args.policy == "two-sided-thresh", 50),
         "sigma_ref": ("--stat z", args.stat == "z", band.sigma_hi),
     })
+    if args.hist is not None:
+        _require_directory("--hist", args.hist)
     test = TestSpec(
         sided=args.sided,
         alpha=args.alpha,
@@ -322,13 +344,12 @@ def cmd_simulate(args) -> int:
     report = run(config)
     payload = report.to_json_dict()
 
-    if args.hist is not None:
-        report.histogram.write_csv(args.hist)
-
     print(f"diagnostics: {json.dumps(report.diagnostics)}", file=sys.stderr)
     manifest = _manifest(args, **opts)
     if args.hist is not None:
-        manifest["file_sha256"] = {args.hist: _file_sha256(args.hist)}
+        with _file_errors(f"cannot write {args.hist!r}"):
+            report.histogram.write_csv(args.hist)
+            manifest["file_sha256"] = {args.hist: _file_sha256(args.hist)}
     _emit_json(payload, manifest)
     return 0
 

@@ -42,13 +42,13 @@ Numerical conventions that matter to the contracts:
   list of them.
 * A step updates only a window of interior nodes.  The one set at state
   s = jK, K = _SCAN_STEPS, is the hull of the nonzero D of state s - 1
-  widened by K (D's support grows by at most a node a step), and to each
-  end whose value moves (exact !=) in steps s - 1 .. s + K - 2, flags
-  that set-up computes for every scan.  D = +0.0 gives g = +0.0 and
-  u + g = u (no node holds -0.0).  Outside the window no stencil node has
-  changed since D there was +0.0, so D is +0.0 again, with no flag: the
-  bits, the NumericalError step and the D buffer are the full march's.
-  The ghost needs no rule: its neighbour reads its mirror.
+  (read off the whole D buffer, +0.0 outside the window) and of each end
+  whose value differs (exact !=) from the datum's at any step, widened by
+  K (D's support grows by at most a node a step).  D = +0.0 gives
+  g = +0.0 and u + g = u (no node holds -0.0).  Outside the window no
+  stencil node has changed since D there was +0.0, so D is +0.0 again:
+  the bits, the NumericalError step and the D buffer are the full
+  march's.  The ghost needs no rule: its neighbour reads its mirror.
 * Overflow surfaces once, as NumericalError naming the step whose
   arithmetic failed.  Every datum starts finite, and finite arithmetic
   turns non-finite only by an overflow or invalid operation, so ``solve``
@@ -114,10 +114,12 @@ _D2_NOISE_MULT = 64.0
 
 _DEFAULT_MAX_LEVELS = 201
 
-# The largest grid and longest march accepted, 40 and 80 times the largest the
-# commands build (2401 nodes, 12,584 steps); a march keeps ~200 bytes per step.
+# The largest grid, longest march and most kept values (levels x nx) accepted:
+# 40, 80 and 25 times the most the commands build (2401 nodes, 12,584 steps,
+# 201 x 2001 values); a march keeps ~200 bytes per step, a solve 8 per value.
 MAX_NX = 100_000
 MAX_STEPS = 1_000_000
+MAX_VALUES = 10_000_000
 
 # Steps between two settings of the march's active window (K in the module
 # notes).  Rescans cost a scan of D; wider cones cost more nodes per step.
@@ -384,12 +386,15 @@ def _march(
     if steps > MAX_STEPS:
         raise ConfigurationError(f"t_end = {grid.t_end!r} on nx = {grid.nx} needs "
                                  f"{steps:.4g} steps, more than {MAX_STEPS}")
+    raw_steps = max(1, math.ceil(steps))
+    levels = min(max_levels, raw_steps + 1)
+    if levels * grid.nx > MAX_VALUES:
+        raise ConfigurationError(f"{levels} levels of nx = {grid.nx} are "
+                                 f"{levels * grid.nx} values, more than {MAX_VALUES}")
     x = np.linspace(grid.x_min, grid.x_max, grid.nx)
     u0, snapped_c = _sample_ic(ic, x, dx)
 
-    raw_steps = max(1, math.ceil(steps))
     # Round the step count up so retained levels sit at j*t_end/(levels-1).
-    levels = min(max_levels, raw_steps + 1)
     segments = max(levels - 1, 1)
     n_steps = ((raw_steps + segments - 1) // segments) * segments
     if grid.t_end / n_steps > dt_max:  # the division can round above dt_max
@@ -413,13 +418,9 @@ def _march(
     # A half march builds no left list: its ghost never reads one.
     bc_right = boundary[:, -1].tolist()
     bc_left = None if mirror else boundary[:, 0].tolist()
-    # For the active window: whether each end's value moves in steps
-    # s - 1 .. s + K - 2, for each scan state s = K, 2K, ..., and the
-    # interior index just past each end; see the module notes.
+    # The interior index just past each end that ever moves; see the module notes.
     n, K = x.size - 2, _SCAN_STEPS
-    moved = boundary != np.vstack((u0[ends], boundary[:-1]))
-    end_moves = np.logical_or.reduceat(moved, np.arange(K - 1, n_steps, K), axis=0).tolist()
-    beyond = [-1, n][-len(ends) :]
+    movers = [p for p, m in zip([-1, n][-len(ends) :], (boundary != u0[ends]).any(axis=0)) if m]
     updates = [0]
 
     def states(report):
@@ -443,14 +444,12 @@ def _march(
                 # D of state k, then step k, which takes state k to k + 1.
                 for k in range(k, r + 1):
                     if k == scan:
-                        # The ends that move in steps k - 1 .. k + K - 2 and the
-                        # nonzero D of state k - 1 (d still holds it), widened
-                        # by K: the light cone of states k .. k + K - 1.
-                        hull = [p for p, m in zip(beyond, end_moves[k // K - 1]) if m]
-                        nz = np.not_equal(d, 0.0, out=nonzero[: d.size])
+                        # The moving ends and the nonzero D of state k - 1, which
+                        # d2 still holds, widened by K: the cone of states k .. k + K - 1.
+                        hull = movers.copy()
+                        nz = np.not_equal(d2, 0.0, out=nonzero)
                         if nz.any():
-                            last = d.size - 1 - int(nz[::-1].argmax())
-                            hull += [lo + int(nz.argmax()), lo + last]
+                            hull += [int(nz.argmax()), n - 1 - int(nz[::-1].argmax())]
                         if hull:
                             lo, hi = max(min(hull) - K, 0), min(max(hull) + K + 1, n)
                         else:

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy
 import pytest
 
-from gnormal import VolatilityBand, cli, norm_cdf, norm_quantile
+from gnormal import VolatilityBand, cli, gheat, norm_cdf, norm_quantile
 from gnormal.gheat import default_two_sided_grid
 from gnormal.simulate import RNG_SCHEME
 
@@ -300,6 +300,49 @@ class TestSolveCommand:
         ]
         assert not out_path.exists()
 
+    def test_too_many_kept_values_is_usage_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(gheat, "MAX_VALUES", 100)
+        out_path = tmp_path / "u.csv"
+        argv = ["solve", "--ic", "one-sided", "--c", "0.5", "--sigma-lo", "0.8",
+                "--sigma-hi", "1", "--nx", "41", "--levels", "3", "--out", str(out_path)]
+        assert cli.main(argv) == cli.USAGE_ERROR
+        assert capsys.readouterr().err.splitlines() == [
+            "error: 3 levels of nx = 41 are 123 values, more than 100"
+        ]
+        assert not out_path.exists()
+
+    def test_missing_table_is_usage_error(self, tmp_path, capsys):
+        table, out_path = tmp_path / "missing.csv", tmp_path / "u.csv"
+        argv = ["solve", "--ic", f"table:{table}", "--sigma-lo", "0.8", "--sigma-hi", "1",
+                "--out", str(out_path)]
+        assert cli.main(argv) == cli.USAGE_ERROR
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: cannot read table {str(table)!r}: No such file or directory"
+        ]
+        assert not out_path.exists()
+
+    def test_missing_out_directory_is_usage_error_before_the_march(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.setattr(cli, "solve", lambda *args, **kwargs: pytest.fail("marched"))
+        out_path = tmp_path / "missing" / "u.csv"
+        argv = ["solve", "--ic", "one-sided", "--c", "0.5", "--sigma-lo", "0.8",
+                "--sigma-hi", "1", "--nx", "41", "--out", str(out_path)]
+        assert cli.main(argv) == cli.USAGE_ERROR
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: --out {str(out_path)!r}: no directory {str(out_path.parent)!r}"
+        ]
+
+    def test_unwritable_out_is_usage_error(self, tmp_path, capsys):
+        # the directory exists, but the path names a directory, not a file
+        argv = ["solve", "--ic", "one-sided", "--c", "0.5", "--sigma-lo", "0.8",
+                "--sigma-hi", "1", "--nx", "41", "--out", str(tmp_path)]
+        assert cli.main(argv) == cli.USAGE_ERROR
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: cannot write {str(tmp_path)!r}: Is a directory"
+        ]
+        assert list(tmp_path.iterdir()) == []
+
     def test_cfl_violation_exit_2(self, tmp_path):
         proc = run_cli(
             "solve", "--ic", "one-sided", "--c", "0", "--sigma-lo", "1",
@@ -389,6 +432,20 @@ class TestSimulateCommand:
         hist = out["histogram"]
         assert total == sum(hist["bins"])
         assert hist_path in out["manifest"]["file_sha256"]
+
+    def test_missing_hist_directory_is_usage_error_before_the_run(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.setattr(cli, "run", lambda config: pytest.fail("ran"))
+        hist_path = tmp_path / "missing" / "h.csv"
+        argv = ["simulate", "--sigma-lo", "1", "--sigma-hi", "1", "--n", "10", "--reps", "64",
+                "--policy", "constant", "--sided", "one", "--stat", "z", "--hist", str(hist_path)]
+        assert cli.main(argv) == cli.USAGE_ERROR
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == [
+            f"error: --hist {str(hist_path)!r}: no directory {str(hist_path.parent)!r}"
+        ]
 
     def test_invalid_combo_exit_2(self):
         proc = run_cli("simulate", "--n", "1", "--reps", "10", "--policy",

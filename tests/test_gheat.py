@@ -93,6 +93,21 @@ class TestGridSpec:
         with pytest.raises(ConfigurationError, match=r"needs 9\.722 steps, more than 9$"):
             solve(IndicatorAbove(1.0), BAND, grid)
 
+    def test_kept_values_are_bounded(self, monkeypatch):
+        # refused in set-up, before any per-step or per-level array is made
+        grid = GridSpec(-11.0, 11.0, gheat.MAX_NX, 0.00387)
+        with pytest.raises(ConfigurationError, match=r"^99948 levels of nx = 100000 are "
+                           r"9994800000 values, more than 10000000$"):
+            _march(IndicatorAbove(1.0), BAND, grid, 100_000)
+        # 10 steps on 5 nodes keep 11 levels, 55 values
+        grid = GridSpec(-6.0, 6.0, 5, 70.0)
+        monkeypatch.setattr(gheat, "MAX_VALUES", 55)
+        assert solve(IndicatorAbove(1.0), BAND, grid, max_levels=12).values.size == 55
+        monkeypatch.setattr(gheat, "MAX_VALUES", 54)
+        with pytest.raises(ConfigurationError, match=r"^11 levels of nx = 5 are 55 values, "
+                           r"more than 54$"):
+            solve(IndicatorAbove(1.0), BAND, grid, max_levels=12)
+
 
 class TestInitialConditions:
     def test_table_validation(self):
@@ -361,12 +376,15 @@ def _window_cases():
         yield "ghost", IndicatorAbsAbove(2.5), VolatilityBand(lo, hi), grid(1601, 600, hi)
     for lo, hi in ((0.8, 1.0), (1.0, 1.0), (0.5, 2.0)):
         # The closed-form left end 3 from c moves from about step 320 on,
-        # while the front is still 280 nodes from it.
+        # while the front is still 280 nodes from it: only the moving-end
+        # rule, which holds that end from the first scan, covers it.
         yield "left end", IndicatorAbove(-1.0), VolatilityBand(lo, hi), grid(1601, 500, hi)
     for lo, hi in ((0.8, 1.0), (1.0, 1.0)):
         # The closed-form right end, 1 - eps at first, moves 7 or 12 nodes
-        # ahead of the nonzero D: only a scan interval below that misses it.
-        yield "right end", IndicatorAbove(1.0), VolatilityBand(lo, hi), grid(801, 3750, hi)
+        # ahead of the nonzero D: at a scan interval below that, only the
+        # moving-end rule covers it, in a full march and in a half march.
+        for ic in (IndicatorAbove(1.0), IndicatorAbsAbove(1.0)):
+            yield "right end", ic, VolatilityBand(lo, hi), grid(801, 3750, hi)
     for lo, hi in ((0.0, 1.0), (0.8, 1.0)):
         # Held ends and a tent far from both: the window leaves both ends.
         y = 0.25 + np.maximum(1.0 - np.abs(x), 0.0)

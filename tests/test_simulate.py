@@ -436,6 +436,17 @@ class TestSplit:
         assert report.diagnostics["fork_s"] == 0.0
         assert _report_key(report) == _report_key(forked)
 
+    def test_without_a_cpu_set_the_cpu_count_decides(self, monkeypatch, tmp_path):
+        # where os.sched_getaffinity is missing, run counts os.cpu_count(),
+        # and one CPU where that count is unknown
+        plain, _ = self.run_on(monkeypatch, tmp_path, self.config(), 1)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        for cpus, processes in ((3, 3), (None, 1)):
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            report = run(self.config())
+            assert report.diagnostics["processes"] == processes
+            assert _report_key(report) == _report_key(plain)
+
     def test_a_failed_draw_in_the_child_raises_its_own_error(self, monkeypatch, tmp_path):
         make_generator = simulate._tile_generator
         caller = os.getpid()
