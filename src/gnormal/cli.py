@@ -11,8 +11,8 @@ resolves from defaults filled in.  Setting an option the run does not
 read (``capacity``'s ``--alpha`` and ``--sided`` with ``--c`` and ``--nx``
 without ``--pde``, ``simulate``'s ``--sigma`` and ``--table-levels``
 outside their policy, ``--sigma-ref`` without ``--stat z``, ``solve``'s
-``--c`` with table data, ``repro``'s ``--reps`` with ``--fast``) is a
-usage error, so no manifest records a value that changed nothing.
+``--c`` with table data) is a usage error, so no manifest records a value
+that changed nothing.
 ``capacity`` and ``simulate`` put the manifest inside their JSON payload,
 ``solve`` writes it next to its CSV, and ``threshold`` and ``repro`` print
 it on stderr as one JSON line after their text on stdout.  No JSON they
@@ -131,11 +131,16 @@ def _file_errors(what: str):
         raise ConfigurationError(f"{what}: {exc.strerror or exc}") from None
 
 
-def _require_directory(flag: str, path: str) -> None:
-    """Refuse an output file whose directory is missing, before any run."""
+def _require_writable(flag: str, path: str) -> None:
+    """Refuse a directory, or a path in a missing or unwritable directory,
+    before any run.  Nothing is opened, so a failed run truncates no file."""
     directory = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        raise ConfigurationError(f"{flag} {path!r}: is a directory")
     if not os.path.isdir(directory):
         raise ConfigurationError(f"{flag} {path!r}: no directory {directory!r}")
+    if not os.access(directory, os.W_OK):
+        raise ConfigurationError(f"{flag} {path!r}: directory {directory!r} is not writable")
 
 
 def _band(args) -> VolatilityBand:
@@ -249,7 +254,7 @@ def cmd_solve(args) -> int:
     band = _band(args)
     indicator = not args.ic.startswith("table:")
     _read_options(args, {"c": ("--ic one-sided or two-sided", indicator, None)})
-    _require_directory("--out", args.out)
+    _require_writable("--out", args.out)
     if args.ic in ("one-sided", "two-sided"):
         if args.c is None:
             raise DomainError(f"--ic {args.ic} requires --c")
@@ -330,7 +335,7 @@ def cmd_simulate(args) -> int:
         "sigma_ref": ("--stat z", args.stat == "z", band.sigma_hi),
     })
     if args.hist is not None:
-        _require_directory("--hist", args.hist)
+        _require_writable("--hist", args.hist)
     test = TestSpec(
         sided=args.sided,
         alpha=args.alpha,
@@ -370,13 +375,12 @@ CAPACITY_POINTS = (  # (level, digits, rounded, rel_cap)
 LIMIT_N, LIMIT_REPS, LIMIT_TOL = 10_000, 100_000, 0.004
 LIMIT_TARGET = 2 * REPRO_ALPHA / (1.0 + REPRO_BAND.sigma_lo / REPRO_BAND.sigma_hi)
 HETERO_TARGETS = ((20, 0.0565), (200, 0.0589))  # (n, rate)
+# (reps, tolerance) of the t rates at full scale and under --fast.  0.20pp
+# at 1e6 reps covers reference MC noise, the independent seed and the open
+# critical-value convention; 1e5 reps widen it.
+HETERO_FULL = (1_000_000, 0.0020)
+HETERO_FAST = (100_000, 0.0045)
 WILSON_Z = 3.0
-
-
-def hetero_tolerance(reps: int) -> float:
-    """0.20pp at 1e6 reps covers reference MC noise, the independent seed
-    and the open critical-value convention; fewer reps widen it."""
-    return 0.0020 if reps >= 1_000_000 else 0.0045
 
 
 def capacity_point_met(approx, digits: int, rounded: float, rel_cap: float) -> bool:
@@ -391,11 +395,7 @@ def above_nominal(report) -> bool:
 
 def cmd_repro(args) -> int:
     band = REPRO_BAND
-    opts = _read_options(args, {"reps": ("no --fast", not args.fast, 1_000_000)})
-    reps = opts.get("reps", 100_000)
-    if reps < 1:
-        raise ConfigurationError(f"reps must be >= 1, got {reps!r}")
-    sim_tol = hetero_tolerance(reps)
+    reps, sim_tol = HETERO_FAST if args.fast else HETERO_FULL
     checks = []
 
     for level, digits, rounded, rel_cap in CAPACITY_POINTS:
@@ -451,7 +451,7 @@ def cmd_repro(args) -> int:
         for name, got, want, ok in checks
     ]
     lines.append("all checks passed" if all_ok else "SOME CHECKS FAILED")
-    _emit_text("\n".join(lines) + "\n", _manifest(args, **opts))
+    _emit_text("\n".join(lines) + "\n", _manifest(args))
     return 0 if all_ok else PROPERTY_FAILURE
 
 
@@ -528,7 +528,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("repro", help="re-run the headline numbers and report PASS/FAIL")
-    p.add_argument("--reps", type=int, default=None, help="default 1e6; without --fast only")
     p.add_argument("--fast", action="store_true", help="desk scale: reps=1e5, wider tolerances")
     p.add_argument("--seed", type=int, default=1)
     p.set_defaults(func=cmd_repro)

@@ -1,15 +1,14 @@
 """Acceptance gate: every criterion at its stated tolerance.
 
 Run with ``pytest -s tests/test_acceptance.py`` to see one PASS/FAIL line
-per criterion.  The two-sided simulation reproduction defaults to the full
-one-million-replication scale; set GNORMAL_ACCEPT_REPS=100000 for the
-desk-scale fallback with its wider tolerance.  Criteria 1, 4 and 5 take
-their targets, tolerances and sizes from the table ``gnormal repro`` uses.
+per criterion.  The two-sided simulation reproduction runs at the full
+one-million-replication scale of ``gnormal repro``.  Criteria 1, 4 and 5
+take their targets, tolerances and sizes from the table ``gnormal repro``
+uses.
 The long simulations, like every run, use one process per usable CPU.
 """
 
 import json
-import os
 import subprocess
 import sys
 
@@ -38,6 +37,7 @@ from gnormal import (
 )
 from gnormal.cli import (
     CAPACITY_POINTS,
+    HETERO_FULL,
     HETERO_TARGETS,
     LIMIT_N,
     LIMIT_REPS,
@@ -48,14 +48,12 @@ from gnormal.cli import (
     WILSON_Z,
     above_nominal,
     capacity_point_met,
-    hetero_tolerance,
 )
 
 from oracles import pde_policy_equiv_check
 
 BAND = REPRO_BAND
-ACCEPT_REPS = int(os.environ.get("GNORMAL_ACCEPT_REPS", "1000000"))
-SIM_TOL = hetero_tolerance(ACCEPT_REPS)
+ACCEPT_REPS, SIM_TOL = HETERO_FULL
 SEED = 1
 
 

@@ -333,13 +333,14 @@ class TestSolveCommand:
             f"error: --out {str(out_path)!r}: no directory {str(out_path.parent)!r}"
         ]
 
-    def test_unwritable_out_is_usage_error(self, tmp_path, capsys):
+    def test_unwritable_out_is_usage_error(self, tmp_path, monkeypatch, capsys):
         # the directory exists, but the path names a directory, not a file
+        monkeypatch.setattr(cli, "solve", lambda *args, **kwargs: pytest.fail("marched"))
         argv = ["solve", "--ic", "one-sided", "--c", "0.5", "--sigma-lo", "0.8",
                 "--sigma-hi", "1", "--nx", "41", "--out", str(tmp_path)]
         assert cli.main(argv) == cli.USAGE_ERROR
         assert capsys.readouterr().err.splitlines() == [
-            f"error: cannot write {str(tmp_path)!r}: Is a directory"
+            f"error: --out {str(tmp_path)!r}: is a directory"
         ]
         assert list(tmp_path.iterdir()) == []
 
@@ -446,6 +447,16 @@ class TestSimulateCommand:
         assert err.splitlines() == [
             f"error: --hist {str(hist_path)!r}: no directory {str(hist_path.parent)!r}"
         ]
+
+    def test_directory_hist_is_usage_error_before_the_run(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "run", lambda config: pytest.fail("ran"))
+        argv = ["simulate", "--sigma-lo", "1", "--sigma-hi", "1", "--n", "10", "--reps", "64",
+                "--policy", "constant", "--sided", "one", "--stat", "z", "--hist", str(tmp_path)]
+        assert cli.main(argv) == cli.USAGE_ERROR
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == [f"error: --hist {str(tmp_path)!r}: is a directory"]
+        assert list(tmp_path.iterdir()) == []
 
     def test_invalid_combo_exit_2(self):
         proc = run_cli("simulate", "--n", "1", "--reps", "10", "--policy",
@@ -636,27 +647,30 @@ class TestReproCommand:
             return report
 
         monkeypatch.setattr(cli, "run", counting)
-        runs = []
+        monkeypatch.setattr(cli, "HETERO_FULL", (3000, cli.HETERO_FULL[1]))
+        codes, runs = [], []
         for cpus in (1, 2):
             monkeypatch.setattr(
                 os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False
             )
-            argv = ["repro", "--reps", "3000", "--seed", "3"]
             # at these sizes a check may fail (exit 4); the manifest must not
-            assert cli.main(argv) in (0, cli.PROPERTY_FAILURE)
+            codes.append(cli.main(["repro", "--seed", "3"]))
+            assert codes[-1] in (0, cli.PROPERTY_FAILURE)
             out, err = capsys.readouterr()
             runs.append((out, json.loads(err.strip().splitlines()[-1])))
         assert processes == [1, 1, 2, 2]  # the limit run and the n = 20 run
         out, manifest = runs[0]
         assert out.splitlines()[-1] in ("all checks passed", "SOME CHECKS FAILED")
         assert manifest["subcommand"] == "repro"
-        assert manifest["parameters"] == {"reps": 3000, "fast": False, "seed": 3}
+        assert manifest["parameters"] == {"fast": False, "seed": 3}
         assert manifest["seed"] == 3
         assert manifest["output_sha256"] == hashlib.sha256(out.encode("utf-8")).hexdigest()
         assert runs[1] == runs[0]
+        assert cli.main(rerun_argv("repro", manifest)) == codes[0]
+        again = capsys.readouterr()
+        assert (again.out, json.loads(again.err.strip().splitlines()[-1])) == runs[0]
 
     def test_fast_manifest_reruns(self, monkeypatch, capsys):
-        # --fast reads no --reps, so the manifest records none to pass back
         monkeypatch.setattr(cli, "LIMIT_N", 50)
         monkeypatch.setattr(cli, "LIMIT_REPS", 3000)
         monkeypatch.setattr(cli, "HETERO_TARGETS", ((20, 0.0565),))
@@ -664,23 +678,15 @@ class TestReproCommand:
         assert code in (0, cli.PROPERTY_FAILURE)
         first = capsys.readouterr()
         manifest = json.loads(first.err.strip().splitlines()[-1])
-        assert manifest["parameters"] == {"reps": None, "fast": True, "seed": 3}
+        assert manifest["parameters"] == {"fast": True, "seed": 3}
         assert cli.main(rerun_argv("repro", manifest)) == code
         second = capsys.readouterr()
         assert second.out == first.out
         assert json.loads(second.err.strip().splitlines()[-1]) == manifest
 
-    def test_reps_with_fast_is_usage_error(self, monkeypatch, capsys):
-        # --fast runs 1e5 replications whatever --reps says
-        monkeypatch.setattr(cli, "run", lambda config: pytest.fail("a simulation started"))
-        assert cli.main(["repro", "--fast", "--reps", "5"]) == cli.USAGE_ERROR
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err.splitlines() == ["error: --reps is read only with no --fast"]
-
-    def test_reps_below_one_is_usage_error_before_any_simulation(self, monkeypatch, capsys):
-        monkeypatch.setattr(cli, "run", lambda config: pytest.fail("a simulation started"))
-        assert cli.main(["repro", "--reps", "0"]) == cli.USAGE_ERROR
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err.splitlines() == ["error: reps must be >= 1, got 0"]
+    def test_reps_is_not_an_option(self, capsys):
+        # the scale is full or --fast, each with its own reps and tolerance
+        with pytest.raises(SystemExit) as exit_:
+            cli._build_parser().parse_args(["repro", "--reps", "5"])
+        assert exit_.value.code == cli.USAGE_ERROR
+        assert "unrecognized arguments: --reps 5" in capsys.readouterr().err
