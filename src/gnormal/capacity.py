@@ -120,13 +120,17 @@ def p1(c: float, band: VolatilityBand) -> float:
     return profile_f(-c, band)
 
 
+def _tail_level(alpha: float, sided: str) -> float:
+    """The quantile level of a level-alpha test: 1 - alpha or 1 - alpha/2."""
+    return 1.0 - (alpha if sided == "one" else alpha / 2.0)
+
+
 def tail_threshold(alpha: float, band: VolatilityBand, sided: str) -> float:
     """Level-alpha threshold at the upper edge: sigma_hi * Phi^-1(1 - alpha)
     one-sided, sigma_hi * Phi^-1(1 - alpha/2) two-sided."""
     if sided not in ("one", "two"):
         raise DomainError(f"sided must be 'one' or 'two', got {sided!r}")
-    level = 1.0 - (alpha if sided == "one" else alpha / 2.0)
-    return band.sigma_hi * norm_quantile(level)
+    return band.sigma_hi * norm_quantile(_tail_level(alpha, sided))
 
 
 def two_sided_error_bound(c: float, t: float, band: VolatilityBand) -> float:

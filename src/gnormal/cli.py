@@ -18,10 +18,10 @@ that changed nothing.
 it on stderr as one JSON line after their text on stdout.  No JSON they
 print holds NaN or Infinity: a non-finite value that reaches one is a
 numerical failure.
-Wall-clock runtime is excluded from the checksum; re-runs with the same
-manifest parameters reproduce all checksummed bytes.  ``simulate`` also
-prints its per-phase seconds and process count on stderr, and ``solve`` its
-march seconds, steps/s, CFL fraction and node counts.
+Stdout, and every file a command writes, is a function of the manifest
+parameters: a rerun with them reproduces it byte for byte.  Timings go to
+stderr: ``simulate`` prints its run and per-phase seconds and process
+count, and ``solve`` its march seconds, steps/s, CFL fraction and node counts.
 """
 
 from __future__ import annotations
@@ -78,10 +78,8 @@ def _json(value, **kwargs) -> str:
 
 
 def _canonical_checksum(payload: dict) -> str:
-    """SHA-256 over the canonical JSON of the payload, runtime stripped."""
-    stable = {k: v for k, v in payload.items() if k != "runtime_seconds"}
-    blob = _json(stable, sort_keys=True).encode("utf-8")
-    return hashlib.sha256(blob).hexdigest()
+    """SHA-256 over the canonical JSON of the payload."""
+    return hashlib.sha256(_json(payload, sort_keys=True).encode("utf-8")).hexdigest()
 
 
 def _manifest(args, **resolved) -> dict:
@@ -255,6 +253,7 @@ def cmd_solve(args) -> int:
     indicator = not args.ic.startswith("table:")
     _read_options(args, {"c": ("--ic one-sided or two-sided", indicator, None)})
     _require_writable("--out", args.out)
+    _require_writable("--out", args.out + ".manifest.json")
     if args.ic in ("one-sided", "two-sided"):
         if args.c is None:
             raise DomainError(f"--ic {args.ic} requires --c")

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .capacity import VolatilityBand, tail_threshold
+from .capacity import VolatilityBand, _tail_level, tail_threshold
 from .errors import ConfigurationError
 from .gheat import ThresholdLevel
 from .special import norm_quantile
@@ -119,7 +119,7 @@ class PolicySpec:
         elif self.kind == "heuristic_t":
             if self.crit_rule == "normal":
                 self._need_alpha()
-                crit = norm_quantile(1.0 - self.alpha / 2.0)
+                crit = norm_quantile(_tail_level(self.alpha, "two"))
             elif self.crit_rule == "fixed":
                 if self.c_alpha is None or not self.c_alpha > 0.0:
                     raise ConfigurationError("fixed rule needs c_alpha > 0")

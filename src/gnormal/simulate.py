@@ -53,6 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import SFC64, Generator, SeedSequence
 
+from .capacity import _tail_level
 from .errors import ConfigurationError, DomainError
 from .policy import PolicySpec
 from .special import norm_quantile, t_quantile
@@ -114,10 +115,8 @@ class TestSpec:
                 raise ConfigurationError("z statistic needs a finite sigma_ref > 0")
 
     def critical_value(self, n: int) -> float:
-        p = 1.0 - (self.alpha if self.sided == "one" else self.alpha / 2.0)
-        if self.statistic == "t":
-            return t_quantile(p, n - 1)
-        return norm_quantile(p)
+        p = _tail_level(self.alpha, self.sided)
+        return t_quantile(p, n - 1) if self.statistic == "t" else norm_quantile(p)
 
 
 @dataclass(frozen=True)
@@ -184,10 +183,9 @@ class SimulationReport:
     rate: float
     ci95: tuple[float, float]
     histogram: Histogram
-    runtime_seconds: float
     config: SimulationConfig
-    # Seconds per phase, like ``runtime_seconds`` volatile and kept out of
-    # ``to_json_dict``: noise_s, step_s and tally_s summed over processes,
+    # Kept out of ``to_json_dict``, as seconds vary between runs: run_s of
+    # the whole run, noise_s, step_s and tally_s summed over processes,
     # fork_s and merge_s in the calling process; and ``processes``, the
     # number of tile ranges, each its own process where ``os.fork`` exists.
     diagnostics: dict[str, float]
@@ -209,7 +207,6 @@ class SimulationReport:
                 "overflow": self.histogram.overflow,
                 "bins": [int(c) for c in self.histogram.counts],
             },
-            "runtime_seconds": self.runtime_seconds,
             "config_echo": _config_echo(self.config),
         }
 
@@ -220,7 +217,7 @@ def _config_echo(config: SimulationConfig) -> dict:
     # unattainable by construction.  The noise scheme decides every tally,
     # so it is echoed.
     pol = config.policy
-    echo = {
+    return {
         "n": config.n,
         "reps": config.reps,
         "seed": config.seed,
@@ -242,7 +239,6 @@ def _config_echo(config: SimulationConfig) -> dict:
             "sigma_ref": config.test.sigma_ref,
         },
     }
-    return echo
 
 
 def wilson_interval(successes: int, trials: int, z: float) -> tuple[float, float]:
@@ -441,6 +437,7 @@ def run(config: SimulationConfig) -> SimulationReport:
     rate = rejections / effective if effective > 0 else math.nan
     z95 = norm_quantile(0.975)
     ci = wilson_interval(rejections, effective, z95) if effective > 0 else (0.0, 1.0)
+    diagnostics["run_s"] = time.perf_counter() - start
     return SimulationReport(
         reps=config.reps,
         rejections=rejections,
@@ -448,7 +445,6 @@ def run(config: SimulationConfig) -> SimulationReport:
         rate=rate,
         ci95=ci,
         histogram=Histogram(HIST_LO, HIST_HI, tally[3:-1], underflow, overflow),
-        runtime_seconds=time.perf_counter() - start,
         config=config,
         diagnostics=diagnostics,
     )

@@ -8,13 +8,16 @@ import pytest
 
 from gnormal import (
     DomainError,
+    TestSpec,
     VolatilityBand,
+    heuristic_t_policy,
     norm_cdf,
     norm_quantile,
     p1,
     p2_approx,
     profile_f,
     relative_error_bound,
+    t_quantile,
     two_sided_error_bound,
 )
 
@@ -268,6 +271,22 @@ class TestTailThreshold:
             assert tail_threshold(alpha, band, "two") == 2.0 * norm_quantile(1.0 - alpha / 2)
         with pytest.raises(DomainError):
             tail_threshold(0.05, band, "both")
+
+    def test_threshold_test_and_heuristic_policy_share_one_level(self):
+        # the three callers of capacity._tail_level, at sigma_hi = 1 so that
+        # each returns the bare quantile
+        band = VolatilityBand(0.8, 1.0)
+        n = 37
+        for alpha in (1e-4, 0.001, 0.01, 0.037, 0.05, 0.1, 0.3, 0.5):
+            for sided, level in (("one", 1.0 - alpha), ("two", 1.0 - alpha / 2.0)):
+                q = norm_quantile(level)
+                z = TestSpec(sided=sided, alpha=alpha, statistic="z", sigma_ref=1.0)
+                t = TestSpec(sided=sided, alpha=alpha, statistic="t")
+                assert tail_threshold(alpha, band, sided) == q
+                assert z.critical_value(n) == q
+                assert t.critical_value(n) == t_quantile(level, n - 1)
+            crit = norm_quantile(1.0 - alpha / 2.0)
+            assert heuristic_t_policy(band, n, alpha).bound == crit * crit * n
 
 
 class TestTwoSidedApprox:

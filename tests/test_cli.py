@@ -344,6 +344,21 @@ class TestSolveCommand:
         ]
         assert list(tmp_path.iterdir()) == []
 
+    def test_directory_manifest_is_usage_error_before_the_march(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.setattr(cli, "solve", lambda *args, **kwargs: pytest.fail("marched"))
+        out_path = tmp_path / "u.csv"
+        manifest_path = tmp_path / "u.csv.manifest.json"
+        manifest_path.mkdir()
+        argv = ["solve", "--ic", "one-sided", "--c", "0.5", "--sigma-lo", "0.8",
+                "--sigma-hi", "1", "--nx", "41", "--out", str(out_path)]
+        assert cli.main(argv) == cli.USAGE_ERROR
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: --out {str(manifest_path)!r}: is a directory"
+        ]
+        assert list(tmp_path.iterdir()) == [manifest_path]
+
     def test_cfl_violation_exit_2(self, tmp_path):
         proc = run_cli(
             "solve", "--ic", "one-sided", "--c", "0", "--sigma-lo", "1",
@@ -403,12 +418,13 @@ class TestSimulateCommand:
         out = json_out(proc)
         assert out["manifest"]["numpy"] == numpy.__version__
         assert out["config_echo"]["noise"] == RNG_SCHEME
-        assert "diagnostics" not in out
+        assert "diagnostics" not in out and "runtime_seconds" not in out
         line = [l for l in proc.stderr.splitlines() if l.startswith("diagnostics: ")]
         phases = json.loads(line[0].split(": ", 1)[1])
         assert set(phases) == {
-            "noise_s", "step_s", "tally_s", "fork_s", "merge_s", "processes"
+            "run_s", "noise_s", "step_s", "tally_s", "fork_s", "merge_s", "processes"
         }
+        assert phases["run_s"] > 0.0
         assert not any(l.startswith("workers: ") for l in proc.stderr.splitlines())
 
     def test_null_rate_near_alpha(self):
@@ -621,8 +637,7 @@ class TestTopLevel:
         # output_sha256 and parameters, and the rest too: simulate's
         # histogram checksum, solve's step plan
         assert again == manifest
-        if command in ("capacity", "threshold"):
-            assert second.out == first.out
+        assert second.out == first.out
         if case == "threshold-default-nx":
             # the march's node count, not a null
             assert manifest["parameters"]["nx"] == 1201

@@ -414,9 +414,7 @@ class TestSplit:
             ):
                 config = self.config(spec, test, workers)
                 report, _ = self.run_on(monkeypatch, tmp_path, config, cpus)
-                payload = report.to_json_dict()
-                del payload["runtime_seconds"]
-                payloads.add(json.dumps(payload, sort_keys=True))
+                payloads.add(json.dumps(report.to_json_dict(), sort_keys=True))
                 assert report.diagnostics["processes"] == processes
                 assert report.diagnostics["noise_s"] > 0.0
                 assert report.diagnostics["step_s"] > 0.0
@@ -630,11 +628,11 @@ class TestReportShape:
             seed=0,
         )
         payload = run(config).to_json_dict()
-        for key in (
+        # results only: no runtime_seconds or other wall-clock field
+        assert set(payload) == {
             "reps", "rejections", "degenerate", "rate", "ci95_lo", "ci95_hi",
-            "histogram", "runtime_seconds", "config_echo",
-        ):
-            assert key in payload
+            "histogram", "config_echo",
+        }
         assert payload["histogram"]["lo"] == -6.0
         assert len(payload["histogram"]["bins"]) == HIST_BINS
         assert payload["config_echo"]["policy"]["kind"] == "constant"
@@ -649,8 +647,9 @@ class TestReportShape:
         )
         report = run(config)
         assert set(report.diagnostics) == {
-            "noise_s", "step_s", "tally_s", "fork_s", "merge_s", "processes"
+            "run_s", "noise_s", "step_s", "tally_s", "fork_s", "merge_s", "processes"
         }
         assert all(seconds >= 0.0 for seconds in report.diagnostics.values())
+        assert report.diagnostics["run_s"] > 0.0
         assert report.diagnostics["fork_s"] > 0.0
         assert "diagnostics" not in report.to_json_dict()
