@@ -23,12 +23,12 @@ Numerical conventions that matter to the contracts:
   made once per march: D = (u[j-1] + u[j+1]) - 2 u[j], the undivided
   second difference; g = max(a_hi D, a_lo D) with the coefficients
   a = (dt/dx^2) s^2/2 computed once per march; u[j] += g on the interior;
-  then the two boundary values.  This D order makes every step bitwise
-  mirror-symmetric for symmetric data on a symmetric grid.  2 u[j] is
-  u[j] + u[j], the same float as 2 * u[j] for every input (subnormals
-  and -0.0 too) with the same overflow flag; a_hi and a_lo are 0-d
-  float64 arrays holding the Python floats' values, since numpy 2
-  (NEP 50) converts a Python float operand in every call.  As
+  then the values of the ends that move (see below).  This D order makes
+  every step bitwise mirror-symmetric for symmetric data on a symmetric
+  grid.  2 u[j] is u[j] + u[j], the same float as 2 * u[j] for every
+  input (subnormals and -0.0 too) with the same overflow flag; a_hi and
+  a_lo are 0-d float64 arrays holding the Python floats' values, since
+  numpy 2 (NEP 50) converts a Python float operand in every call.  As
   a_hi >= a_lo >= 0, g equals a_hi max(D, 0) + a_lo min(D, 0) up to the
   sign of a zero, and that sign changes u[j] + g only where u[j] is -0.0.
   No node ever holds -0.0: indicator data and the closed-form ends are
@@ -38,8 +38,19 @@ Numerical conventions that matter to the contracts:
   behind a ghost node nx//2 - 1 that copies its mirror after the step's
   right boundary value.  Datum and ends are mirror images, so by the
   symmetry above every kept node holds the full march's bits.  The ghost
-  reads no boundary value, so such a march builds only the right end's
-  list of them.
+  reads no boundary value, so such a march evaluates only the right end.
+* An end is evaluated only if its closed form can leave the datum.  Each
+  piece f(y) of the closed form at an end tends, as t -> 0, to the datum's
+  share of it (1 for y > 0, 0 for y < 0) and moves away from that limit as
+  t grows, so its distance from it is largest at the last time an end is
+  set, n_steps dt.  Where the datum is 1 and those distances sum there to
+  at most 2^-56, the sum 1 - a + b with a, b >= 0 rounds to exactly 1.0 at
+  every step: 1 - a is 1.0 for a <= 2^-54 and 1.0 + b is 1.0 for
+  b <= 2^-53, and the factor of 4 and more covers the few ulps of erfc and
+  of the check's own rounding.  Such an end keeps its datum unevaluated.
+  Of the evaluated ends, only those whose value differs (exact !=) from the
+  datum at some step keep their list of values and are written each step;
+  the others already hold the value every step would write.
 * A step updates only a window of interior nodes.  The one set at state
   s = jK, K = _SCAN_STEPS, is the hull of the nonzero D of state s - 1
   (read off the whole D buffer, +0.0 outside the window) and of each end
@@ -91,6 +102,7 @@ from .capacity import (
     two_sided_error_bound,
 )
 from .errors import ConfigurationError, DomainError, NumericalError
+from .special import norm_cdf
 
 __all__ = [
     "IndicatorAbove",
@@ -124,6 +136,10 @@ MAX_VALUES = 10_000_000
 # Steps between two settings of the march's active window (K in the module
 # notes).  Rescans cost a scan of D; wider cones cost more nodes per step.
 _SCAN_STEPS = 32
+
+# An end whose datum is 1 keeps it, unevaluated, when its closed form's pieces
+# lie at most this far from their t -> 0 limits in all; see the module notes.
+_END_GAP = 2.0**-56
 
 # Tolerance of verify_sandwich's discrete triple.  It cannot be zero: the
 # float one-step map is monotone only to about 1.6 eps.
@@ -235,7 +251,8 @@ class GridSolution:
     ``values[k, j]`` is u(times[k], x[j]).  ``snapped_c`` is the
     cell-midpoint threshold actually used for indicator data.
     ``diagnostics`` holds the march's wall seconds (``march_s``, set-up
-    included), ``steps_per_s``, ``cfl``, the CFL fraction actually used,
+    included), ``setup_s``, the seconds before the first step (grid, datum
+    and end values), ``steps_per_s``, ``cfl``, the CFL fraction actually used,
     dt s_hi^2 / dx^2 (at most ``safety``, up to one rounding of dt),
     ``nodes_per_step``, the interior nodes (fewer in a half march), and
     ``active_nodes_per_step``, the mean over steps of those updated; it is
@@ -352,6 +369,23 @@ def _closed_form(ic, c, x, t, band):
     return out
 
 
+def _limit_gap(ic, c, x, t, band):
+    """How far the pieces of ``_closed_form`` at the node x lie from their
+    t -> 0 limits at time t > 0, summed: 2 s_lo/(s_hi+s_lo) Phi(-y/s_lo)
+    for a piece f(y) with y > 0, 2 s_hi/(s_hi+s_lo) Phi(y/s_hi) for y <= 0.
+    Each term grows with t."""
+    lo, hi = band.sigma_lo, band.sigma_hi
+
+    def gap(y):
+        return 2.0 * (lo * norm_cdf(-y / lo) if y > 0.0 else hi * norm_cdf(y / hi)) / (hi + lo)
+
+    rt = math.sqrt(t)
+    out = gap((x - c) / rt)
+    if isinstance(ic, IndicatorAbsAbove):
+        out += gap((-x - c) / rt)
+    return out
+
+
 @dataclass(frozen=True)
 class _March:
     """One explicit march to t_end.  ``times[k]`` is the time of step k
@@ -407,20 +441,24 @@ def _march(
     mirror = 0  # u[mirror] is the ghost's mirror in a half march; see the module notes
     if isinstance(ic, IndicatorAbsAbove) and grid.x_min == -grid.x_max:
         x, u0, mirror = x[grid.nx // 2 - 1 :], u0[grid.nx // 2 - 1 :], 1 + grid.nx % 2
-    ends = [-1] if mirror else [0, -1]
-    # Boundary values of every step at once, as Python floats for cheap
-    # indexing in the step loop; t_next = (k + 1) * dt.
+    # The values of steps 1 .. n_steps, as Python floats for cheap indexing in
+    # the step loop, of each end that moves off its datum; see the module notes.
+    bc_left = bc_right = None
     if snapped_c is not None and band.sigma_lo > 0.0:
-        t_next = np.arange(1, n_steps + 1)[:, None] * dt
-        boundary = _closed_form(ic, snapped_c, x[ends], t_next, band)
-    else:
-        boundary = np.broadcast_to(u0[ends], (n_steps, len(ends)))
-    # A half march builds no left list: its ghost never reads one.
-    bc_right = boundary[:, -1].tolist()
-    bc_left = None if mirror else boundary[:, 0].tolist()
-    # The interior index just past each end that ever moves; see the module notes.
+        t_last = n_steps * dt  # the latest time an end is set for
+        ends = [
+            e for e in ([-1] if mirror else [0, -1])
+            if not (u0[e] == 1.0
+                    and _limit_gap(ic, snapped_c, float(x[e]), t_last, band) <= _END_GAP)
+        ]
+        if ends:
+            t_next = np.arange(1, n_steps + 1)[:, None] * dt
+            boundary = _closed_form(ic, snapped_c, x[ends], t_next, band)
+            moved = {e: col.tolist() for e, col in zip(ends, boundary.T) if (col != u0[e]).any()}
+            bc_left, bc_right = moved.get(0), moved.get(-1)
+    # The interior index just past each end that moves.
     n, K = x.size - 2, _SCAN_STEPS
-    movers = [p for p, m in zip([-1, n][-len(ends) :], (boundary != u0[ends]).any(axis=0)) if m]
+    movers = [p for p, bc in ((-1, bc_left), (n, bc_right)) if bc]
     updates = [0]
 
     def states(report):
@@ -441,8 +479,7 @@ def _march(
             updates[0] = n * min(K, n_steps)
 
             for r in report:
-                # D of state k, then step k, which takes state k to k + 1.
-                for k in range(k, r + 1):
+                while True:
                     if k == scan:
                         # The moving ends and the nonzero D of state k - 1, which
                         # d2 still holds, widened by K: the cone of states k .. k + K - 1.
@@ -458,20 +495,33 @@ def _march(
                         updates[0] += (hi - lo) * (min(scan, n_steps) - k)
                         west, mid, east = u[lo:hi], u[lo + 1 : hi + 1], u[lo + 2 : hi + 2]
                         d, gw, w = d2[lo:hi], g[lo:hi], work[lo:hi]
-                    # (u[j-1] + u[j+1]) - 2 u[j] in mirror-stable order, 2 u[j] as u[j] + u[j].
-                    add(west, east, out=d)
-                    add(mid, mid, out=w)
-                    subtract(d, w, out=d)
-                    if k == r:
+                    if k >= r:
                         break
-                    # dt G(D/dx^2) = max(a_hi D, a_lo D); see the module notes.
-                    multiply(d, a_hi, out=gw)
-                    multiply(d, a_lo, out=w)
-                    maximum(gw, w, out=gw)
-                    add(mid, gw, out=mid)
-                    # The ghost goes last: at nx = 3 its mirror is the right end.
-                    u[-1] = bc_right[k]
-                    u[0] = u[mirror] if mirror else bc_left[k]
+                    # Steps k .. up to the next scan or report: each takes state k to k + 1.
+                    # The output goes positionally (a keyword costs ~30 ns a call),
+                    # except to maximum, which deprecates a third positional argument.
+                    for k in range(k, min(scan, r)):
+                        # (u[j-1] + u[j+1]) - 2 u[j] in mirror-stable order, 2 u[j] as u[j] + u[j].
+                        add(west, east, d)
+                        add(mid, mid, w)
+                        subtract(d, w, d)
+                        # dt G(D/dx^2) = max(a_hi D, a_lo D); see the module notes.
+                        multiply(d, a_hi, gw)
+                        multiply(d, a_lo, w)
+                        maximum(gw, w, out=gw)
+                        add(mid, gw, mid)
+                        # The ghost goes last: at nx = 3 its mirror is the right end.
+                        if bc_right:
+                            u[-1] = bc_right[k]
+                        if mirror:
+                            u[0] = u[mirror]
+                        elif bc_left:
+                            u[0] = bc_left[k]
+                    k += 1
+                # D of state r.
+                add(west, east, d)
+                add(mid, mid, w)
+                subtract(d, w, d)
                 # Backstop for a consumer that runs the march without that errstate.
                 if r == n_steps and not np.isfinite(u).all():
                     raise NumericalError(f"non-finite values detected at step {n_steps}")
@@ -498,6 +548,7 @@ def solve(
     """
     start = time.perf_counter()
     march = _march(ic, band, grid, max_levels)
+    setup_s = time.perf_counter() - start
     times = march.times[:: march.stride]
     values = np.empty((times.size, grid.nx))
     # A half march leaves the nodes left of its ghost to their mirrors.
@@ -515,6 +566,7 @@ def solve(
         snapped_c=march.snapped_c,
         diagnostics={
             "march_s": march_s,
+            "setup_s": setup_s,
             "steps_per_s": n_steps / march_s,
             "cfl": march.dt * band.sigma_hi * band.sigma_hi / (grid.dx * grid.dx),
             "nodes_per_step": march.x.size - 2,
@@ -563,15 +615,19 @@ def two_sided_threshold(
     """
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must lie in (0, 1), got {alpha!r}")
-    if levels < 1:
-        raise DomainError("levels must be >= 1")
+    if not 1 <= levels <= MAX_STEPS:
+        raise DomainError(f"levels must lie in [1, {MAX_STEPS}], got {levels!r}")
     c = tail_threshold(alpha, band, "two")
     grid = default_two_sided_grid(c, band, nx=nx)
     march = _march(IndicatorAbsAbove(c), band, grid, max_levels=2)
-    picks = [
-        int(np.argmin(np.abs(march.times - j * grid.t_end / levels)))
-        for j in range(1, levels + 1)
-    ]
+    # Row j's time j t_end / levels lies between the steps before and at the
+    # first step not earlier than it; the nearer one wins, the earlier on a tie.
+    times = march.times
+    wanted = np.arange(1, levels + 1) * grid.t_end / levels
+    after = np.minimum(np.searchsorted(times, wanted), times.size - 1)
+    before = np.maximum(after - 1, 0)
+    nearer = np.abs(times[before] - wanted) <= np.abs(times[after] - wanted)
+    picks = np.where(nearer, before, after).tolist()
     pos_from = int(np.searchsorted(march.x[1:-1], 0.0))
     noise_floor = _D2_NOISE_MULT * np.finfo(float).eps
     with np.errstate(over="raise", invalid="raise"):
@@ -579,7 +635,7 @@ def two_sided_threshold(
             k: _d2_sign_change_root(march.x, d2, pos_from, march.snapped_c, noise_floor)
             for k, _, d2 in march.states(sorted(set(picks)))
         }
-    return [ThresholdLevel(float(march.times[k]), *roots[k]) for k in picks]
+    return [ThresholdLevel(float(times[k]), *roots[k]) for k in picks]
 
 
 def verify_sandwich(c: float, band: VolatilityBand) -> SandwichReport:

@@ -47,6 +47,10 @@ __all__ = [
     "heuristic_t_policy",
 ]
 
+# Most (row, step) distances the two-sided rule holds at once while it finds
+# each step's nearest table row.
+_BLOCK_VALUES = 1 << 16
+
 
 @dataclass(frozen=True)
 class PolicySpec:
@@ -111,11 +115,17 @@ class PolicySpec:
             # NaN fails both comparisons, so a NaN row is rejected too.
             if not (taus.max() >= 1.0 - 1e-12 and taus.min() > 0.0):
                 raise ConfigurationError("threshold table must cover time_remaining in (0, 1]")
-            # Nearest table row for time remaining 1 - (i-1)/n; argmin keeps
-            # the first row among equally near ones.
-            time_remaining = 1.0 - np.arange(-1, n) / n
-            nearest = np.argmin(np.abs(taus[:, None] - time_remaining), axis=0)
-            bound = np.array([row.threshold for row in self.table])[nearest] * root_n
+            # Nearest table row for time remaining 1 - (i-1)/n, a block of
+            # steps i at a time; argmin keeps the first row among equally near ones.
+            nearest = np.empty(n + 1, dtype=np.intp)
+            block = max(1, _BLOCK_VALUES // taus.size)
+            for start in range(0, n + 1, block):
+                time_remaining = 1.0 - np.arange(start - 1, min(start + block, n + 1) - 1) / n
+                nearest[start : start + block] = np.argmin(
+                    np.abs(taus[:, None] - time_remaining), axis=0
+                )
+            bound = np.array([row.threshold for row in self.table])[nearest]
+            bound *= root_n
         elif self.kind == "heuristic_t":
             if self.crit_rule == "normal":
                 self._need_alpha()

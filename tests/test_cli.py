@@ -241,13 +241,15 @@ class TestSolveCommand:
         line = [l for l in proc.stderr.splitlines() if l.startswith("diagnostics: ")]
         diag = json.loads(line[0].split(": ", 1)[1])
         assert set(diag) == {
-            "march_s", "steps_per_s", "cfl", "nodes_per_step", "active_nodes_per_step"
+            "march_s", "setup_s", "steps_per_s", "cfl", "nodes_per_step",
+            "active_nodes_per_step",
         }
         assert diag["nodes_per_step"] == 201 - 100 - 1  # the half march ran
         assert 0.0 < diag["active_nodes_per_step"] <= diag["nodes_per_step"]
         assert 0.0 < diag["cfl"] <= 0.5
+        assert 0.0 <= diag["setup_s"] <= diag["march_s"]
         manifest = (tmp_path / "d.csv.manifest.json").read_text()
-        assert "march_s" not in manifest and "cfl" not in manifest
+        assert not any(key in manifest for key in ("march_s", "setup_s", "cfl"))
 
     def test_overflow_is_one_numerical_failure_line(self, tmp_path):
         table = tmp_path / "huge.csv"
@@ -400,6 +402,19 @@ class TestThresholdCommand:
         assert abs(float(last[1]) - norm_quantile(0.975)) <= 0.05
         manifest = json.loads(proc.stderr.strip().splitlines()[-1])
         assert manifest["subcommand"] == "threshold"
+
+    def test_too_many_levels_is_usage_error(self, capsys):
+        band = ["--alpha", "0.05", "--sigma-lo", "0.8", "--sigma-hi", "1"]
+        for argv in (["threshold", *band, "--levels", "1000001"],
+                     ["simulate", *band, "--n", "10", "--reps", "100", "--sided", "two",
+                      "--stat", "z", "--policy", "two-sided-thresh",
+                      "--table-levels", "1000001"]):
+            assert cli.main(argv) == cli.USAGE_ERROR
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.splitlines() == [
+                "error: levels must lie in [1, 1000000], got 1000001"
+            ]
 
     def test_constant_band_flag(self):
         proc = run_cli("threshold", "--alpha", "0.05", "--sigma-lo", "1",

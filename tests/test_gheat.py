@@ -3,6 +3,7 @@ maximum principle, symmetry, refinement behavior, sandwich checking."""
 
 import csv
 import dataclasses
+import itertools
 import math
 import operator
 import tracemalloc
@@ -448,6 +449,48 @@ class TestActiveWindow:
         assert sol.diagnostics["active_nodes_per_step"] == sol.diagnostics["nodes_per_step"] == 19
 
 
+class TestPinnedEnds:
+    """An end whose datum is 1 is left unevaluated when its closed form
+    rounds to 1.0 at every step; every end still holds its closed form (or
+    its datum where sigma_lo = 0) bit for bit at every step."""
+
+    # Symmetric grids (a half march for 1{|x| > c}) and shifted ones.  On
+    # +-7.35 in the band (0.8, 1) the right end of 1{x > 1} at t = 1 sits
+    # about 3e-15 below 1.0: inside 2^-40, far outside 2^-56.
+    GRIDS = ((-7.35, 7.35), (-11.0, 11.0), (-4.0, 4.0), (-7.35, 8.0), (-11.0, 9.0), (-4.0, 4.5))
+
+    @pytest.mark.parametrize("lo, hi", [(0.8, 1.0), (0.5, 2.0), (0.2, 1.0), (1.0, 1.0),
+                                        (0.0, 1.0), (0.99, 1.0)])
+    def test_end_values_are_the_closed_form_at_every_step(self, lo, hi):
+        band = VolatilityBand(lo, hi)
+        for (x_min, x_max), c, t_end in itertools.product(self.GRIDS, (0.3, 1.0, 2.0),
+                                                          (0.25, 1.0)):
+            for ic in (IndicatorAbove(c), IndicatorAbsAbove(c)):
+                march = _march(ic, band, GridSpec(x_min, x_max, 61, t_end), 2)
+                n = march.times.size - 1
+                ends = np.array([u[[0, -1]] for _, u, _ in march.states(range(n + 1))])
+                if lo > 0.0:
+                    t_next = np.arange(1, n + 1)[:, None] * march.dt
+                    want = gheat._closed_form(ic, march.snapped_c, march.x[[0, -1]], t_next, band)
+                else:
+                    want = np.broadcast_to(ends[0], (n, 2))
+                # A half march's left node is its ghost, checked by the full-grid tests.
+                kept = slice(1, 2) if march.x.size < 61 else slice(0, 2)
+                got = ends[1:, kept].tobytes()
+                assert got == want[:, kept].tobytes(), (lo, x_min, x_max, c, t_end, ic)
+
+    def test_ends_within_the_gap_are_not_evaluated(self, monkeypatch):
+        # Of the four end pieces of verify_sandwich(1.0) on (0.8, 1), only the
+        # one-sided left end's moves off its datum.
+        evaluated = []
+        closed_form = gheat._closed_form
+        monkeypatch.setattr(gheat, "_closed_form",
+                            lambda ic, c, x, t, band: evaluated.append(x.size)
+                            or closed_form(ic, c, x, t, band))
+        assert verify_sandwich(1.0, BAND).passed
+        assert evaluated == [1]
+
+
 # One explicit step on table data whose abscissae are the grid nodes, so the
 # sampled datum is the table itself.  Magnitudes stay in [1e-3, 1e3] (or 0),
 # so scaling by 2^m with |m| <= 8 neither overflows nor reaches subnormals.
@@ -589,13 +632,15 @@ class TestDiagnostics:
             sol = solve(IndicatorAbsAbove(1.0), BAND, grid, max_levels=3)
             diag = sol.diagnostics
             assert set(diag) == {
-                "march_s", "steps_per_s", "cfl", "nodes_per_step", "active_nodes_per_step"
+                "march_s", "setup_s", "steps_per_s", "cfl", "nodes_per_step",
+                "active_nodes_per_step",
             }
             assert diag["nodes_per_step"] == nx - nx // 2 - 1
             assert 0.0 < diag["active_nodes_per_step"] <= diag["nodes_per_step"]
             assert 0.0 < diag["cfl"] <= safety
             assert diag["cfl"] == pytest.approx(sol.dt * BAND.sigma_hi**2 / grid.dx**2)
             assert diag["march_s"] > 0.0
+            assert 0.0 <= diag["setup_s"] <= diag["march_s"]
             assert diag["steps_per_s"] == pytest.approx(sol.n_steps / diag["march_s"])
 
     def test_step_never_rounds_past_the_limit(self):
@@ -788,6 +833,25 @@ class TestThresholdLocus:
         assert len(by_step) < levels
         for shared in by_step.values():
             assert len({(r.time_remaining, r.threshold, r.flag) for r in shared}) == 1
+
+    @pytest.mark.parametrize("nx", [41, 1201])
+    def test_rows_read_the_step_a_full_search_picks(self, nx):
+        # nx = 41 takes 4 steps of 1/4, so 8 and 24 levels put rows on exact
+        # ties; 1201 takes 3,146 steps of a dt that is not a round number.
+        c = tail_threshold(0.05, BAND, "two")
+        times = _march(IndicatorAbsAbove(c), BAND, default_two_sided_grid(c, BAND, nx=nx), 2).times
+        for levels in (1, 3, 8, 24, 50, 4_001):
+            rows = two_sided_threshold(BAND, 0.05, levels, nx=nx)
+            want = [times[int(np.argmin(np.abs(times - j * 1.0 / levels)))]
+                    for j in range(1, levels + 1)]
+            assert [row.time_remaining for row in rows] == want, (nx, levels)
+
+    def test_levels_are_bounded_before_the_march(self, monkeypatch):
+        monkeypatch.setattr(gheat, "MAX_STEPS", 10)
+        assert len(two_sided_threshold(BAND, 0.05, 10, nx=41)) == 10
+        monkeypatch.setattr(gheat, "_march", None)  # never reached
+        with pytest.raises(DomainError, match=r"^levels must lie in \[1, 10\], got 11$"):
+            two_sided_threshold(BAND, 0.05, 11, nx=41)
 
 
 class TestVerifySandwich:

@@ -2,6 +2,7 @@
 curvature-rule equivalence."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from gnormal import (
     two_sided_threshold,
     two_sided_threshold_policy,
 )
+from gnormal import policy
 
 from oracles import pde_policy_equiv_check, profile_f_yy, scalar_sigma
 
@@ -188,6 +190,33 @@ class TestTwoSidedThresholdPolicy:
             BAND, 4, [ThresholdLevel(0.5, 1.0), ThresholdLevel(1.0, 3.0)]
         )
         assert scalar_sigma(spec, *state_after([4.0])) == BAND.sigma_lo
+
+    @pytest.mark.parametrize("block", [1, 7, 1 << 16])
+    def test_bound_is_the_whole_table_argmin_bitwise(self, monkeypatch, block):
+        # Equal times (the first row wins) and steps halfway between two
+        # rows (the first again) at n = 8 and 16; blocks of 1 and 7 split
+        # the steps unevenly.
+        rows = [ThresholdLevel(t, thr) for t, thr in
+                ((0.25, 1.0), (0.5, 2.0), (0.5, 3.0), (0.75, 4.0), (1.0, 5.0), (0.125, 6.0))]
+        monkeypatch.setattr(policy, "_BLOCK_VALUES", block)
+        for table in (rows, two_sided_threshold(BAND, 0.05, 50, nx=201)):
+            taus = np.array([row.time_remaining for row in table])
+            for n in (1, 4, 8, 13, 16, 1000):
+                nearest = np.argmin(np.abs(taus[:, None] - (1.0 - np.arange(-1, n) / n)), axis=0)
+                want = np.array([row.threshold for row in table])[nearest] * math.sqrt(n)
+                bound = two_sided_threshold_policy(BAND, n, table).bound
+                assert bound.tobytes() == want.tobytes(), (block, n)
+
+    def test_bound_memory_is_linear_in_n(self, table):
+        # The whole (rows, n + 1) distance table at n = 2e5 and 20 rows
+        # would be 32 MB, twice over; the kept bound is 1.6 MB.
+        tracemalloc.start()
+        try:
+            bound = two_sided_threshold_policy(BAND, 200_000, table).bound
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * bound.nbytes
 
 
 class TestHeuristicT:
