@@ -121,15 +121,17 @@ def p1(c: float, band: VolatilityBand) -> float:
 
 
 def _tail_level(alpha: float, sided: str) -> float:
-    """The quantile level of a level-alpha test: 1 - alpha or 1 - alpha/2."""
+    """The quantile level of a level-alpha test, checked here alone: 1 - alpha or 1 - alpha/2."""
+    if not 0.0 < alpha < 1.0:
+        raise DomainError(f"alpha must lie in (0, 1), got {alpha!r}")
+    if sided not in ("one", "two"):
+        raise DomainError(f"sided must be 'one' or 'two', got {sided!r}")
     return 1.0 - (alpha if sided == "one" else alpha / 2.0)
 
 
 def tail_threshold(alpha: float, band: VolatilityBand, sided: str) -> float:
     """Level-alpha threshold at the upper edge: sigma_hi * Phi^-1(1 - alpha)
     one-sided, sigma_hi * Phi^-1(1 - alpha/2) two-sided."""
-    if sided not in ("one", "two"):
-        raise DomainError(f"sided must be 'one' or 'two', got {sided!r}")
     return band.sigma_hi * norm_quantile(_tail_level(alpha, sided))
 
 

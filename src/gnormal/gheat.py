@@ -225,7 +225,7 @@ class GridSpec:
         return (self.x_max - self.x_min) / (self.nx - 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ThresholdLevel:
     """One row of the second-derivative sign-change locus."""
 
@@ -613,11 +613,9 @@ def two_sided_threshold(
     the row reports the solver's snapped threshold (the cell midpoint
     nearest c) with the degenerate flag set.
     """
-    if not 0.0 < alpha < 1.0:
-        raise DomainError(f"alpha must lie in (0, 1), got {alpha!r}")
+    c = tail_threshold(alpha, band, "two")
     if not 1 <= levels <= MAX_STEPS:
         raise DomainError(f"levels must lie in [1, {MAX_STEPS}], got {levels!r}")
-    c = tail_threshold(alpha, band, "two")
     grid = default_two_sided_grid(c, band, nx=nx)
     march = _march(IndicatorAbsAbove(c), band, grid, max_levels=2)
     # Row j's time j t_end / levels lies between the steps before and at the

@@ -21,8 +21,9 @@ rule is written once, in ``PolicySpec.sigma``, the kernel the Monte Carlo
 engine evaluates.  Conventions left open by the construction are
 configuration:
 
-* critical value: the normal quantile Phi^-1(1-alpha/2) (default) or an
-  explicit constant;
+* critical value: the constant ``c_alpha`` where it is set ("fixed"),
+  else the normal quantile Phi^-1(1-alpha/2) with alpha in (0, 1)
+  ("normal"); ``PolicySpec.crit_rule`` names the one in use;
 * steps i = 1, 2 (no variance estimate) and zero sample variance both take
   the sigma_hi branch, consistent with "not yet significant".
 """
@@ -50,6 +51,8 @@ __all__ = [
 # Most (row, step) distances the two-sided rule holds at once while it finds
 # each step's nearest table row.
 _BLOCK_VALUES = 1 << 16
+# Longest horizon n of any rule: the two-sided rule keeps a bound per step.
+MAX_N = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -58,10 +61,11 @@ class PolicySpec:
 
     ``kind`` is one of "constant", "one_sided_optimal",
     "two_sided_threshold", "heuristic_t"; the remaining fields apply per
-    kind and are validated on construction.  A field the rule never reads
-    (``c_alpha`` is read only under ``crit_rule="fixed"``, ``alpha`` only by
-    the one-sided rule and under ``crit_rule="normal"``) must keep its
-    default, so the config echo records only what the rule uses.
+    kind and are validated on construction.  A field is set exactly when
+    the rule reads it, so the config echo records only what the rule uses:
+    ``sigma_const`` for the constant rule, ``table`` for the two-sided
+    rule, ``alpha`` for the one-sided rule and for the heuristic rule
+    without ``c_alpha``, which the heuristic rule alone may set.
     Construction also computes ``bound``, the right-hand side of the rule's
     comparison: a float for the one-sided and heuristic rules, a read-only
     array indexed by step i for the two-sided rule, None for the constant
@@ -75,45 +79,40 @@ class PolicySpec:
     alpha: float | None = None
     sigma_const: float | None = None
     table: tuple[ThresholdLevel, ...] | None = None
-    crit_rule: str = "normal"
     c_alpha: float | None = None
     bound: float | np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = self.n
-        if n < 1:
-            raise ConfigurationError(f"horizon n must be >= 1, got {n!r}")
-        for name, default, read in (
-            ("alpha", None, self.kind == "one_sided_optimal"
-             or self.kind == "heuristic_t" and self.crit_rule != "fixed"),
-            ("sigma_const", None, self.kind == "constant"),
-            ("table", None, self.kind == "two_sided_threshold"),
-            ("crit_rule", "normal", self.kind == "heuristic_t"),
-            ("c_alpha", None, self.kind == "heuristic_t" and self.crit_rule == "fixed"),
+        if not 1 <= n <= MAX_N:
+            raise ConfigurationError(f"horizon n must lie in [1, {MAX_N}], got {n!r}")
+        heuristic = self.kind == "heuristic_t"
+        reads_alpha = self.kind == "one_sided_optimal" or heuristic and self.c_alpha is None
+        for name, read, required in (
+            ("alpha", reads_alpha, True),
+            ("sigma_const", self.kind == "constant", True),
+            ("table", self.kind == "two_sided_threshold", True),
+            ("c_alpha", heuristic, False),
         ):
-            if not read and getattr(self, name) != default:
+            unset = getattr(self, name) is None
+            if not read and not unset:
                 raise ConfigurationError(
                     f"{self.kind!r} policy with crit_rule={self.crit_rule!r} "
                     f"does not read {name}"
                 )
+            if read and required and unset:
+                raise ConfigurationError(f"{self.kind!r} policy needs {name}")
         root_n = math.sqrt(n)
         if self.kind == "constant":
-            if self.sigma_const is None or not (
-                self.band.sigma_lo <= self.sigma_const <= self.band.sigma_hi
-            ):
-                raise ConfigurationError(
-                    "constant policy needs sigma_const inside the band"
-                )
+            if not self.band.sigma_lo <= self.sigma_const <= self.band.sigma_hi:
+                raise ConfigurationError("constant policy needs sigma_const inside the band")
             bound = None
         elif self.kind == "one_sided_optimal":
-            self._need_alpha()
             bound = tail_threshold(self.alpha, self.band, "one") * root_n
         elif self.kind == "two_sided_threshold":
-            if not self.table:
-                raise ConfigurationError("two_sided_threshold policy needs a non-empty table")
             taus = np.array([row.time_remaining for row in self.table])
-            # NaN fails both comparisons, so a NaN row is rejected too.
-            if not (taus.max() >= 1.0 - 1e-12 and taus.min() > 0.0):
+            # An empty table covers nothing, and NaN fails both comparisons.
+            if not (taus.size and taus.max() >= 1.0 - 1e-12 and taus.min() > 0.0):
                 raise ConfigurationError("threshold table must cover time_remaining in (0, 1]")
             # Nearest table row for time remaining 1 - (i-1)/n, a block of
             # steps i at a time; argmin keeps the first row among equally near ones.
@@ -126,18 +125,12 @@ class PolicySpec:
                 )
             bound = np.array([row.threshold for row in self.table])[nearest]
             bound *= root_n
-        elif self.kind == "heuristic_t":
-            if self.crit_rule == "normal":
-                self._need_alpha()
+        elif heuristic:
+            crit = self.c_alpha
+            if crit is None:
                 crit = norm_quantile(_tail_level(self.alpha, "two"))
-            elif self.crit_rule == "fixed":
-                if self.c_alpha is None or not self.c_alpha > 0.0:
-                    raise ConfigurationError("fixed rule needs c_alpha > 0")
-                crit = self.c_alpha
-            else:
-                raise ConfigurationError(
-                    f"unknown heuristic critical-value rule {self.crit_rule!r}"
-                )
+            elif not crit > 0.0:
+                raise ConfigurationError("fixed rule needs c_alpha > 0")
             bound = crit * crit * n
         else:
             raise ConfigurationError(f"unknown policy kind {self.kind!r}")
@@ -145,9 +138,11 @@ class PolicySpec:
             bound.flags.writeable = False
         object.__setattr__(self, "bound", bound)
 
-    def _need_alpha(self) -> None:
-        if self.alpha is None or not 0.0 < self.alpha < 1.0:
-            raise ConfigurationError(f"policy kind {self.kind!r} needs alpha in (0, 1)")
+    @property
+    def crit_rule(self) -> str:
+        """The heuristic critical value in use: "fixed" where ``c_alpha`` is
+        set, else "normal"."""
+        return "normal" if self.c_alpha is None else "fixed"
 
     def sigma(self, i: int, s: np.ndarray, ss: np.ndarray | None):
         """Volatility for step i from the running sums ``s`` and sums of
@@ -192,11 +187,14 @@ def heuristic_t_policy(
     crit_rule: str | None = None,
     c_alpha: float | None = None,
 ) -> PolicySpec:
-    """Heuristic rule; ``crit_rule`` defaults to "fixed" when ``c_alpha`` is
-    given and to "normal" otherwise."""
-    if crit_rule is None:
-        crit_rule = "normal" if c_alpha is None else "fixed"
-    return PolicySpec(
-        kind="heuristic_t", band=band, n=n, alpha=alpha,
-        crit_rule=crit_rule, c_alpha=c_alpha,
-    )
+    """Heuristic rule with critical value ``c_alpha`` where it is given, else
+    Phi^-1(1 - alpha/2).  ``crit_rule`` may name that choice, "fixed" or
+    "normal"; a name that does not match ``c_alpha`` is an error."""
+    if crit_rule not in (None, "normal", "fixed"):
+        raise ConfigurationError(f"unknown heuristic critical-value rule {crit_rule!r}")
+    if crit_rule not in (None, "normal" if c_alpha is None else "fixed"):
+        raise ConfigurationError(
+            f"'heuristic_t' policy with crit_rule={crit_rule!r} "
+            + ("needs c_alpha" if c_alpha is None else "does not read c_alpha")
+        )
+    return PolicySpec(kind="heuristic_t", band=band, n=n, alpha=alpha, c_alpha=c_alpha)

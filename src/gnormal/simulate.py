@@ -90,8 +90,8 @@ _CHUNK_DOUBLES = 2**17
 class TestSpec:
     """Sidedness, level, and statistic of the test applied per replication.
 
-    ``statistic`` is "z" (known-sigma, scaled by ``sigma_ref``) or "t"
-    (Student statistic, critical value with n-1 degrees of freedom).
+    ``statistic`` is "z" (known-sigma, scaled by ``sigma_ref``, set for "z"
+    only) or "t" (Student statistic, critical value with n-1 degrees of freedom).
     """
 
     __test__ = False  # not a pytest class, despite the name
@@ -107,12 +107,12 @@ class TestSpec:
         if not 0.0 < self.alpha <= 0.5:
             raise ConfigurationError(f"alpha must lie in (0, 0.5], got {self.alpha!r}")
         if self.statistic not in ("z", "t"):
-            raise ConfigurationError(
-                f"statistic must be 'z' or 't', got {self.statistic!r}"
-            )
-        if self.statistic == "z":
-            if self.sigma_ref is None or not 0.0 < self.sigma_ref < math.inf:
-                raise ConfigurationError("z statistic needs a finite sigma_ref > 0")
+            raise ConfigurationError(f"statistic must be 'z' or 't', got {self.statistic!r}")
+        if self.statistic == "t":
+            if self.sigma_ref is not None:
+                raise ConfigurationError("t statistic does not read sigma_ref")
+        elif self.sigma_ref is None or not 0.0 < self.sigma_ref < math.inf:
+            raise ConfigurationError("z statistic needs a finite sigma_ref > 0")
 
     def critical_value(self, n: int) -> float:
         p = _tail_level(self.alpha, self.sided)

@@ -1,6 +1,7 @@
 """Closed-form capacity machinery against quadrature oracles and identities."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -13,12 +14,14 @@ from gnormal import (
     heuristic_t_policy,
     norm_cdf,
     norm_quantile,
+    one_sided_optimal_policy,
     p1,
     p2_approx,
     profile_f,
     relative_error_bound,
     t_quantile,
     two_sided_error_bound,
+    two_sided_threshold,
 )
 
 from gnormal.capacity import tail_threshold
@@ -269,8 +272,21 @@ class TestTailThreshold:
         for alpha in (0.01, 0.05, 0.3):
             assert tail_threshold(alpha, band, "one") == 2.0 * norm_quantile(1.0 - alpha)
             assert tail_threshold(alpha, band, "two") == 2.0 * norm_quantile(1.0 - alpha / 2)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="^sided must be 'one' or 'two', got 'both'$"):
             tail_threshold(0.05, band, "both")
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, -0.1, math.nan])
+    def test_level_outside_unit_interval(self, alpha):
+        # capacity._tail_level checks alpha for every path to a threshold
+        band = VolatilityBand(0.8, 1.0)
+        message = re.escape(f"alpha must lie in (0, 1), got {alpha!r}")
+        for make in (lambda: tail_threshold(alpha, band, "one"),
+                     lambda: tail_threshold(alpha, band, "two"),
+                     lambda: two_sided_threshold(band, alpha, 10, nx=41),
+                     lambda: one_sided_optimal_policy(band, 10, alpha),
+                     lambda: heuristic_t_policy(band, 10, alpha)):
+            with pytest.raises(DomainError, match=f"^{message}$"):
+                make()
 
     def test_threshold_test_and_heuristic_policy_share_one_level(self):
         # the three callers of capacity._tail_level, at sigma_hi = 1 so that

@@ -122,6 +122,14 @@ class TestCapacityCommand:
         assert out == ""
         assert err.splitlines() == [f"error: {unread[2]} is read only with {reader}"]
 
+    @pytest.mark.parametrize("alpha", ["1", "1.5", "0", "-0.1"])
+    def test_alpha_outside_unit_interval_is_usage_error(self, alpha, capsys):
+        argv = ["capacity", "--sigma-lo", "0.8", "--sigma-hi", "1", "--alpha", alpha]
+        assert cli.main(argv) == cli.USAGE_ERROR
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == [f"error: alpha must lie in (0, 1), got {float(alpha)!r}"]
+
     @pytest.mark.parametrize("argv, message", [
         (["--c", "nan"], "--c must be finite, got nan"),
         (["--c", "inf"], "--c must be finite, got inf"),
@@ -543,6 +551,21 @@ class TestSimulateCommand:
             parser.parse_args(["repro", "--workers", "2"])
         assert exit_.value.code == cli.USAGE_ERROR
         assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("policy", ["constant", "one-sided-opt", "two-sided-thresh",
+                                        "heuristic-t"])
+    def test_horizon_above_cap_is_usage_error(self, policy, monkeypatch, capsys):
+        # rejected while the policy is built, before any per-step array or run
+        def never(config):
+            raise AssertionError("simulate ran")
+        monkeypatch.setattr(cli, "run", never)
+        argv = ["simulate", "--sigma-lo", "0.8", "--sigma-hi", "1", "--n", "1000001",
+                "--reps", "10", "--policy", policy, "--sided", "two", "--stat", "t",
+                "--alpha", "0.05"]
+        assert cli.main(argv) == cli.USAGE_ERROR
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == ["error: horizon n must lie in [1, 1000000], got 1000001"]
 
     def test_infinite_sigma_ref_is_usage_error(self, capsys):
         argv = ["simulate", "--sigma-lo", "0.8", "--sigma-hi", "1", "--n", "10",

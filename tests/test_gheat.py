@@ -846,6 +846,13 @@ class TestThresholdLocus:
                     for j in range(1, levels + 1)]
             assert [row.time_remaining for row in rows] == want, (nx, levels)
 
+    def test_rows_keep_no_instance_dict(self):
+        # a table may hold 10^6 rows; slots keep each one small
+        row = two_sided_threshold(BAND, 0.05, 1, nx=41)[0]
+        assert not hasattr(row, "__dict__")
+        assert ThresholdLevel.__slots__ == ("time_remaining", "threshold", "degenerate",
+                                            "multiple")
+
     def test_levels_are_bounded_before_the_march(self, monkeypatch):
         monkeypatch.setattr(gheat, "MAX_STEPS", 10)
         assert len(two_sided_threshold(BAND, 0.05, 10, nx=41)) == 10

@@ -92,24 +92,34 @@ class TestSpecValidation:
             constant_policy(BAND, 0, 0.9)
 
     @pytest.mark.parametrize("make", [
-        lambda: PolicySpec(kind="heuristic_t", band=BAND, n=20, alpha=0.05,
-                           crit_rule="normal", c_alpha=2.5),
+        lambda n: constant_policy(BAND, n, 0.9),
+        lambda n: one_sided_optimal_policy(BAND, n, 0.05),
+        lambda n: two_sided_threshold_policy(BAND, n, [ThresholdLevel(1.0, 1.9)]),
+        lambda n: heuristic_t_policy(BAND, n, 0.05),
+        lambda n: heuristic_t_policy(BAND, n, c_alpha=2.5),
+    ], ids=["constant", "one_sided_optimal", "two_sided_threshold", "normal", "fixed"])
+    def test_horizon_is_capped(self, make):
+        # A longer horizon would build per-step arrays or run without end.
+        assert make(policy.MAX_N).n == policy.MAX_N == 1_000_000
+        with pytest.raises(ConfigurationError,
+                           match=r"^horizon n must lie in \[1, 1000000\], got 1000001$"):
+            make(policy.MAX_N + 1)
+
+    @pytest.mark.parametrize("make", [
+        lambda: heuristic_t_policy(BAND, 20, 0.05, crit_rule="normal", c_alpha=2.5),
         lambda: PolicySpec(kind="one_sided_optimal", band=BAND, n=20, alpha=0.05,
                            sigma_const=0.9),
         lambda: PolicySpec(kind="one_sided_optimal", band=BAND, n=20, alpha=0.05,
                            c_alpha=3.0),
-        lambda: PolicySpec(kind="one_sided_optimal", band=BAND, n=20, alpha=0.05,
-                           crit_rule="fixed", c_alpha=3.0),
         lambda: PolicySpec(kind="constant", band=BAND, n=20, sigma_const=0.9,
                            table=(ThresholdLevel(1.0, 1.9),)),
         lambda: PolicySpec(kind="constant", band=BAND, n=20, alpha=0.05, sigma_const=0.9),
         lambda: PolicySpec(kind="two_sided_threshold", band=BAND, n=20, alpha=0.05,
                            table=(ThresholdLevel(1.0, 1.9),)),
-        lambda: PolicySpec(kind="heuristic_t", band=BAND, n=20, alpha=0.05,
-                           crit_rule="fixed", c_alpha=2.5),
+        lambda: heuristic_t_policy(BAND, 20, 0.05, crit_rule="fixed", c_alpha=2.5),
         lambda: heuristic_t_policy(BAND, 20, 0.05, c_alpha=2.5),
     ], ids=["c_alpha-normal", "sigma_const", "c_alpha",
-            "crit_rule", "table", "alpha-constant", "alpha-two_sided_threshold",
+            "table", "alpha-constant", "alpha-two_sided_threshold",
             "alpha-fixed", "alpha-fixed-helper"])
     def test_unread_field_rejected(self, make):
         # A field the rule ignores would still be recorded in the config echo.
@@ -119,6 +129,27 @@ class TestSpecValidation:
     def test_unknown_crit_rule(self):
         with pytest.raises(ConfigurationError, match="unknown heuristic critical-value rule"):
             heuristic_t_policy(BAND, 20, 0.05, crit_rule="t_step")
+
+    def test_crit_rule_is_what_c_alpha_implies(self):
+        # crit_rule is derived, not set: "fixed" exactly when c_alpha is.
+        with pytest.raises(TypeError):
+            PolicySpec(kind="heuristic_t", band=BAND, n=20, alpha=0.05, crit_rule="normal")
+        with pytest.raises(ConfigurationError, match=r"crit_rule='fixed' needs c_alpha$"):
+            heuristic_t_policy(BAND, 20, 0.05, crit_rule="fixed")
+        with pytest.raises(ConfigurationError, match=r"crit_rule='fixed' needs c_alpha$"):
+            heuristic_t_policy(BAND, 20, crit_rule="fixed")
+        normal = heuristic_t_policy(BAND, 20, 0.05)
+        assert normal.crit_rule == "normal"
+        assert heuristic_t_policy(BAND, 20, 0.05, crit_rule="normal") == normal
+        fixed = heuristic_t_policy(BAND, 20, c_alpha=2.5)
+        assert fixed.crit_rule == "fixed" and fixed.bound == 2.5 * 2.5 * 20
+        assert heuristic_t_policy(BAND, 20, crit_rule="fixed", c_alpha=2.5) == fixed
+        assert constant_policy(BAND, 20, 0.9).crit_rule == "normal"
+
+    @pytest.mark.parametrize("c_alpha", [0.0, -1.0, float("nan")])
+    def test_fixed_critical_value_is_positive(self, c_alpha):
+        with pytest.raises(ConfigurationError, match="fixed rule needs c_alpha > 0"):
+            heuristic_t_policy(BAND, 20, c_alpha=c_alpha)
 
 
 class TestConstant:

@@ -127,6 +127,11 @@ class TestSpecValidation:
         with pytest.raises(ConfigurationError):
             TestSpec(sided="one", alpha=0.05, statistic="z")
 
+    def test_t_does_not_read_sigma_ref(self):
+        # a sigma_ref the t statistic ignores would still enter the config echo
+        with pytest.raises(ConfigurationError, match="^t statistic does not read sigma_ref$"):
+            TestSpec(sided="two", alpha=0.05, statistic="t", sigma_ref=1.0)
+
     def test_t_needs_n_at_least_two(self):
         test = TestSpec(sided="two", alpha=0.05, statistic="t")
         with pytest.raises(ConfigurationError):
@@ -637,6 +642,25 @@ class TestReportShape:
         assert len(payload["histogram"]["bins"]) == HIST_BINS
         assert payload["config_echo"]["policy"]["kind"] == "constant"
         assert payload["config_echo"]["noise"] == RNG_SCHEME
+
+    def test_echo_of_both_heuristic_rules(self):
+        # The goldens echo only the normal rule; the fixed rule echoes its
+        # c_alpha and no alpha.
+        def echo(policy):
+            test = TestSpec(sided="two", alpha=0.05, statistic="t")
+            config = SimulationConfig(n=20, reps=10, policy=policy, test=test, seed=0)
+            return json.dumps(simulate._config_echo(config)["policy"])
+
+        head = '{"kind": "heuristic_t", "sigma_lo": 0.8, "sigma_hi": 1.0, '
+        tail = ', "table_levels": null}'
+        assert echo(heuristic_t_policy(BAND, 20, 0.05)) == (
+            head + '"alpha": 0.05, "sigma_const": null, "crit_rule": "normal", '
+            '"c_alpha": null' + tail
+        )
+        assert echo(heuristic_t_policy(BAND, 20, c_alpha=2.5)) == (
+            head + '"alpha": null, "sigma_const": null, "crit_rule": "fixed", '
+            '"c_alpha": 2.5' + tail
+        )
 
     def test_phase_seconds_stay_out_of_the_payload(self):
         config = SimulationConfig(
