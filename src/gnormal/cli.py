@@ -33,6 +33,7 @@ import json
 import math
 import os
 import sys
+from typing import NamedTuple
 
 import numpy
 
@@ -61,7 +62,7 @@ from .policy import (
     one_sided_optimal_policy,
     two_sided_threshold_policy,
 )
-from .simulate import SimulationConfig, TestSpec, run, wilson_interval
+from .simulate import SimulationConfig, SimulationReport, TestSpec, run, wilson_interval
 from .special import norm_quantile
 
 USAGE_ERROR = 2
@@ -362,8 +363,8 @@ def cmd_simulate(args) -> int:
 # repro
 
 
-# Targets, tolerances and sizes of the headline checks, shared with the
-# acceptance tests (criteria 1, 4 and 5).
+# Targets, tolerances and sizes of the headline checks.  The acceptance
+# tests (criteria 1 and 4-6) read the rows of ``repro_checks``.
 REPRO_BAND = VolatilityBand(sigma_lo=0.8, sigma_hi=1.0)
 REPRO_ALPHA = 0.05
 CAPACITY_POINTS = (  # (level, digits, rounded, rel_cap)
@@ -382,29 +383,36 @@ HETERO_FAST = (100_000, 0.0045)
 WILSON_Z = 3.0
 
 
-def capacity_point_met(approx, digits: int, rounded: float, rel_cap: float) -> bool:
-    return round(approx.value, digits) == rounded and approx.rel_error_bound < rel_cap
-
-
 def above_nominal(report) -> bool:
     """The Wilson WILSON_Z lower bound of the rejection rate exceeds alpha."""
     lo, _ = wilson_interval(report.rejections, report.reps - report.degenerate, WILSON_Z)
     return lo > REPRO_ALPHA
 
 
-def cmd_repro(args) -> int:
+class ReproCheck(NamedTuple):
+    """One row of the ``repro`` table, with the report a rate check read."""
+
+    name: str
+    got: str
+    want: str
+    ok: bool
+    report: SimulationReport | None = None
+
+
+def repro_checks(seed: int, fast: bool = False) -> list[ReproCheck]:
+    """Run the headline checks at full scale, or at the ``--fast`` scale."""
     band = REPRO_BAND
-    reps, sim_tol = HETERO_FAST if args.fast else HETERO_FULL
+    reps, sim_tol = HETERO_FAST if fast else HETERO_FULL
     checks = []
 
     for level, digits, rounded, rel_cap in CAPACITY_POINTS:
         approx = p2_approx(norm_quantile(level), band)
         checks.append(
-            (
+            ReproCheck(
                 f"p2(Phi^-1({level}))",
                 f"{approx.value:.6f} (RE bound {approx.rel_error_bound:.2e})",
                 f"rounds to {rounded}, RE < {rel_cap:.0e}",
-                capacity_point_met(approx, digits, rounded, rel_cap),
+                round(approx.value, digits) == rounded and approx.rel_error_bound < rel_cap,
             )
         )
 
@@ -413,15 +421,16 @@ def cmd_repro(args) -> int:
         reps=LIMIT_REPS,
         policy=one_sided_optimal_policy(band, LIMIT_N, REPRO_ALPHA),
         test=TestSpec(sided="one", alpha=REPRO_ALPHA, statistic="z", sigma_ref=band.sigma_hi),
-        seed=args.seed,
+        seed=seed,
     )
-    rate = run(cfg).rate
+    report = run(cfg)
     checks.append(
-        (
+        ReproCheck(
             "one-sided limit n=1e4",
-            f"{rate:.5f}",
+            f"{report.rate:.5f}",
             f"|rate - {LIMIT_TARGET:.5f}| <= {LIMIT_TOL}",
-            abs(rate - LIMIT_TARGET) <= LIMIT_TOL,
+            abs(report.rate - LIMIT_TARGET) <= LIMIT_TOL,
+            report,
         )
     )
 
@@ -431,27 +440,35 @@ def cmd_repro(args) -> int:
             reps=reps,
             policy=heuristic_t_policy(band, n, REPRO_ALPHA),
             test=TestSpec(sided="two", alpha=REPRO_ALPHA, statistic="t"),
-            seed=args.seed,
+            seed=seed,
         )
         report = run(cfg)
         checks.append(
-            (
+            ReproCheck(
                 f"two-sided t rate n={n}",
                 f"{report.rate:.5f}",
                 f"|rate - {expected}| <= {sim_tol} and > {REPRO_ALPHA} by {WILSON_Z:g} Wilson SDs",
                 abs(report.rate - expected) <= sim_tol and above_nominal(report),
+                report,
             )
         )
+    return checks
 
-    width = max(len(c[0]) for c in checks)
-    all_ok = all(ok for *_, ok in checks)
+
+def repro_table(checks: list[ReproCheck]) -> str:
+    """The text ``repro`` prints: one PASS/FAIL line per check, then the verdict."""
+    width = max(len(c.name) for c in checks)
     lines = [
-        f"{'PASS' if ok else 'FAIL'}  {name:<{width}}  {got}  [{want}]"
-        for name, got, want, ok in checks
+        f"{'PASS' if c.ok else 'FAIL'}  {c.name:<{width}}  {c.got}  [{c.want}]" for c in checks
     ]
-    lines.append("all checks passed" if all_ok else "SOME CHECKS FAILED")
-    _emit_text("\n".join(lines) + "\n", _manifest(args))
-    return 0 if all_ok else PROPERTY_FAILURE
+    lines.append("all checks passed" if all(c.ok for c in checks) else "SOME CHECKS FAILED")
+    return "\n".join(lines) + "\n"
+
+
+def cmd_repro(args) -> int:
+    checks = repro_checks(args.seed, args.fast)
+    _emit_text(repro_table(checks), _manifest(args))
+    return 0 if all(c.ok for c in checks) else PROPERTY_FAILURE
 
 
 # --------------------------------------------------------------------------

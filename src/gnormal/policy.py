@@ -31,6 +31,7 @@ configuration:
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,6 +54,15 @@ __all__ = [
 _BLOCK_VALUES = 1 << 16
 # Longest horizon n of any rule: the two-sided rule keeps a bound per step.
 MAX_N = 1_000_000
+_KINDS = ("constant", "one_sided_optimal", "two_sided_threshold", "heuristic_t")
+
+
+def _require_integer(name: str, value) -> None:
+    """Refuse a value that is not a Python or numpy integer, naming the field."""
+    try:
+        operator.index(value)
+    except TypeError:
+        raise ConfigurationError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -83,7 +93,10 @@ class PolicySpec:
     bound: float | np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        if self.kind not in _KINDS:
+            raise ConfigurationError(f"unknown policy kind {self.kind!r}")
         n = self.n
+        _require_integer("horizon n", n)
         if not 1 <= n <= MAX_N:
             raise ConfigurationError(f"horizon n must lie in [1, {MAX_N}], got {n!r}")
         heuristic = self.kind == "heuristic_t"
@@ -125,15 +138,13 @@ class PolicySpec:
                 )
             bound = np.array([row.threshold for row in self.table])[nearest]
             bound *= root_n
-        elif heuristic:
+        else:
             crit = self.c_alpha
             if crit is None:
                 crit = norm_quantile(_tail_level(self.alpha, "two"))
             elif not crit > 0.0:
                 raise ConfigurationError("fixed rule needs c_alpha > 0")
             bound = crit * crit * n
-        else:
-            raise ConfigurationError(f"unknown policy kind {self.kind!r}")
         if isinstance(bound, np.ndarray):
             bound.flags.writeable = False
         object.__setattr__(self, "bound", bound)

@@ -55,7 +55,7 @@ from numpy.random import SFC64, Generator, SeedSequence
 
 from .capacity import _tail_level
 from .errors import ConfigurationError, DomainError
-from .policy import PolicySpec
+from .policy import PolicySpec, _require_integer
 from .special import norm_quantile, t_quantile
 
 __all__ = [
@@ -102,10 +102,9 @@ class TestSpec:
     sigma_ref: float | None = None
 
     def __post_init__(self) -> None:
-        if self.sided not in ("one", "two"):
-            raise ConfigurationError(f"sided must be 'one' or 'two', got {self.sided!r}")
         if not 0.0 < self.alpha <= 0.5:
             raise ConfigurationError(f"alpha must lie in (0, 0.5], got {self.alpha!r}")
+        _tail_level(self.alpha, self.sided)  # the one check of sided
         if self.statistic not in ("z", "t"):
             raise ConfigurationError(f"statistic must be 'z' or 't', got {self.statistic!r}")
         if self.statistic == "t":
@@ -129,6 +128,8 @@ class SimulationConfig:
     workers: int = 1  # at least this many tile ranges; see ``run``
 
     def __post_init__(self) -> None:
+        for name in ("n", "reps", "seed", "workers"):
+            _require_integer(name, getattr(self, name))
         if self.reps < 1:
             raise ConfigurationError(f"reps must be >= 1, got {self.reps!r}")
         if self.n < 1 or (self.test.statistic == "t" and self.n < 2):

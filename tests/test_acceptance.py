@@ -1,13 +1,13 @@
 """Acceptance gate: every criterion at its stated tolerance.
 
 Run with ``pytest -s tests/test_acceptance.py`` to see one PASS/FAIL line
-per criterion.  The two-sided simulation reproduction runs at the full
-one-million-replication scale of ``gnormal repro``.  Criteria 1, 4 and 5
-take their targets, tolerances and sizes from the table ``gnormal repro``
-uses.
-The long simulations, like every run, use one process per usable CPU.
+per criterion.  Criteria 1 and 4-6 read the rows of ``gnormal repro --seed 1``
+at full scale, and one more test pins the sha256 of ``repro``'s text at both
+of its scales.  The long simulations use one process per usable CPU.
 """
 
+import functools
+import hashlib
 import json
 import subprocess
 import sys
@@ -22,11 +22,8 @@ from gnormal import (
     TestSpec,
     VolatilityBand,
     constant_policy,
-    heuristic_t_policy,
     norm_cdf,
     norm_quantile,
-    one_sided_optimal_policy,
-    p2_approx,
     profile_f,
     run,
     solve,
@@ -35,19 +32,17 @@ from gnormal import (
     verify_sandwich,
     wilson_interval,
 )
+from gnormal import cli
 from gnormal.cli import (
-    CAPACITY_POINTS,
     HETERO_FULL,
     HETERO_TARGETS,
     LIMIT_N,
-    LIMIT_REPS,
     LIMIT_TARGET,
     LIMIT_TOL,
     REPRO_ALPHA,
     REPRO_BAND,
     WILSON_Z,
     above_nominal,
-    capacity_point_met,
 )
 
 from oracles import pde_policy_equiv_check
@@ -63,29 +58,36 @@ def report(criterion: int, ok: bool, detail: str) -> None:
 
 
 @pytest.fixture(scope="module")
-def heuristic_reports():
-    """The heteroscedastic t-test reproductions, by n."""
-    out = {}
-    for n, _ in HETERO_TARGETS:
-        config = SimulationConfig(
-            n=n,
-            reps=ACCEPT_REPS,
-            policy=heuristic_t_policy(BAND, n, REPRO_ALPHA),
-            test=TestSpec(sided="two", alpha=REPRO_ALPHA, statistic="t"),
-            seed=SEED,
-        )
-        out[n] = run(config)
-    return out
+def repro():
+    """``cli.repro_checks(SEED, fast)`` by scale, with ``cli.run`` memoized by
+    config: both scales share the n = 1e4 limit run, which runs once."""
+    reports = {}
+
+    def memo(config):
+        if config not in reports:
+            reports[config] = run(config)
+        return reports[config]
+
+    @functools.cache
+    def checks(fast):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cli, "run", memo)
+            rows = cli.repro_checks(SEED, fast)
+        assert [config.n for config in reports].count(LIMIT_N) == 1
+        return rows
+
+    return checks
 
 
-def test_criterion_1_two_sided_capacity_values():
-    details = []
-    ok = True
-    for level, digits, rounded, rel_cap in CAPACITY_POINTS:
-        approx = p2_approx(norm_quantile(level), BAND)
-        ok &= capacity_point_met(approx, digits, rounded, rel_cap)
-        details.append(f"p2({level})={approx.value:.6f} RE<{approx.rel_error_bound:.1e}")
-    report(1, ok, "; ".join(details))
+@pytest.fixture(scope="module")
+def rates(repro):
+    """The full-scale rate rows by horizon n: the limit and the t reproductions."""
+    return {row.report.config.n: row for row in repro(False) if row.report is not None}
+
+
+def test_criterion_1_two_sided_capacity_values(repro):
+    rows = [row for row in repro(False) if row.report is None]
+    report(1, all(row.ok for row in rows), "; ".join(f"{row.name}={row.got}" for row in rows))
 
 
 def test_criterion_2_pde_vs_closed_form():
@@ -120,37 +122,21 @@ def test_criterion_3_sandwich():
     report(3, ok, "; ".join(details))
 
 
-def test_criterion_4_one_sided_limit():
-    config = SimulationConfig(
-        n=LIMIT_N,
-        reps=LIMIT_REPS,
-        policy=one_sided_optimal_policy(BAND, LIMIT_N, REPRO_ALPHA),
-        test=TestSpec(sided="one", alpha=REPRO_ALPHA, statistic="z", sigma_ref=BAND.sigma_hi),
-        seed=SEED,
-    )
-    rate = run(config).rate
-    ok = abs(rate - LIMIT_TARGET) <= LIMIT_TOL
-    report(4, ok, f"rate {rate:.5f} vs limit {LIMIT_TARGET:.5f} (|diff| <= {LIMIT_TOL})")
+def test_criterion_4_one_sided_limit(rates):
+    row = rates[LIMIT_N]
+    detail = f"rate {row.report.rate:.5f} vs limit {LIMIT_TARGET:.5f} (|diff| <= {LIMIT_TOL})"
+    report(4, row.ok, detail)
 
 
-def test_criterion_5_heteroscedastic_reproduction(heuristic_reports):
-    ok = True
-    details = []
-    for n, expected in HETERO_TARGETS:
-        rep = heuristic_reports[n]
-        ok &= abs(rep.rate - expected) <= SIM_TOL and above_nominal(rep)
-        details.append(f"n={n}: {rep.rate:.5f}")
-    report(
-        5,
-        ok,
-        f"targets {'/'.join(str(rate) for _, rate in HETERO_TARGETS)} "
-        f"+-{SIM_TOL:.4f} at reps={ACCEPT_REPS}; "
-        + ", ".join(details),
-    )
+def test_criterion_5_heteroscedastic_reproduction(rates):
+    targets = "/".join(str(rate) for _, rate in HETERO_TARGETS)
+    got = ", ".join(f"n={n}: {rates[n].report.rate:.5f}" for n, _ in HETERO_TARGETS)
+    detail = f"targets {targets} +-{SIM_TOL:.4f} at reps={ACCEPT_REPS}; {got}"
+    report(5, all(rates[n].ok for n, _ in HETERO_TARGETS), detail)
 
 
-def test_criterion_6_statistic_distribution(heuristic_reports):
-    rep = heuristic_reports[200]
+def test_criterion_6_statistic_distribution(rates):
+    rep = rates[200].report
     hist = rep.histogram
     total = rep.reps - rep.degenerate
     edges = hist.edges
@@ -238,3 +224,12 @@ def test_criterion_10_special_function_contracts():
     q = t_quantile(0.975, 199)
     ok = worst <= 1e-12 and round(q, 2) == 1.97
     report(10, ok, f"quantile round-trip {worst:.2e} <= 1e-12; t_quantile(0.975,199)={q:.4f}")
+
+
+@pytest.mark.parametrize("fast, sha256", [
+    (False, "c3e8ee22a8e664085ea32e5754928e0e5725cdba420b0bbc97796282e92ae03d"),
+    (True, "540aaa175a23456c69e372050078c658b4d504806fc04bf5cc1082a9f6ca471e"),
+], ids=["full", "fast"])
+def test_repro_table_checksum(repro, fast, sha256):
+    text = cli.repro_table(repro(fast))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == sha256, text

@@ -86,10 +86,20 @@ class TestSpecValidation:
     def test_unknown_kind(self):
         with pytest.raises(ConfigurationError):
             PolicySpec(kind="martingale", band=BAND, n=10)
+        # the kind is checked before the fields it would read
+        with pytest.raises(ConfigurationError, match="^unknown policy kind 'martingale'$"):
+            PolicySpec(kind="martingale", band=BAND, n=10, alpha=0.05)
 
     def test_horizon(self):
         with pytest.raises(ConfigurationError):
             constant_policy(BAND, 0, 0.9)
+
+    @pytest.mark.parametrize("n", [10.0, 10.5, "10"])
+    def test_horizon_is_an_integer(self, n):
+        # a float horizon would reach numpy's shapes as a TypeError
+        with pytest.raises(ConfigurationError,
+                           match=f"^horizon n must be an integer, got {n!r}$"):
+            constant_policy(BAND, n, 0.9)
 
     @pytest.mark.parametrize("make", [
         lambda n: constant_policy(BAND, n, 0.9),

@@ -152,6 +152,30 @@ class TestSpecValidation:
             with pytest.raises(ConfigurationError, match=r"^workers must lie in \[1, 256\], "):
                 config(workers)
 
+    @pytest.mark.parametrize("name, value", [
+        ("n", 10.0), ("n", 10.5), ("reps", 100.5), ("seed", 1.5), ("workers", 1.5),
+    ])
+    def test_integer_fields(self, name, value):
+        test = TestSpec(sided="one", alpha=0.05, statistic="z", sigma_ref=1.0)
+        fields = dict(n=10, reps=10, policy=constant_policy(BAND, 10, 0.9), test=test, seed=0)
+        with pytest.raises(ConfigurationError, match=f"^{name} must be an integer, got {value}$"):
+            SimulationConfig(**{**fields, name: value})
+
+    def test_numpy_integer_fields_run(self):
+        test = TestSpec(sided="one", alpha=0.05, statistic="z", sigma_ref=1.0)
+        config = SimulationConfig(
+            n=np.int64(10), reps=np.int32(10), policy=constant_policy(BAND, np.int16(10), 0.9),
+            test=test, seed=np.uint64(3), workers=np.int8(1),
+        )
+        plain = SimulationConfig(
+            n=10, reps=10, policy=constant_policy(BAND, 10, 0.9), test=test, seed=3
+        )
+        assert run(config).to_json_dict() == run(plain).to_json_dict()
+
+    def test_sided_is_checked_by_the_level_rule(self):
+        with pytest.raises(DomainError, match="^sided must be 'one' or 'two', got 'both'$"):
+            TestSpec(sided="both", alpha=0.05, statistic="t")
+
     def test_policy_horizon_must_match(self):
         test = TestSpec(sided="one", alpha=0.05, statistic="z", sigma_ref=1.0)
         with pytest.raises(ConfigurationError):
