@@ -375,11 +375,10 @@ CAPACITY_POINTS = (  # (level, digits, rounded, rel_cap)
 LIMIT_N, LIMIT_REPS, LIMIT_TOL = 10_000, 100_000, 0.004
 LIMIT_TARGET = 2 * REPRO_ALPHA / (1.0 + REPRO_BAND.sigma_lo / REPRO_BAND.sigma_hi)
 HETERO_TARGETS = ((20, 0.0565), (200, 0.0589))  # (n, rate)
-# (reps, tolerance) of the t rates at full scale and under --fast.  0.20pp
-# at 1e6 reps covers reference MC noise, the independent seed and the open
-# critical-value convention; 1e5 reps widen it.
-HETERO_FULL = (1_000_000, 0.0020)
-HETERO_FAST = (100_000, 0.0045)
+# Replications and tolerance of the t rates.  0.20pp at 1e6 reps covers
+# reference MC noise, the independent seed and the open critical-value
+# convention.
+HETERO_REPS, HETERO_TOL = 1_000_000, 0.0020
 WILSON_Z = 3.0
 
 
@@ -399,10 +398,27 @@ class ReproCheck(NamedTuple):
     report: SimulationReport | None = None
 
 
-def repro_checks(seed: int, fast: bool = False) -> list[ReproCheck]:
-    """Run the headline checks at full scale, or at the ``--fast`` scale."""
+def _rate_check(name: str, config: SimulationConfig, target: float, tol: float,
+                above: bool = False) -> ReproCheck:
+    """Run ``config``: its rate lies within ``tol`` of ``target`` and, with
+    ``above``, above alpha.  ``got`` shows the rate's binomial SE and its
+    distance from ``target`` in SEs."""
+    report = run(config)
+    rate = report.rate
+    # with no effective replication the rate is NaN; the max keeps the division defined
+    se = math.sqrt(rate * (1.0 - rate) / max(report.reps - report.degenerate, 1))
+    distance = f", {(rate - target) / se:+.1f} SE" if se else ""
+    want = f"|rate - {round(target, 5)}| <= {tol}"
+    ok = abs(rate - target) <= tol
+    if above:
+        want += f" and > {REPRO_ALPHA} by {WILSON_Z:g} Wilson SDs"
+        ok = ok and above_nominal(report)
+    return ReproCheck(name, f"{rate:.5f} (SE {se:.5f}{distance})", want, ok, report)
+
+
+def repro_checks(seed: int) -> list[ReproCheck]:
+    """Run the headline checks: the capacities, the limit and the t rates."""
     band = REPRO_BAND
-    reps, sim_tol = HETERO_FAST if fast else HETERO_FULL
     checks = []
 
     for level, digits, rounded, rel_cap in CAPACITY_POINTS:
@@ -416,41 +432,21 @@ def repro_checks(seed: int, fast: bool = False) -> list[ReproCheck]:
             )
         )
 
-    cfg = SimulationConfig(
-        n=LIMIT_N,
-        reps=LIMIT_REPS,
-        policy=one_sided_optimal_policy(band, LIMIT_N, REPRO_ALPHA),
+    limit = SimulationConfig(
+        n=LIMIT_N, reps=LIMIT_REPS, policy=one_sided_optimal_policy(band, LIMIT_N, REPRO_ALPHA),
         test=TestSpec(sided="one", alpha=REPRO_ALPHA, statistic="z", sigma_ref=band.sigma_hi),
         seed=seed,
     )
-    report = run(cfg)
-    checks.append(
-        ReproCheck(
-            "one-sided limit n=1e4",
-            f"{report.rate:.5f}",
-            f"|rate - {LIMIT_TARGET:.5f}| <= {LIMIT_TOL}",
-            abs(report.rate - LIMIT_TARGET) <= LIMIT_TOL,
-            report,
-        )
-    )
+    checks.append(_rate_check(f"one-sided limit n={LIMIT_N}", limit, LIMIT_TARGET, LIMIT_TOL))
 
+    two_sided_t = TestSpec(sided="two", alpha=REPRO_ALPHA, statistic="t")
     for n, expected in HETERO_TARGETS:
-        cfg = SimulationConfig(
-            n=n,
-            reps=reps,
-            policy=heuristic_t_policy(band, n, REPRO_ALPHA),
-            test=TestSpec(sided="two", alpha=REPRO_ALPHA, statistic="t"),
-            seed=seed,
+        config = SimulationConfig(
+            n=n, reps=HETERO_REPS, policy=heuristic_t_policy(band, n, REPRO_ALPHA),
+            test=two_sided_t, seed=seed,
         )
-        report = run(cfg)
         checks.append(
-            ReproCheck(
-                f"two-sided t rate n={n}",
-                f"{report.rate:.5f}",
-                f"|rate - {expected}| <= {sim_tol} and > {REPRO_ALPHA} by {WILSON_Z:g} Wilson SDs",
-                abs(report.rate - expected) <= sim_tol and above_nominal(report),
-                report,
-            )
+            _rate_check(f"two-sided t rate n={n}", config, expected, HETERO_TOL, above=True)
         )
     return checks
 
@@ -466,7 +462,7 @@ def repro_table(checks: list[ReproCheck]) -> str:
 
 
 def cmd_repro(args) -> int:
-    checks = repro_checks(args.seed, args.fast)
+    checks = repro_checks(args.seed)
     _emit_text(repro_table(checks), _manifest(args))
     return 0 if all(c.ok for c in checks) else PROPERTY_FAILURE
 
@@ -544,7 +540,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("repro", help="re-run the headline numbers and report PASS/FAIL")
-    p.add_argument("--fast", action="store_true", help="desk scale: reps=1e5, wider tolerances")
     p.add_argument("--seed", type=int, default=1)
     p.set_defaults(func=cmd_repro)
 

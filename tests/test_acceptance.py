@@ -1,12 +1,11 @@
 """Acceptance gate: every criterion at its stated tolerance.
 
 Run with ``pytest -s tests/test_acceptance.py`` to see one PASS/FAIL line
-per criterion.  Criteria 1 and 4-6 read the rows of ``gnormal repro --seed 1``
-at full scale, and one more test pins the sha256 of ``repro``'s text at both
-of its scales.  The long simulations use one process per usable CPU.
+per criterion.  Criteria 1 and 4-6 read the rows of ``gnormal repro --seed 1``,
+and one more test pins the sha256 of ``repro``'s text.  The long simulations
+use one process per usable CPU.
 """
 
-import functools
 import hashlib
 import json
 import subprocess
@@ -34,8 +33,9 @@ from gnormal import (
 )
 from gnormal import cli
 from gnormal.cli import (
-    HETERO_FULL,
+    HETERO_REPS,
     HETERO_TARGETS,
+    HETERO_TOL,
     LIMIT_N,
     LIMIT_TARGET,
     LIMIT_TOL,
@@ -48,7 +48,6 @@ from gnormal.cli import (
 from oracles import pde_policy_equiv_check
 
 BAND = REPRO_BAND
-ACCEPT_REPS, SIM_TOL = HETERO_FULL
 SEED = 1
 
 
@@ -59,34 +58,18 @@ def report(criterion: int, ok: bool, detail: str) -> None:
 
 @pytest.fixture(scope="module")
 def repro():
-    """``cli.repro_checks(SEED, fast)`` by scale, with ``cli.run`` memoized by
-    config: both scales share the n = 1e4 limit run, which runs once."""
-    reports = {}
-
-    def memo(config):
-        if config not in reports:
-            reports[config] = run(config)
-        return reports[config]
-
-    @functools.cache
-    def checks(fast):
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(cli, "run", memo)
-            rows = cli.repro_checks(SEED, fast)
-        assert [config.n for config in reports].count(LIMIT_N) == 1
-        return rows
-
-    return checks
+    """The rows of ``gnormal repro --seed 1``."""
+    return cli.repro_checks(SEED)
 
 
 @pytest.fixture(scope="module")
 def rates(repro):
-    """The full-scale rate rows by horizon n: the limit and the t reproductions."""
-    return {row.report.config.n: row for row in repro(False) if row.report is not None}
+    """The rate rows by horizon n: the limit and the t reproductions."""
+    return {row.report.config.n: row for row in repro if row.report is not None}
 
 
 def test_criterion_1_two_sided_capacity_values(repro):
-    rows = [row for row in repro(False) if row.report is None]
+    rows = [row for row in repro if row.report is None]
     report(1, all(row.ok for row in rows), "; ".join(f"{row.name}={row.got}" for row in rows))
 
 
@@ -131,7 +114,7 @@ def test_criterion_4_one_sided_limit(rates):
 def test_criterion_5_heteroscedastic_reproduction(rates):
     targets = "/".join(str(rate) for _, rate in HETERO_TARGETS)
     got = ", ".join(f"n={n}: {rates[n].report.rate:.5f}" for n, _ in HETERO_TARGETS)
-    detail = f"targets {targets} +-{SIM_TOL:.4f} at reps={ACCEPT_REPS}; {got}"
+    detail = f"targets {targets} +-{HETERO_TOL:.4f} at reps={HETERO_REPS}; {got}"
     report(5, all(rates[n].ok for n, _ in HETERO_TARGETS), detail)
 
 
@@ -226,10 +209,7 @@ def test_criterion_10_special_function_contracts():
     report(10, ok, f"quantile round-trip {worst:.2e} <= 1e-12; t_quantile(0.975,199)={q:.4f}")
 
 
-@pytest.mark.parametrize("fast, sha256", [
-    (False, "c3e8ee22a8e664085ea32e5754928e0e5725cdba420b0bbc97796282e92ae03d"),
-    (True, "540aaa175a23456c69e372050078c658b4d504806fc04bf5cc1082a9f6ca471e"),
-], ids=["full", "fast"])
-def test_repro_table_checksum(repro, fast, sha256):
-    text = cli.repro_table(repro(fast))
+def test_repro_table_checksum(repro):
+    text = cli.repro_table(repro)
+    sha256 = "e342fdb27d1f98792da7c433e58476a6de9ed440af184cf92ebe4a0dba154c77"
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == sha256, text

@@ -660,7 +660,7 @@ class TestTopLevel:
     def test_repro_help(self):
         proc = run_cli("repro", "--help")
         assert proc.returncode == 0
-        assert "--fast" in proc.stdout
+        assert "--seed" in proc.stdout
 
     @pytest.mark.parametrize("case", RERUN)
     def test_rerunning_manifest_parameters_reproduces_output(self, case, tmp_path, capsys):
@@ -700,7 +700,7 @@ class TestReproCommand:
             return report
 
         monkeypatch.setattr(cli, "run", counting)
-        monkeypatch.setattr(cli, "HETERO_FULL", (3000, cli.HETERO_FULL[1]))
+        monkeypatch.setattr(cli, "HETERO_REPS", 3000)
         codes, runs = [], []
         for cpus in (1, 2):
             monkeypatch.setattr(
@@ -714,8 +714,9 @@ class TestReproCommand:
         assert processes == [1, 1, 2, 2]  # the limit run and the n = 20 run
         out, manifest = runs[0]
         assert out.splitlines()[-1] in ("all checks passed", "SOME CHECKS FAILED")
+        assert "one-sided limit n=50 " in out
         assert manifest["subcommand"] == "repro"
-        assert manifest["parameters"] == {"fast": False, "seed": 3}
+        assert manifest["parameters"] == {"seed": 3}
         assert manifest["seed"] == 3
         assert manifest["output_sha256"] == hashlib.sha256(out.encode("utf-8")).hexdigest()
         assert runs[1] == runs[0]
@@ -723,23 +724,22 @@ class TestReproCommand:
         again = capsys.readouterr()
         assert (again.out, json.loads(again.err.strip().splitlines()[-1])) == runs[0]
 
-    def test_fast_manifest_reruns(self, monkeypatch, capsys):
-        monkeypatch.setattr(cli, "LIMIT_N", 50)
-        monkeypatch.setattr(cli, "LIMIT_REPS", 3000)
-        monkeypatch.setattr(cli, "HETERO_TARGETS", ((20, 0.0565),))
-        code = cli.main(["repro", "--fast", "--seed", "3"])
-        assert code in (0, cli.PROPERTY_FAILURE)
-        first = capsys.readouterr()
-        manifest = json.loads(first.err.strip().splitlines()[-1])
-        assert manifest["parameters"] == {"fast": True, "seed": 3}
-        assert cli.main(rerun_argv("repro", manifest)) == code
-        second = capsys.readouterr()
-        assert second.out == first.out
-        assert json.loads(second.err.strip().splitlines()[-1]) == manifest
+    @pytest.mark.parametrize("rejections", [0, 1000])
+    def test_rate_row_at_zero_se(self, rejections, monkeypatch):
+        # a rate of 0 or 1 has SE 0: the row omits its distance in SEs
+        report = cli.SimulationReport(
+            reps=1000, rejections=rejections, degenerate=0, rate=rejections / 1000,
+            ci95=(0.0, 1.0), histogram=None, config=None, diagnostics={},
+        )
+        monkeypatch.setattr(cli, "run", lambda config: report)
+        row = cli._rate_check("row", None, 0.05, 0.002, above=True)
+        assert row.got == f"{rejections / 1000:.5f} (SE 0.00000)"
+        assert not row.ok
 
-    def test_reps_is_not_an_option(self, capsys):
-        # the scale is full or --fast, each with its own reps and tolerance
+    @pytest.mark.parametrize("args", [["--reps", "5"], ["--fast"]], ids=["reps", "fast"])
+    def test_reps_is_not_an_option(self, args, capsys):
+        # repro has one scale: its reps and tolerances are constants of cli
         with pytest.raises(SystemExit) as exit_:
-            cli._build_parser().parse_args(["repro", "--reps", "5"])
+            cli._build_parser().parse_args(["repro", *args])
         assert exit_.value.code == cli.USAGE_ERROR
-        assert "unrecognized arguments: --reps 5" in capsys.readouterr().err
+        assert f"unrecognized arguments: {' '.join(args)}" in capsys.readouterr().err
