@@ -95,20 +95,25 @@ def profile_f(y, band: VolatilityBand):
     ``y`` is a float (giving a float) or an array; Phi goes elementwise
     through ``math.erfc`` exactly as in ``special.norm_cdf``.
     """
+    ys = np.asarray(y, dtype=float)
+    tail = _profile_tail(ys, band)
+    out = np.where(ys <= 0.0, tail, 1.0 - tail)
+    return float(out) if out.ndim == 0 else out
+
+
+def _profile_tail(ys: np.ndarray, band: VolatilityBand) -> np.ndarray:
+    """|f(y) - 1{y > 0}| of the float array ``ys``: each Gaussian piece of
+    ``profile_f`` above, without the cancellation of 1 - f(y) for y > 0."""
     _require_closed_form(band)
     lo, hi = band.sigma_lo, band.sigma_hi
-    s = hi + lo
-    ys = np.asarray(y, dtype=float)
     left = ys <= 0.0
     # For |y| > ~1.8e308 * sigma a piece overflows to +-inf, where erfc
     # gives the exact limit 0 or 2; np.where then picks the right piece.
     with np.errstate(over="ignore"):
-        z = np.where(left, ys / hi, -ys / lo)
-    w = -z / _SQRT2
+        w = np.where(left, ys / hi, -ys / lo) / -_SQRT2
     erfc = np.fromiter(map(math.erfc, w.ravel().tolist()), float, w.size)
     cdf = 0.5 * erfc.reshape(w.shape)
-    out = np.where(left, 2.0 * hi / s * cdf, 1.0 - 2.0 * lo / s * cdf)
-    return float(out) if out.ndim == 0 else out
+    return np.where(left, 2.0 * hi / (hi + lo) * cdf, 2.0 * lo / (hi + lo) * cdf)
 
 
 def p1(c: float, band: VolatilityBand) -> float:

@@ -20,8 +20,9 @@ print holds NaN or Infinity: a non-finite value that reaches one is a
 numerical failure.
 Stdout, and every file a command writes, is a function of the manifest
 parameters: a rerun with them reproduces it byte for byte.  Timings go to
-stderr: ``simulate`` prints its run and per-phase seconds and process
-count, and ``solve`` its march seconds, steps/s, CFL fraction and node counts.
+stderr: ``simulate`` prints its run and per-phase seconds and process count,
+``solve`` and ``capacity --pde`` their march's seconds, steps/s, CFL fraction
+and node counts, each on one ``diagnostics:`` line.
 """
 
 from __future__ import annotations
@@ -222,6 +223,8 @@ def cmd_capacity(args) -> int:
         }
 
     _emit_json(payload, _manifest(args, **opts))
+    if args.pde:
+        print(f"diagnostics: {json.dumps(sol.diagnostics)}", file=sys.stderr)
     return 0
 
 
@@ -299,13 +302,13 @@ def cmd_solve(args) -> int:
 def cmd_threshold(args) -> int:
     band = _band(args)
     rows = two_sided_threshold(band, args.alpha, args.levels, nx=args.nx)
-    constant_band = band.is_classical
-    lines = ["time_remaining,threshold,flag"]
+    suffix = "constant-band" if band.is_classical else ""
+    lines, last = ["time_remaining,threshold,flag"], None
     for row in rows:
-        flags = [row.flag] if row.flag else []
-        if constant_band:
-            flags.append("constant-band")
-        lines.append(f"{row.time_remaining!r},{row.threshold!r},{'+'.join(flags)}")
+        if row is not last:  # rows that share a march step are one object
+            flags = "+".join(filter(None, (row.flag, suffix)))
+            line, last = f"{row.time_remaining!r},{row.threshold!r},{flags}", row
+        lines.append(line)
     _emit_text("\n".join(lines) + "\n", _manifest(args))
     return 0
 

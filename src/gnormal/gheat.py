@@ -42,12 +42,13 @@ Numerical conventions that matter to the contracts:
 * An end is evaluated only if its closed form can leave the datum.  Each
   piece f(y) of the closed form at an end tends, as t -> 0, to the datum's
   share of it (1 for y > 0, 0 for y < 0) and moves away from that limit as
-  t grows, so its distance from it is largest at the last time an end is
-  set, n_steps dt.  Where the datum is 1 and those distances sum there to
-  at most 2^-56, the sum 1 - a + b with a, b >= 0 rounds to exactly 1.0 at
-  every step: 1 - a is 1.0 for a <= 2^-54 and 1.0 + b is 1.0 for
-  b <= 2^-53, and the factor of 4 and more covers the few ulps of erfc and
-  of the check's own rounding.  Such an end keeps its datum unevaluated.
+  t grows, so its distance from it (``capacity._profile_tail``) is largest
+  at the last time an end is set, n_steps dt.  Where the datum is 1 and
+  those distances sum there to at most 2^-56, the sum 1 - a + b with
+  a, b >= 0 rounds to exactly 1.0 at every step: 1 - a is 1.0 for
+  a <= 2^-54 and 1.0 + b is 1.0 for b <= 2^-53, and the factor of 4 and
+  more covers the few ulps of erfc and of the check's own rounding.  Such
+  an end keeps its datum unevaluated.
   Of the evaluated ends, only those whose value differs (exact !=) from the
   datum at some step keep their list of values and are written each step;
   the others already hold the value every step would write.
@@ -96,13 +97,13 @@ import numpy as np
 
 from .capacity import (
     VolatilityBand,
+    _profile_tail,
     _require_positive_time_regime,
     profile_f,
     tail_threshold,
     two_sided_error_bound,
 )
 from .errors import ConfigurationError, DomainError, NumericalError
-from .special import norm_cdf
 
 __all__ = [
     "IndicatorAbove",
@@ -358,32 +359,19 @@ def _sample_ic(ic, x, dx):
     raise ConfigurationError(f"unknown initial condition {ic!r}")
 
 
-def _closed_form(ic, c, x, t, band):
-    """Exact solution for indicator data with threshold c at (t, x), t > 0:
-    f((x - c)/sqrt(t)), plus the mirror term f((-x - c)/sqrt(t)) for
-    1{|x| > c}.  ``x`` and ``t`` broadcast against each other."""
+def _pieces(ic, c, x, t):
+    """Profile arguments of the exact solution for indicator data with threshold
+    c at (t, x), t > 0: (x - c)/sqrt(t), and (-x - c)/sqrt(t) for 1{|x| > c}.
+    ``x`` and ``t`` broadcast against each other."""
     rt = np.sqrt(t)
-    out = profile_f((x - c) / rt, band)
     if isinstance(ic, IndicatorAbsAbove):
-        out = out + profile_f((-x - c) / rt, band)
-    return out
+        return (x - c) / rt, (-x - c) / rt
+    return ((x - c) / rt,)
 
 
-def _limit_gap(ic, c, x, t, band):
-    """How far the pieces of ``_closed_form`` at the node x lie from their
-    t -> 0 limits at time t > 0, summed: 2 s_lo/(s_hi+s_lo) Phi(-y/s_lo)
-    for a piece f(y) with y > 0, 2 s_hi/(s_hi+s_lo) Phi(y/s_hi) for y <= 0.
-    Each term grows with t."""
-    lo, hi = band.sigma_lo, band.sigma_hi
-
-    def gap(y):
-        return 2.0 * (lo * norm_cdf(-y / lo) if y > 0.0 else hi * norm_cdf(y / hi)) / (hi + lo)
-
-    rt = math.sqrt(t)
-    out = gap((x - c) / rt)
-    if isinstance(ic, IndicatorAbsAbove):
-        out += gap((-x - c) / rt)
-    return out
+def _closed_form(ic, c, x, t, band):
+    """Exact solution for indicator data: the sum of f over ``_pieces``."""
+    return sum(profile_f(y, band) for y in _pieces(ic, c, x, t))
 
 
 @dataclass(frozen=True)
@@ -446,11 +434,9 @@ def _march(
     bc_left = bc_right = None
     if snapped_c is not None and band.sigma_lo > 0.0:
         t_last = n_steps * dt  # the latest time an end is set for
-        ends = [
-            e for e in ([-1] if mirror else [0, -1])
-            if not (u0[e] == 1.0
-                    and _limit_gap(ic, snapped_c, float(x[e]), t_last, band) <= _END_GAP)
-        ]
+        ends = [-1] if mirror else [0, -1]
+        gaps = sum(_profile_tail(y, band) for y in _pieces(ic, snapped_c, x[ends], t_last))
+        ends = [e for e, gap in zip(ends, gaps.tolist()) if not (u0[e] == 1.0 and gap <= _END_GAP)]
         if ends:
             t_next = np.arange(1, n_steps + 1)[:, None] * dt
             boundary = _closed_form(ic, snapped_c, x[ends], t_next, band)
@@ -607,7 +593,8 @@ def two_sided_threshold(
 
     The march runs on ``default_two_sided_grid(c, band, nx=nx)``; row j
     reports the step nearest j/levels (the earlier step on a tie), and the
-    root is found only at those steps, so rows that share a step repeat it.
+    root is found only at those steps, so rows that share a step are one
+    (frozen) object.
     ``time_remaining`` is that step's PDE time: the policy that consumes
     this table evaluates it at 1 - (i-1)/n.  Where no sign change is found
     the row reports the solver's snapped threshold (the cell midpoint
@@ -629,11 +616,14 @@ def two_sided_threshold(
     pos_from = int(np.searchsorted(march.x[1:-1], 0.0))
     noise_floor = _D2_NOISE_MULT * np.finfo(float).eps
     with np.errstate(over="raise", invalid="raise"):
-        roots = {
-            k: _d2_sign_change_root(march.x, d2, pos_from, march.snapped_c, noise_floor)
+        rows = {
+            k: ThresholdLevel(
+                float(times[k]),
+                *_d2_sign_change_root(march.x, d2, pos_from, march.snapped_c, noise_floor),
+            )
             for k, _, d2 in march.states(sorted(set(picks)))
         }
-    return [ThresholdLevel(float(times[k]), *roots[k]) for k in picks]
+    return [rows[k] for k in picks]
 
 
 def verify_sandwich(c: float, band: VolatilityBand) -> SandwichReport:

@@ -24,7 +24,7 @@ from gnormal import (
     two_sided_threshold,
 )
 
-from gnormal.capacity import tail_threshold
+from gnormal.capacity import _profile_tail, tail_threshold
 from gnormal.gheat import IndicatorAbove, IndicatorAbsAbove, _closed_form
 
 import oracles
@@ -100,6 +100,20 @@ class TestProfileF:
         assert profile_f(ys, BAND).tolist() == [reference(y) for y in ys.tolist()]
         assert type(profile_f(0.3, BAND)) is float
         assert profile_f(0.3, BAND) == reference(0.3)
+
+    def test_tail_is_the_piece_without_cancellation(self):
+        # |f(y) - 1{y > 0}|: f itself for y <= 0, and the piece that f
+        # subtracts from 1 for y > 0, bit for bit.
+        ys = np.concatenate([np.linspace(-40, 40, 8_001), [0.0, -0.0, 5e-324, -5e-324]])
+        for lo, hi in ((0.8, 1.0), (0.5, 2.0), (1.0, 1.0)):
+            band = VolatilityBand(lo, hi)
+            tail, f = _profile_tail(ys, band), profile_f(ys, band)
+            left = ys <= 0.0
+            assert tail[left].tobytes() == f[left].tobytes()
+            assert f[~left].tobytes() == (1.0 - tail[~left]).tobytes()
+        # Where 1 - f(y) has cancelled to 0 the tail is still there.
+        assert 1.0 - profile_f(10.0, BAND) == 0.0
+        assert _profile_tail(np.array([10.0]), BAND)[0] > 0.0
 
     def test_matches_object_array_erfc_bitwise(self):
         # The erfc map runs through a float iterator; the object-array

@@ -679,6 +679,15 @@ class TestTopLevel:
         if case == "threshold-default-nx":
             # the march's node count, not a null
             assert manifest["parameters"]["nx"] == 1201
+        if command == "capacity":
+            # the march's timings, on stderr only
+            for captured in (first, second):
+                line = [l for l in captured.err.splitlines() if l.startswith("diagnostics: ")]
+                assert len(line) == 1
+                diag = json.loads(line[0].split(": ", 1)[1])
+                assert diag["nodes_per_step"] == 401 - 200 - 1  # the half march ran
+                assert 0.0 <= diag["setup_s"] <= diag["march_s"]
+                assert "march_s" not in captured.out
 
 
 class TestReproCommand:

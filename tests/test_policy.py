@@ -6,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gnormal import (
     ConfigurationError,
@@ -350,6 +352,55 @@ class TestStateContracts:
                 x = sig * rng.standard_normal()
                 s += x
                 ss += x * x
+
+
+@st.composite
+def driven_specs(draw):
+    """A rule of any kind on a band 0 < sigma_lo <= sigma_hi and a horizon
+    3 <= n <= 60, a batch width and a seed for the noise that drives it;
+    the two-sided rule reads a drawn table."""
+    lo = draw(st.floats(0.05, 2.0))
+    hi = draw(st.one_of(st.just(lo), st.floats(lo, 3.0)))
+    band, n = VolatilityBand(lo, hi), draw(st.integers(3, 60))
+    kind = draw(st.sampled_from(policy._KINDS))
+    if kind == "constant":
+        spec = constant_policy(band, n, draw(st.floats(lo, hi)))
+    elif kind == "one_sided_optimal":
+        spec = one_sided_optimal_policy(band, n, draw(st.floats(1e-4, 0.5)))
+    elif kind == "two_sided_threshold":
+        thresholds = draw(st.lists(st.floats(0.0, 3.0), min_size=1, max_size=6))
+        rows = [ThresholdLevel((j + 1) / len(thresholds), thr)
+                for j, thr in enumerate(thresholds)]
+        spec = two_sided_threshold_policy(band, n, rows)
+    elif draw(st.booleans()):
+        spec = heuristic_t_policy(band, n, draw(st.floats(1e-4, 0.5)))
+    else:
+        spec = heuristic_t_policy(band, n, c_alpha=draw(st.floats(0.1, 5.0)))
+    return spec, draw(st.integers(1, 8)), draw(st.integers(0, 2**32 - 1))
+
+
+class TestSigmaProperties:
+    """``PolicySpec.sigma`` on paths it drives itself, for every kind
+    (Peng, Nonlinear Expectations and Stochastic Calculus under
+    Uncertainty, 2019: the adversary's volatility stays in the band)."""
+
+    @settings(max_examples=150, deadline=None, database=None, derandomize=True)
+    @given(driven_specs())
+    def test_in_band_read_only_and_elementwise(self, drawn):
+        spec, width, seed = drawn
+        lo, hi = spec.band.sigma_lo, spec.band.sigma_hi
+        allowed = [spec.sigma_const] if spec.kind == "constant" else [lo, hi]
+        rng = np.random.default_rng(seed)
+        s, ss = np.zeros(width), np.zeros(width)
+        for i in range(1, spec.n + 1):
+            # A write to either argument raises on a read-only array.
+            s.flags.writeable = ss.flags.writeable = False
+            sig = np.broadcast_to(spec.sigma(i, s, ss), (width,))
+            assert np.isin(sig, allowed).all(), (i, sig)
+            alone = [scalar_sigma(spec, i, a, b) for a, b in zip(s.tolist(), ss.tolist())]
+            assert sig.tolist() == alone, i
+            x = sig * rng.standard_normal(width)
+            s, ss = s + x, ss + x * x
 
 
 def near(x, ulps=4):
